@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from typing import Iterable, Optional
 
 from .core import (
@@ -20,6 +21,7 @@ from .core import (
     CapExceededError,
     Caps,
     DEFAULT_CAPS,
+    PrefixStates,
     Value,
     ValuationOracle,
     check_action_seq,
@@ -180,7 +182,7 @@ def _walk_reaches(out: dict, start: int, goal: int) -> bool:
     return node == goal
 
 
-def _best_addable(inst: PathsInstance, agent: int, out: dict, has_in: set):
+def _best_addable(inst: PathsInstance, agent: int, out: dict, has_in: frozenset):
     """Heaviest edge agent->j keeping a union of paths; ties pick smallest j.
 
     Addable means: j has no incoming edge yet and j's path does not already
@@ -197,15 +199,16 @@ def _best_addable(inst: PathsInstance, agent: int, out: dict, has_in: set):
     return best, best_w
 
 
-def _simulate_path_edges(inst: PathsInstance, seq) -> tuple[dict, set]:
-    out: dict = {}
-    has_in: set = set()
-    for agent in seq:
-        target, _ = _best_addable(inst, agent, out, has_in)
-        if target is not None:
-            out[agent] = target
-            has_in.add(target)
-    return out, has_in
+def _step(inst: PathsInstance, state: tuple, agent: int) -> tuple:
+    out, has_in = state
+    target, _ = _best_addable(inst, agent, out, has_in)
+    if target is None:
+        return state
+    return {**out, agent: target}, has_in | {target}
+
+
+def _simulate_path_edges(inst: PathsInstance, seq) -> tuple[dict, frozenset]:
+    return reduce(partial(_step, inst), seq, ({}, frozenset()))
 
 
 def paths_oracle(inst: PathsInstance) -> ValuationOracle:
@@ -215,11 +218,14 @@ def paths_oracle(inst: PathsInstance) -> ValuationOracle:
     the arborescence structure: with 4+ nodes, an extra predecessor can grab
     an agent's target node (in-degree competition), rerouting that agent's
     edge and thereby unblocking an edge that the shorter prefix forbade.
-    They are monotone for n <= 3, where no such rerouting is possible.
+    They are monotone for n <= 3, where no such rerouting is possible.  The
+    simulation resumes from the edges drawn by the longest prefix shared with
+    the previous query.
     """
+    states = PrefixStates(({}, frozenset()), partial(_step, inst))
+
     def fn(agent: int, seq: tuple) -> Value:
-        out, has_in = _simulate_path_edges(inst, seq)
-        _, w = _best_addable(inst, agent, out, has_in)
+        _, w = _best_addable(inst, agent, *states.after(seq))
         return Fraction(0) if w is None else w
 
     return ValuationOracle(inst.n, fn, monotone_claimed=False)
@@ -255,6 +261,19 @@ def posd_paths_instance(eps) -> PathsInstance:
     w = [[Fraction(0)] * 4 for _ in range(4)]
     w[0][1] = w[1][2] = w[2][3] = Fraction(1)
     w[0][3] = w[1][3] = w[2][1] = 1 + eps
+    return PathsInstance.from_weights(w)
+
+
+def nonmonotone_paths_instance() -> PathsInstance:
+    """The four-node witness that disjoint-paths valuations are not monotone:
+    agent 2's value after (1,) is 0 but after (0, 1) it is 1.
+
+    After (1,), agent 1 draws 1->0, so node 0 is taken and 2->0 is blocked.
+    After (0, 1), agent 0 has drawn 0->1, so 1->0 would close a cycle; agent
+    1 draws 1->3 instead and leaves node 0 free for 2->0.
+    """
+    w = [[Fraction(0)] * 4 for _ in range(4)]
+    w[1][0] = w[1][3] = w[2][0] = w[3][1] = w[3][2] = Fraction(1)
     return PathsInstance.from_weights(w)
 
 

@@ -142,9 +142,9 @@ def _run_algorithm(args, inst, kind, oracle, caps):
         if args.c is None:
             raise UsageError(f"algorithm {algo} needs --c")
         if algo == "det":
-            return seqopt.det(oracle, args.c)
+            return seqopt.det(oracle, args.c, caps)
         if algo == "rand":
-            return seqopt.rand(oracle, args.c, args.seed)
+            return seqopt.rand(oracle, args.c, args.seed, caps)
         return seqopt.det_plus(oracle, args.c, caps)
     if algo == "greedy-osm":
         return osm.greedy_osm(oracle)

@@ -1,5 +1,5 @@
 """Core model: action sequences, counted valuation oracles, social welfare,
-and brute-force optima over serial dictatorships.
+and exact optima over serial dictatorships.
 
 Agents are the integers 0..n-1.  An action (sub)sequence is a duplicate-free
 tuple of agents; a full sequence is a permutation of all n agents.  All values
@@ -104,6 +104,39 @@ class QueryLedger:
         self._seen.add((agent, seq))
 
 
+class PrefixStates:
+    """A structure's state after each prefix of the last sequence asked for.
+
+    `after(seq)` replays with `step(state, agent)` only the agents past the
+    longest common prefix of `seq` and the previous call, so queries that walk
+    a prefix tree cost O(1) steps each.  The cache is one immutable snapshot
+    (sequence, states), replaced by a single assignment and never mutated in
+    place, so oracle copies sharing it may query it from several threads.
+    `step` must return a new state and never change the one it is given.
+    """
+
+    __slots__ = ("_step", "_snap")
+
+    def __init__(self, start, step: Callable):
+        self._step = step
+        self._snap = ((), (start,))
+
+    def after(self, seq: ActionSeq):
+        last, states = self._snap
+        if seq == last[:len(seq)]:  # keep `last`: a later query may extend it
+            return states[len(seq)]
+        k = len(last)
+        if seq[:k] != last:  # neither is a prefix of the other: find where they part
+            k = 0
+            while seq[k] == last[k]:
+                k += 1
+        grown = states[:k + 1]
+        for agent in seq[k:]:
+            grown += (self._step(grown[-1], agent),)
+        self._snap = (seq, grown)
+        return grown[-1]
+
+
 class ValuationOracle:
     """Query-counted access to per-agent valuations v_i(S).
 
@@ -150,21 +183,34 @@ def social_welfare(oracle: ValuationOracle, seq: Sequence[int]) -> Value:
 
 def brute_force_optimal_sequence(oracle: ValuationOracle,
                                  caps: Optional[Caps] = None) -> tuple[ActionSeq, Value]:
-    """Welfare-maximizing full sequence by enumerating all n! of them.
+    """Welfare-maximizing full sequence, by depth-first search of the prefix tree.
 
-    Ties break to the lexicographically smallest sequence.
+    Each tree edge (prefix S, next agent i) is one query v_i(S), and the
+    welfare of a prefix is carried down to its children, so the search makes
+    sum_k n!/(n-k-1)! queries, each (agent, prefix) pair once, rather than
+    n * n!.  Leaves are reached in lexicographic order and only a strictly
+    better one replaces the best, so ties break to the lexicographically
+    smallest sequence.
     """
     caps = caps or DEFAULT_CAPS
     if oracle.n > caps.factorial:
         raise CapExceededError(
             f"enumeration cap exceeded: n={oracle.n} > factorial cap {caps.factorial}")
-    best_seq: Optional[tuple] = None
-    best_val: Optional[Value] = None
-    for cand in permutations(range(oracle.n)):  # lexicographic order
-        sw = social_welfare(oracle, cand)
-        if best_val is None or sw > best_val:
-            best_seq, best_val = cand, sw
-    return best_seq, best_val
+    return _best_completion(oracle, (), tuple(range(oracle.n)), Fraction(0))
+
+
+def _best_completion(oracle: ValuationOracle, prefix: ActionSeq, rest: tuple,
+                     welfare: Value) -> tuple[ActionSeq, Value]:
+    """Best (sequence, welfare) below `prefix`, whose welfare is `welfare`."""
+    if not rest:
+        return prefix, welfare
+    best = None
+    for k, agent in enumerate(rest):
+        cand = _best_completion(oracle, prefix + (agent,), rest[:k] + rest[k + 1:],
+                                welfare + oracle.value(agent, prefix))
+        if best is None or cand[1] > best[1]:
+            best = cand
+    return best
 
 
 def ordered_subsequences(pool: Sequence[int]) -> Iterator[tuple]:
@@ -209,9 +255,10 @@ def check_monotone_exhaustive(oracle: ValuationOracle, max_n: int = 6) -> bool:
 def underlying_optimum(instance, caps: Optional[Caps] = None) -> Value:
     """Exact optimum of the combinatorial problem beneath a structured instance.
 
-    Structure modules register implementations (max-weight perfect matching,
-    max-weight arborescence, MAX-SAT, maximum independent set, max-weight
-    disjoint-path union), all by exhaustive enumeration.
+    Structure modules register implementations: max-weight perfect matching
+    and max-weight arborescence by dynamic programs over subsets, MAX-SAT by
+    scanning assignments, maximum independent set by subset search, and
+    max-weight disjoint-path union by a dynamic program.
     """
     raise TypeError(f"no underlying optimum registered for {type(instance).__name__}")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import product
 from math import factorial
 from typing import Iterator, Optional, Sequence
@@ -22,6 +23,7 @@ from .core import (
     CapExceededError,
     Caps,
     DEFAULT_CAPS,
+    PrefixStates,
     Value,
     ValuationOracle,
     check_action_seq,
@@ -99,25 +101,27 @@ def _best_target(inst: ArborescenceInstance, agent: int, out: dict) -> Optional[
     return None
 
 
+def _step(inst: ArborescenceInstance, out: dict, agent: int) -> dict:
+    target = _best_target(inst, agent, out)
+    return out if target is None else {**out, agent: target}
+
+
 def _simulate_draws(inst: ArborescenceInstance, seq) -> dict:
     """Out-edge map after the agents in `seq` acted in order."""
-    out: dict = {}
-    for agent in seq:
-        target = _best_target(inst, agent, out)
-        if target is not None:
-            out[agent] = target
-    return out
+    return reduce(partial(_step, inst), seq, {})
 
 
 def osa_oracle(inst: ArborescenceInstance) -> ValuationOracle:
     """v_i(S) = weight of i's best non-forbidden edge after simulating S.
 
     An edge i->j is forbidden when j already reaches i through drawn edges;
-    if every edge is forbidden the value is 0.
+    if every edge is forbidden the value is 0.  The simulation resumes from
+    the edges drawn by the longest prefix shared with the previous query.
     """
+    states = PrefixStates({}, partial(_step, inst))
+
     def fn(agent: int, seq: tuple) -> Value:
-        out = _simulate_draws(inst, seq)
-        target = _best_target(inst, agent, out)
+        target = _best_target(inst, agent, states.after(seq))
         if target is None:
             return Fraction(0)
         return inst.weights[agent][target]
@@ -261,14 +265,30 @@ def random_digraph_instance(n: int, seed: int,
 
 @underlying_optimum.register
 def _(inst: ArborescenceInstance, caps: Optional[Caps] = None) -> Value:
-    """Max-weight arborescence by enumerating all of them."""
-    best = Fraction(0)
-    for parent in all_arborescences(inst.n, caps):
-        total = sum((inst.weights[i][parent[i]] for i in range(inst.n)
-                     if parent[i] is not None), Fraction(0))
-        if total > best:
-            best = total
-    return best
+    """Max-weight arborescence by a dynamic program over node sets.
+
+    best[mask] is the heaviest in-tree spanning the nodes in mask.  A tree on
+    two or more nodes has a node no edge enters, and removing it leaves a
+    tree, so every tree grows one node at a time, each new node drawing its
+    heaviest edge into the set.  O(n^2 * 2^n).
+    """
+    caps = caps or DEFAULT_CAPS
+    n = inst.n
+    if n > caps.subset:
+        raise CapExceededError(f"n={n} exceeds subset cap {caps.subset}")
+    best = [None] * (1 << n)
+    for v in range(n):
+        best[1 << v] = Fraction(0)
+    for mask in range(1, (1 << n) - 1):  # every submask of a mask comes first
+        members = [u for u in range(n) if mask >> u & 1]
+        for v in range(n):
+            if not mask >> v & 1:
+                row = inst.weights[v]
+                cand = best[mask] + max(row[u] for u in members)
+                grown = mask | 1 << v
+                if best[grown] is None or cand > best[grown]:
+                    best[grown] = cand
+    return best[-1]
 
 
 @oracle_for.register

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import permutations
 from typing import Optional, Sequence
 
@@ -19,6 +20,7 @@ from .core import (
     CapExceededError,
     Caps,
     DEFAULT_CAPS,
+    PrefixStates,
     Value,
     ValuationOracle,
     check_action_seq,
@@ -63,26 +65,34 @@ class MatchingInstance:
         return cls(n, rows, prefs)
 
 
+def _pick(inst: MatchingInstance, agent: int, taken) -> int:
+    """The agent's best-ranked item not held in `taken` ({agent: item})."""
+    gone = taken.values()
+    for j in inst.prefs[agent]:
+        if j not in gone:
+            return j
+
+
+def _step(inst: MatchingInstance, taken: dict, agent: int) -> dict:
+    return {**taken, agent: _pick(inst, agent, taken)}
+
+
 def _simulate_picks(inst: MatchingInstance, seq) -> dict:
     """Items taken by the agents in `seq`, in order: {agent: item}."""
-    taken: dict = {}
-    items_gone = set()
-    for agent in seq:
-        item = next(j for j in inst.prefs[agent] if j not in items_gone)
-        taken[agent] = item
-        items_gone.add(item)
-    return taken
+    return reduce(partial(_step, inst), seq, {})
 
 
 def osm_oracle(inst: MatchingInstance) -> ValuationOracle:
     """v_i(S) = weight of i's best-ranked item left after S picked theirs.
 
-    The internal simulation of S is bookkeeping, not a counted query.
+    The internal simulation of S is bookkeeping, not a counted query; it
+    resumes from the picks after the longest prefix shared with the previous
+    query.
     """
+    states = PrefixStates({}, partial(_step, inst))
+
     def fn(agent: int, seq: tuple) -> Value:
-        gone = set(_simulate_picks(inst, seq).values())
-        item = next(j for j in inst.prefs[agent] if j not in gone)
-        return inst.weights[agent][item]
+        return inst.weights[agent][_pick(inst, agent, states.after(seq))]
 
     return ValuationOracle(inst.n, fn, monotone_claimed=True)
 
@@ -150,11 +160,7 @@ def matching_context(inst: MatchingInstance) -> FeasibilityContext:
         items = list(acts.values())
         return len(items) == len(set(items))
 
-    def best_response(agent: int, acts) -> int:
-        gone = set(acts.values())
-        return next(j for j in inst.prefs[agent] if j not in gone)
-
-    return FeasibilityContext(inst.n, feasible, best_response)
+    return FeasibilityContext(inst.n, feasible, partial(_pick, inst))
 
 
 def sequence_for_matching(inst: MatchingInstance, matching) -> Optional[tuple]:
@@ -175,12 +181,26 @@ def random_matching_instance(n: int, seed: int,
 
 @underlying_optimum.register
 def _(inst: MatchingInstance, caps: Optional[Caps] = None) -> Value:
-    """Max-weight perfect matching by enumerating all n! assignments."""
+    """Max-weight perfect matching by a dynamic program over taken items.
+
+    best[mask] is the heaviest assignment of agents 0..|mask|-1 to the items
+    in mask; the next agent then takes any free item.  O(n * 2^n).
+    """
     caps = caps or DEFAULT_CAPS
-    if inst.n > caps.factorial:
-        raise CapExceededError(f"n={inst.n} exceeds factorial cap {caps.factorial}")
-    return max(sum((inst.weights[i][p[i]] for i in range(inst.n)), Fraction(0))
-               for p in permutations(range(inst.n)))
+    n = inst.n
+    if n > caps.subset:
+        raise CapExceededError(f"n={n} exceeds subset cap {caps.subset}")
+    best = [None] * (1 << n)
+    best[0] = Fraction(0)
+    for mask in range((1 << n) - 1):  # every submask of a mask comes first
+        row = inst.weights[bin(mask).count("1")]
+        for j in range(n):
+            if not mask >> j & 1:
+                cand = best[mask] + row[j]
+                grown = mask | 1 << j
+                if best[grown] is None or cand > best[grown]:
+                    best[grown] = cand
+    return best[-1]
 
 
 @oracle_for.register

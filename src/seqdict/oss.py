@@ -11,12 +11,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from typing import Iterable, Optional, Sequence
 
 from .core import (
     CapExceededError,
     Caps,
     DEFAULT_CAPS,
+    PrefixStates,
     Value,
     ValuationOracle,
     check_action_seq,
@@ -66,37 +68,52 @@ def sat_instance(n: int, clauses: Iterable, tie_default=None) -> SatInstance:
     return SatInstance(n, built, tie)
 
 
-def _simulate(inst: SatInstance, seq) -> tuple[dict, set]:
+def _tally(inst: SatInstance, agent: int, unsat) -> tuple[Value, Value]:
+    """Weights of the clauses in `unsat` that x_agent or its negation satisfies."""
+    pos = neg = Fraction(0)
+    for idx in unsat:
+        lits, w = inst.clauses[idx]
+        if agent + 1 in lits:
+            pos += w
+        if -(agent + 1) in lits:
+            neg += w
+    return pos, neg
+
+
+def _choice(inst: SatInstance, agent: int, unsat) -> bool:
+    """The value the agent sets x_agent to while the clauses in `unsat` are open."""
+    pos, neg = _tally(inst, agent, unsat)
+    return pos > neg or (pos == neg and inst.tie_default[agent])
+
+
+def _start(inst: SatInstance) -> tuple:
+    return {}, frozenset(range(len(inst.clauses)))
+
+
+def _step(inst: SatInstance, state: tuple, agent: int) -> tuple:
+    assign, unsat = state
+    value = _choice(inst, agent, unsat)
+    hit = (agent + 1) if value else -(agent + 1)
+    return ({**assign, agent: value},
+            frozenset(idx for idx in unsat if hit not in inst.clauses[idx][0]))
+
+
+def _simulate(inst: SatInstance, seq) -> tuple[dict, frozenset]:
     """Run the agents in `seq`; return (assignment, unsatisfied clause indices)."""
-    unsat = set(range(len(inst.clauses)))
-    assign: dict = {}
-    for agent in seq:
-        pos = neg = Fraction(0)
-        for idx in unsat:
-            lits, w = inst.clauses[idx]
-            if agent + 1 in lits:
-                pos += w
-            if -(agent + 1) in lits:
-                neg += w
-        value = pos > neg or (pos == neg and inst.tie_default[agent])
-        assign[agent] = value
-        hit = (agent + 1) if value else -(agent + 1)
-        unsat = {idx for idx in unsat if hit not in inst.clauses[idx][0]}
-    return assign, unsat
+    return reduce(partial(_step, inst), seq, _start(inst))
 
 
 def oss_oracle(inst: SatInstance) -> ValuationOracle:
-    """v_i(S) = larger of the unsatisfied weights on x_i's two sides after S."""
+    """v_i(S) = larger of the unsatisfied weights on x_i's two sides after S.
+
+    The simulation resumes from the state after the longest prefix shared
+    with the previous query.
+    """
+    states = PrefixStates(_start(inst), partial(_step, inst))
+
     def fn(agent: int, seq: tuple) -> Value:
-        _, unsat = _simulate(inst, seq)
-        pos = neg = Fraction(0)
-        for idx in unsat:
-            lits, w = inst.clauses[idx]
-            if agent + 1 in lits:
-                pos += w
-            if -(agent + 1) in lits:
-                neg += w
-        return max(pos, neg)
+        _, unsat = states.after(seq)
+        return max(_tally(inst, agent, unsat))
 
     return ValuationOracle(inst.n, fn, monotone_claimed=False)
 
@@ -145,15 +162,7 @@ def sat_as_decide(inst: SatInstance, target,
         return cached
 
     def acts_target(state: frozenset, agent: int) -> bool:
-        pos = neg = Fraction(0)
-        for idx in unsat(state):
-            lits, w = inst.clauses[idx]
-            if agent + 1 in lits:
-                pos += w
-            if -(agent + 1) in lits:
-                neg += w
-        choice = pos > neg or (pos == neg and inst.tie_default[agent])
-        return choice == target[agent]
+        return _choice(inst, agent, unsat(state)) == target[agent]
 
     comp_memo: dict = {}
 

@@ -53,7 +53,8 @@ def _fill_ascending(prefix: tuple, n: int) -> tuple:
     return prefix + tuple(i for i in range(n) if i not in chosen)
 
 
-def det(oracle: ValuationOracle, c: int) -> ActionSeq:
+def det(oracle: ValuationOracle, c: int,
+        caps: Optional[Caps] = None) -> ActionSeq:
     """Exhaustive prefix search over every ordering of every c-subset.
 
     Keeps the prefix with maximum total value (ties lexicographic) and appends
@@ -62,8 +63,12 @@ def det(oracle: ValuationOracle, c: int) -> ActionSeq:
     with monotone valuations; the search itself runs on any oracle.
     """
     n = oracle.n
+    caps = caps or DEFAULT_CAPS
     if not 1 <= c <= n:
         raise ValueError("c out of range")
+    if perm(n, c) > factorial(caps.factorial):
+        raise CapExceededError(
+            f"enumeration cap exceeded: {n}!/{n - c}! prefixes over budget")
     best = None  # (total, order)
     for subset in combinations(range(n), c):
         order, total = max_welfare_ordering(oracle.value, subset)
@@ -72,7 +77,8 @@ def det(oracle: ValuationOracle, c: int) -> ActionSeq:
     return _fill_ascending(best[1], n)
 
 
-def rand(oracle: ValuationOracle, c: int, seed: int) -> ActionSeq:
+def rand(oracle: ValuationOracle, c: int, seed: int,
+         caps: Optional[Caps] = None) -> ActionSeq:
     """Prefix search over a single uniformly random c-subset (c * c! queries).
 
     The subset comes from a partial Fisher-Yates shuffle: for k = 0..c-1,
@@ -80,8 +86,12 @@ def rand(oracle: ValuationOracle, c: int, seed: int) -> ActionSeq:
     of agents is drawn with probability 1/C(n,c).
     """
     n = oracle.n
+    caps = caps or DEFAULT_CAPS
     if not 1 <= c <= n:
         raise ValueError("c out of range")
+    if factorial(c) > factorial(caps.factorial):
+        raise CapExceededError(
+            f"enumeration cap exceeded: {c}! prefix orderings over budget")
     rng = random.Random(seed)
     pool = list(range(n))
     for k in range(c):

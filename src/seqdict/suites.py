@@ -16,6 +16,7 @@ from .core import (
     check_monotone_exhaustive,
     find_monotonicity_violation,
     is_subsequence,
+    prefix_of,
     social_welfare,
 )
 
@@ -41,9 +42,12 @@ def suite_monotonicity(seed: int = 0) -> list:
         for k in range(5))
     rows.append(_row("monotone paths n=3", ok))
     # documented deviation: in-degree rerouting breaks paths monotonicity at n=4
-    ok = any(find_monotonicity_violation(
-        auxstructs.paths_oracle(auxstructs.random_paths_instance(4, seed + k))) is not None
-        for k in range(8))
+    witness = find_monotonicity_violation(
+        auxstructs.paths_oracle(auxstructs.nonmonotone_paths_instance()))
+    ok = (witness is not None
+          and witness.agent == 2
+          and witness.smaller == (1,) and witness.larger == (0, 1)
+          and witness.value_smaller == 0 and witness.value_larger == 1)
     rows.append(_row("paths rerouting non-monotonicity reproducible at n=4", ok))
     for n, c in [(4, 2), (5, 2)]:
         inst = seqopt.random_lower_bound_instance(n, c, seed + n)
@@ -135,10 +139,6 @@ def suite_approx(seed: int = 0) -> list:
     return rows
 
 
-def _prefix(seq, agent):
-    return tuple(seq[:seq.index(agent)])
-
-
 def suite_truthful(seed: int = 0) -> list:
     rows = []
     for eps in (Fraction(1, 10), Fraction(1, 100)):
@@ -153,7 +153,7 @@ def suite_truthful(seed: int = 0) -> list:
         dist = mech.distribution(profile)
         nonneg = all(p >= 0 for _, out in dist for p in out.payments)
         rational = all(
-            sum(pr * (profile.value(i, _prefix(out.sequence, i)) - out.payments[i])
+            sum(pr * (profile.value(i, prefix_of(out.sequence, i)) - out.payments[i])
                 for pr, out in dist) >= 0
             for i in range(4))
         report = mechanisms.truthfulness_spotcheck(mech, profile, misreports)

@@ -8,6 +8,7 @@ from seqdict.auxstructs import (
     check_path_union,
     max_disjoint_paths_weight,
     max_independent_set,
+    nonmonotone_paths_instance,
     osi_learn_and_solve,
     osi_oracle,
     paths_edges_from_sequence,
@@ -130,6 +131,12 @@ class TestPathsOracle:
         hits = [find_monotonicity_violation(paths_oracle(random_paths_instance(4, s)))
                 for s in range(8)]
         assert any(v is not None for v in hits)
+
+    def test_pinned_rerouting_witness(self):
+        inst = nonmonotone_paths_instance()
+        assert inst == random_paths_instance(4, 2, weight_denominator=1)
+        assert find_monotonicity_violation(paths_oracle(inst)) == (
+            2, (1,), (0, 1), Fraction(0), Fraction(1))
 
 
 class TestPathsPosdInstance:

@@ -143,6 +143,17 @@ class TestRun:
         assert doc["optimal_sequence_welfare"] is None
         assert doc["ratio"] is None
 
+    @pytest.mark.parametrize("algorithm", ["det", "rand"])
+    def test_caps_env_stops_prefix_search(self, capsys, tmp_path, monkeypatch, algorithm):
+        path = tmp_path / "h.json"
+        run_cli(capsys, "gen", "lowerbound", "--n", "6", "-o", str(path))
+        monkeypatch.setenv("SEQDICT_CAPS", "factorial=4")
+        code, out, err = run_cli(capsys, "run", str(path), "--algorithm", algorithm,
+                                 "--c", "5", "--skip-optimum")
+        assert code == 2
+        assert out == ""
+        assert "cap exceeded" in err
+
 
 class TestPosd:
     def test_sat_posd_numbers(self, capsys, tmp_path):
@@ -170,6 +181,13 @@ class TestVerify:
     @pytest.mark.parametrize("suite", sorted(SUITES))
     def test_all_suites_exit_zero(self, capsys, suite):
         code, out, _ = run_cli(capsys, "verify", suite)
+        assert code == 0
+        assert "FAIL" not in out
+
+    @pytest.mark.parametrize("seed", ["7000", "17100"])
+    def test_monotonicity_at_formerly_failing_seeds(self, capsys, seed):
+        # a random sample of 8 paths instances held no rerouting witness here
+        code, out, _ = run_cli(capsys, "verify", "monotonicity", "--seed", seed)
         assert code == 0
         assert "FAIL" not in out
 

@@ -99,6 +99,14 @@ class TestDet:
         with pytest.raises(ValueError, match="c out of range"):
             det(oracle, 4)
 
+    def test_cap_before_first_query(self):
+        oracle = make_lower_bound_oracle(random_lower_bound_instance(6, 2, seed=1))
+        with pytest.raises(CapExceededError):
+            det(oracle, 3, Caps(factorial=4))  # 6!/3! = 120 prefixes > 4!
+        assert oracle.ledger.total_calls == 0
+        det(oracle, 1, Caps(factorial=4))  # 6 prefixes fit the budget
+        assert oracle.ledger.total_calls == 6
+
 
 class TestRand:
     def test_c_equals_n_matches_brute_force_any_seed(self):
@@ -123,6 +131,14 @@ class TestRand:
             oracle = make_lower_bound_oracle(inst)
             rand(oracle, c, seed=c)
             assert oracle.ledger.total_calls == c * factorial(c)
+
+    def test_cap_before_first_query(self):
+        oracle = make_lower_bound_oracle(random_lower_bound_instance(6, 2, seed=1))
+        with pytest.raises(CapExceededError):
+            rand(oracle, 5, 0, Caps(factorial=4))
+        assert oracle.ledger.total_calls == 0
+        rand(oracle, 4, 0, Caps(factorial=4))
+        assert oracle.ledger.total_calls == 4 * factorial(4)
 
     def test_subset_draw_roughly_uniform(self):
         # partial Fisher-Yates must hit all C(4,2)=6 subsets evenly
