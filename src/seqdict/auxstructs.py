@@ -28,6 +28,7 @@ from .core import (
     oracle_for,
     underlying_optimum,
 )
+from .osa import check_digraph_row, digraph_rows, random_digraph_weights, reaches
 
 
 @dataclass(frozen=True)
@@ -154,32 +155,11 @@ class PathsInstance:
         if self.n < 1 or len(self.weights) != self.n:
             raise ValueError("bad weight matrix")
         for i in range(self.n):
-            row = self.weights[i]
-            if len(row) != self.n or row[i] is not None:
-                raise ValueError("diagonal must be None (no self-edges)")
-            for j in range(self.n):
-                if j != i and (not isinstance(row[j], Fraction) or row[j] < 0):
-                    raise ValueError("weights must be non-negative rationals")
+            check_digraph_row(self.weights[i], i, self.n)
 
     @classmethod
     def from_weights(cls, weights) -> "PathsInstance":
-        n = len(weights)
-        rows = tuple(
-            tuple(None if i == j else Fraction(weights[i][j]) for j in range(n))
-            for i in range(n)
-        )
-        return cls(n, rows)
-
-
-def _walk_reaches(out: dict, start: int, goal: int) -> bool:
-    seen = set()
-    node = start
-    while node in out and node not in seen:
-        seen.add(node)
-        node = out[node]
-        if node == goal:
-            return True
-    return node == goal
+        return cls(len(weights), digraph_rows(weights))
 
 
 def _best_addable(inst: PathsInstance, agent: int, out: dict, has_in: frozenset):
@@ -191,7 +171,7 @@ def _best_addable(inst: PathsInstance, agent: int, out: dict, has_in: frozenset)
     best = None
     best_w = None
     for j in range(inst.n):
-        if j == agent or j in has_in or _walk_reaches(out, j, agent):
+        if j == agent or j in has_in or reaches(out, j, agent):
             continue
         w = inst.weights[agent][j]
         if best_w is None or w > best_w:
@@ -245,7 +225,7 @@ def check_path_union(out: dict, n: int) -> None:
     if len(targets) != len(set(targets)):
         raise ValueError("a node has in-degree above 1")
     for i in out:
-        if _walk_reaches(out, out[i], i):
+        if reaches(out, out[i], i):
             raise ValueError("edges contain a cycle")
 
 
@@ -279,11 +259,9 @@ def nonmonotone_paths_instance() -> PathsInstance:
 
 def random_paths_instance(n: int, seed: int,
                           weight_denominator: int = 100) -> PathsInstance:
-    rng = random.Random(seed)
-    weights = [[Fraction(0) if i == j
-                else Fraction(rng.randint(0, weight_denominator), weight_denominator)
-                for j in range(n)] for i in range(n)]
-    return PathsInstance.from_weights(weights)
+    """The weights `osa.random_digraph_instance` draws for the same arguments."""
+    return PathsInstance.from_weights(
+        random_digraph_weights(n, seed, weight_denominator))
 
 
 def max_disjoint_paths_weight(inst: PathsInstance,

@@ -25,8 +25,11 @@ from .core import (
     brute_force_optimal_sequence,
     oracle_for,
     social_welfare,
+    underlying_optimum,
+    welfare_ratio,
 )
 from .fileio import (
+    KINDS,
     SCHEMA_VERSION,
     instance_kind,
     load_instance,
@@ -62,29 +65,19 @@ def _parse_range(text: str) -> list:
     return [int(text)]
 
 
-NAMED_INSTANCES = ("sat-posd", "paths-posd", "oss-nonmono",
-               "osm-counterexample", "osa-counterexample", "x3c")
+# name -> constructor(eps, x3c_variant)
+NAMED_INSTANCES = {
+    "sat-posd": lambda eps, _: oss.posd_sat_instance(eps),
+    "paths-posd": lambda eps, _: auxstructs.posd_paths_instance(eps),
+    "oss-nonmono": lambda eps, _: oss.nonmonotone_sat_instance(),
+    "osm-counterexample": lambda eps, _: mechanisms.counterexample_matching_instance(eps),
+    "osa-counterexample": lambda eps, _: mechanisms.counterexample_digraph_instance(eps),
+    "x3c": lambda eps, variant: (oss.x3c_reduce(3, [(0, 1, 2)]) if variant == "yes"
+                                 else oss.x3c_reduce(6, [(0, 1, 2), (2, 3, 4)])),
+}
 
 
-def _named_instance(name: str, eps: Fraction, x3c_variant: str):
-    if name == "sat-posd":
-        return oss.posd_sat_instance(eps)
-    if name == "paths-posd":
-        return auxstructs.posd_paths_instance(eps)
-    if name == "oss-nonmono":
-        return oss.nonmonotone_sat_instance()
-    if name == "osm-counterexample":
-        return mechanisms.counterexample_matching_instance(eps)
-    if name == "osa-counterexample":
-        return mechanisms.counterexample_digraph_instance(eps)
-    if name == "x3c":
-        if x3c_variant == "yes":
-            return oss.x3c_reduce(3, [(0, 1, 2)])
-        return oss.x3c_reduce(6, [(0, 1, 2), (2, 3, 4)])
-    raise UsageError(f"unknown named instance {name!r}")
-
-
-def _random_instance(kind: str, n: int, seed: int, args):
+def _random_instance(kind: str, n: int, seed: int, c, args):
     wd = args.weight_denominator
     if kind == "osm":
         return osm.random_matching_instance(n, seed, wd)
@@ -98,20 +91,19 @@ def _random_instance(kind: str, n: int, seed: int, args):
     if kind == "paths":
         return auxstructs.random_paths_instance(n, seed, wd)
     if kind == "lowerbound":
-        c = args.c if args.c is not None else min(2, n)
-        return seqopt.random_lower_bound_instance(n, c, seed)
+        return seqopt.random_lower_bound_instance(n, min(2, n) if c is None else c, seed)
     raise UsageError(f"unknown instance kind {kind!r}")
 
 
 def _cmd_gen(args) -> int:
     if args.paper:
-        inst = _named_instance(args.paper, _parse_eps(args.eps), args.x3c_variant)
+        inst = NAMED_INSTANCES[args.paper](_parse_eps(args.eps), args.x3c_variant)
     else:
         if args.kind is None:
             raise UsageError("gen needs an instance kind or --paper")
         if args.n is None:
             raise UsageError("gen needs --n for random instances")
-        inst = _random_instance(args.kind, args.n, args.seed, args)
+        inst = _random_instance(args.kind, args.n, args.seed, args.c, args)
     if args.wcnf:
         if not isinstance(inst, oss.SatInstance):
             raise UsageError("--wcnf only applies to sat instances")
@@ -161,6 +153,15 @@ def _run_algorithm(args, inst, kind, oracle, caps):
     raise UsageError(f"unknown algorithm {algo!r}")
 
 
+def _best_welfare(oracle, caps):
+    """Welfare of the best sequence, or None when its search is over the cap."""
+    try:
+        _, best = brute_force_optimal_sequence(oracle.fresh(), caps)
+    except CapExceededError:
+        return None
+    return best
+
+
 def _cmd_run(args) -> int:
     caps = Caps.from_env()
     inst = load_instance(args.instance)
@@ -172,15 +173,9 @@ def _cmd_run(args) -> int:
 
     opt = ratio = None
     if not args.skip_optimum:
-        try:
-            _, opt = brute_force_optimal_sequence(oracle.fresh(), caps)
-        except CapExceededError:
-            opt = None
+        opt = _best_welfare(oracle, caps)
         if opt is not None:
-            if welfare > 0:
-                ratio = opt / welfare
-            else:
-                ratio = Fraction(1) if opt == 0 else INFINITE_POSD
+            ratio = welfare_ratio(opt, welfare)
 
     if args.json:
         doc = {
@@ -218,17 +213,11 @@ def _cmd_posd(args) -> int:
     inst = load_instance(args.instance)
     kind = instance_kind(inst)
     try:
-        from .core import underlying_optimum
         opt = underlying_optimum(inst, caps)
     except TypeError:
         raise UsageError(f"no underlying optimum for kind {kind!r}") from None
     seq, best = brute_force_optimal_sequence(oracle_for(inst), caps)
-    if opt == 0 and best == 0:
-        posd = Fraction(1)
-    elif best == 0:
-        posd = INFINITE_POSD
-    else:
-        posd = opt / best
+    posd = welfare_ratio(opt, best)
     if args.json:
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -276,13 +265,15 @@ def _trial_seed(seed: int, n: int, c, trial: int) -> int:
     return ((seed * 1_000_003 + n) * 1_009 + (0 if c is None else c)) * 100_003 + trial
 
 
-_BENCH_KINDS = ("osm", "osa", "oss", "osi", "paths", "lowerbound", "general")
+# "general" is another name for the hidden-sequence (lowerbound) family
+_BENCH_KINDS = KINDS + ("general",)
 
 
 def _cmd_bench(args) -> int:
     caps = Caps.from_env()
     if args.kind not in _BENCH_KINDS:
         raise UsageError(f"unknown bench kind {args.kind!r}")
+    kind = "lowerbound" if args.kind == "general" else args.kind
     ns = _parse_range(args.n)
     cs = _parse_range(args.c) if args.c else [None]
     out = io.StringIO()
@@ -296,26 +287,19 @@ def _cmd_bench(args) -> int:
             ratios, queries, runtimes = [], [], []
             for trial in range(args.trials):
                 tseed = _trial_seed(args.seed, n, c, trial)
-                if args.kind == "general":
-                    inst = seqopt.random_lower_bound_instance(n, c or min(2, n), tseed)
-                else:
-                    inst = _random_instance(args.kind, n, tseed, args)
+                # without --c, or at c=0 (det-plus only), draw the c=min(2, n) family
+                inst = _random_instance(kind, n, tseed, c or min(2, n), args)
                 oracle = oracle_for(inst)
                 run_args = argparse.Namespace(algorithm=args.algorithm, c=c,
                                               seed=tseed, coin=None)
                 t0 = time.perf_counter()
-                seq = _run_algorithm(run_args, inst, instance_kind(inst), oracle, caps)
+                seq = _run_algorithm(run_args, inst, kind, oracle, caps)
                 runtimes.append((time.perf_counter() - t0) * 1000)
                 queries.append(oracle.ledger.total_calls)
                 welfare = social_welfare(oracle.fresh(), seq)
-                try:
-                    _, opt = brute_force_optimal_sequence(oracle.fresh(), caps)
-                except CapExceededError:
-                    continue
-                if welfare > 0:
-                    ratios.append(opt / welfare)
-                else:
-                    ratios.append(Fraction(1) if opt == 0 else INFINITE_POSD)
+                opt = _best_welfare(oracle, caps)
+                if opt is not None:
+                    ratios.append(welfare_ratio(opt, welfare))
             writer.writerow([
                 args.kind, args.algorithm, n, "" if c is None else c,
                 args.trials, args.seed,
@@ -341,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance file")
-    p.add_argument("kind", nargs="?", choices=("osm", "osa", "oss", "osi",
-                                               "paths", "lowerbound"))
+    p.add_argument("kind", nargs="?", choices=KINDS)
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m", type=int, help="clause count for oss instances")

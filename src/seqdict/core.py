@@ -269,16 +269,19 @@ def oracle_for(instance) -> ValuationOracle:
     raise TypeError(f"no oracle constructor registered for {type(instance).__name__}")
 
 
-def price_of_serial_dictatorship(instance, caps: Optional[Caps] = None):
-    """underlying_optimum / best-sequence welfare (1 if both are zero).
+def welfare_ratio(optimum: Value, welfare: Value):
+    """optimum / welfare: 1 if both are zero, INFINITE_POSD if only the welfare is.
 
-    Returns INFINITE_POSD when the optimum is positive but every sequence has
-    zero welfare.
+    The one rule behind both the price of serial dictatorship and an
+    algorithm's ratio against the best sequence.
     """
+    if welfare == 0:
+        return Fraction(1) if optimum == 0 else INFINITE_POSD
+    return optimum / welfare
+
+
+def price_of_serial_dictatorship(instance, caps: Optional[Caps] = None):
+    """underlying_optimum / best-sequence welfare, by `welfare_ratio`."""
     opt = underlying_optimum(instance, caps)
     _, best = brute_force_optimal_sequence(oracle_for(instance), caps)
-    if opt == 0 and best == 0:
-        return Fraction(1)
-    if best == 0:
-        return INFINITE_POSD
-    return opt / best
+    return welfare_ratio(opt, best)

@@ -68,6 +68,19 @@ def sequence_for_collection(ctx: FeasibilityContext,
     return tuple(order)
 
 
+def dominates(inst, a, b) -> bool:
+    """True iff collection `a` weakly rank-improves on `b` for every agent and
+    strictly for one, ranking actions by `inst.rank(agent, action)`."""
+    strict = False
+    for i in range(inst.n):
+        ra, rb = inst.rank(i, a[i]), inst.rank(i, b[i])
+        if ra > rb:
+            return False
+        if ra < rb:
+            strict = True
+    return strict
+
+
 def is_downward_closed_on(ctx: FeasibilityContext,
                           collection: Mapping[int, object]) -> bool:
     """Check every sub-collection of `collection` is feasible (2^|collection|)."""

@@ -31,6 +31,7 @@ _KINDS = {
     PathsInstance: "paths",
     LowerBoundInstance: "lowerbound",
 }
+KINDS = tuple(_KINDS.values())
 
 
 def instance_kind(inst: Instance) -> str:
@@ -66,10 +67,7 @@ def _weights_in(rows, allow_none: bool) -> tuple:
 def instance_to_dict(inst: Instance) -> dict:
     kind = instance_kind(inst)
     doc: dict = {"schema_version": SCHEMA_VERSION, "kind": kind, "n": inst.n}
-    if kind == "osm":
-        doc["weights"] = _weights_out(inst.weights)
-        doc["prefs"] = [list(p) for p in inst.prefs]
-    elif kind == "osa":
+    if kind in ("osm", "osa"):
         doc["weights"] = _weights_out(inst.weights)
         doc["prefs"] = [list(p) for p in inst.prefs]
     elif kind == "oss":
@@ -90,26 +88,32 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(doc: dict) -> Instance:
+    """Decode an instance document; a missing or mistyped field is a ValueError."""
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     kind = doc.get("kind")
     n = doc.get("n")
-    if kind == "osm":
-        return MatchingInstance(n, _weights_in(doc["weights"], allow_none=False),
-                                tuple(tuple(p) for p in doc["prefs"]))
-    if kind == "osa":
-        return ArborescenceInstance(n, _weights_in(doc["weights"], allow_none=True),
+    try:
+        if kind == "osm":
+            return MatchingInstance(n, _weights_in(doc["weights"], allow_none=False),
                                     tuple(tuple(p) for p in doc["prefs"]))
-    if kind == "oss":
-        clauses = [(c["literals"], decode_rational(c["weight"]))
-                   for c in doc["clauses"]]
-        return oss.sat_instance(n, clauses, doc.get("tie_default"))
-    if kind == "osi":
-        return OsiInstance.from_edges(n, [tuple(e) for e in doc["edges"]])
-    if kind == "paths":
-        return PathsInstance(n, _weights_in(doc["weights"], allow_none=True))
-    if kind == "lowerbound":
-        return LowerBoundInstance(n, doc["c"], tuple(doc["hidden_pi"]))
+        if kind == "osa":
+            return ArborescenceInstance(n, _weights_in(doc["weights"], allow_none=True),
+                                        tuple(tuple(p) for p in doc["prefs"]))
+        if kind == "oss":
+            clauses = [(c["literals"], decode_rational(c["weight"]))
+                       for c in doc["clauses"]]
+            return oss.sat_instance(n, clauses, doc.get("tie_default"))
+        if kind == "osi":
+            return OsiInstance.from_edges(n, [tuple(e) for e in doc["edges"]])
+        if kind == "paths":
+            return PathsInstance(n, _weights_in(doc["weights"], allow_none=True))
+        if kind == "lowerbound":
+            return LowerBoundInstance(n, doc["c"], tuple(doc["hidden_pi"]))
+    except KeyError as exc:
+        raise ValueError(f"{kind} instance lacks field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed {kind} instance: {exc}") from None
     raise ValueError(f"unknown instance kind {kind!r}")
 
 

@@ -21,7 +21,7 @@ from .core import (
 )
 from .osa import ArborescenceInstance, greedy_osa, osa_oracle
 from .osm import MatchingInstance, greedy_osm, osm_oracle
-from .seqopt import det, det_plus, max_welfare_ordering, rand
+from .seqopt import det, det_plus, fill_ascending, max_welfare_ordering, rand
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,7 @@ class ValuationProfile:
 
     @classmethod
     def from_oracle(cls, oracle: ValuationOracle) -> "ValuationProfile":
-        tables = []
-        for i in range(oracle.n):
-            others = [j for j in range(oracle.n) if j != i]
-            tables.append({s: oracle.value(i, s) for s in ordered_subsequences(others)})
-        return cls(tables)
+        return cls([_agent_table(oracle, i) for i in range(oracle.n)])
 
     def value(self, agent: int, prefix: tuple) -> Value:
         return self.tables[agent][tuple(prefix)]
@@ -70,15 +66,10 @@ class ValuationProfile:
         return self.with_table(agent, {s: zero for s in self.tables[agent]})
 
 
-def _fill_ascending(prefix: tuple, n: int) -> tuple:
-    chosen = set(prefix)
-    return prefix + tuple(i for i in range(n) if i not in chosen)
-
-
 def _subset_sequence(profile: ValuationProfile, subset) -> tuple:
     """The sequence the prefix search would output for this drawn subset."""
     order, _ = max_welfare_ordering(profile.value, subset)
-    return _fill_ascending(order, profile.n)
+    return fill_ascending(order, profile.n)
 
 
 def _vcg_rand_outcome(profile: ValuationProfile, subset,

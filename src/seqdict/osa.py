@@ -30,7 +30,25 @@ from .core import (
     oracle_for,
     underlying_optimum,
 )
-from .feasibility import FeasibilityContext, sequence_for_collection
+from .feasibility import FeasibilityContext, dominates, sequence_for_collection
+
+
+def digraph_rows(weights: Sequence[Sequence]) -> tuple:
+    """Weight rows of a digraph as Fractions, with None on the diagonal."""
+    n = len(weights)
+    return tuple(
+        tuple(None if i == j else Fraction(weights[i][j]) for j in range(n))
+        for i in range(n)
+    )
+
+
+def check_digraph_row(row, i: int, n: int) -> None:
+    """Row i of a digraph weight matrix: None at i, non-negative rationals elsewhere."""
+    if len(row) != n or row[i] is not None:
+        raise ValueError("diagonal must be None (no self-edges)")
+    for j in range(n):
+        if j != i and (not isinstance(row[j], Fraction) or row[j] < 0):
+            raise ValueError("weights must be non-negative rationals")
 
 
 @dataclass(frozen=True)
@@ -44,11 +62,7 @@ class ArborescenceInstance:
             raise ValueError("inconsistent instance dimensions")
         for i in range(self.n):
             row = self.weights[i]
-            if len(row) != self.n or row[i] is not None:
-                raise ValueError("diagonal must be None (no self-edges)")
-            for j in range(self.n):
-                if j != i and (not isinstance(row[j], Fraction) or row[j] < 0):
-                    raise ValueError("weights must be non-negative rationals")
+            check_digraph_row(row, i, self.n)
             if sorted(self.prefs[i]) != [j for j in range(self.n) if j != i]:
                 raise ValueError("prefs must order the n-1 possible targets")
             for a, b in zip(self.prefs[i], self.prefs[i][1:]):
@@ -65,10 +79,7 @@ class ArborescenceInstance:
     def from_weights(cls, weights: Sequence[Sequence]) -> "ArborescenceInstance":
         """Derive preferences; equal weights rank the lower target first."""
         n = len(weights)
-        rows = tuple(
-            tuple(None if i == j else Fraction(weights[i][j]) for j in range(n))
-            for i in range(n)
-        )
+        rows = digraph_rows(weights)
         prefs = tuple(
             tuple(sorted((j for j in range(n) if j != i),
                          key=lambda j: (-rows[i][j], j)))
@@ -77,7 +88,7 @@ class ArborescenceInstance:
         return cls(n, rows, prefs)
 
 
-def _reaches(out: dict, start: int, goal: int) -> bool:
+def reaches(out: dict, start: int, goal: int) -> bool:
     """Walk out-edges from `start`; True iff the walk hits `goal`.
 
     Every node has out-degree <= 1, so this is a single chase; the visited
@@ -96,7 +107,7 @@ def _reaches(out: dict, start: int, goal: int) -> bool:
 def _best_target(inst: ArborescenceInstance, agent: int, out: dict) -> Optional[int]:
     """Best-ranked target whose edge closes no cycle with `out`; None if all do."""
     for j in inst.prefs[agent]:
-        if not _reaches(out, j, agent):
+        if not reaches(out, j, agent):
             return j
     return None
 
@@ -186,7 +197,7 @@ def check_arborescence(parent, n: int) -> None:
         if not 0 <= j < n or j == i:
             raise ValueError("bad edge target")
     for i in range(n):  # every walk must end at the root
-        if not _reaches(out, i, roots[0]) and i != roots[0]:
+        if not reaches(out, i, roots[0]) and i != roots[0]:
             raise ValueError("edges contain a cycle or disconnected part")
 
 
@@ -205,26 +216,15 @@ def all_arborescences(n: int, caps: Optional[Caps] = None) -> Iterator[tuple]:
             for i, j in zip(others, choice):
                 parent[i] = j
             out = {i: parent[i] for i in range(n) if parent[i] is not None}
-            if all(_reaches(out, i, root) for i in others):
+            if all(reaches(out, i, root) for i in others):
                 yield tuple(parent)
-
-
-def _dominates(inst: ArborescenceInstance, a, b) -> bool:
-    strict = False
-    for i in range(inst.n):
-        ra, rb = inst.rank(i, a[i]), inst.rank(i, b[i])
-        if ra > rb:
-            return False
-        if ra < rb:
-            strict = True
-    return strict
 
 
 def is_pareto_optimal_arborescence(inst: ArborescenceInstance, parent,
                                    caps: Optional[Caps] = None) -> bool:
     """Brute-force dominance check over every arborescence."""
     check_arborescence(parent, inst.n)
-    return not any(_dominates(inst, alt, parent)
+    return not any(dominates(inst, alt, parent)
                    for alt in all_arborescences(inst.n, caps))
 
 
@@ -234,7 +234,7 @@ def arborescence_context(inst: ArborescenceInstance) -> FeasibilityContext:
     def feasible(acts) -> bool:
         out = {i: j for i, j in acts.items() if j is not None}
         for i in out:
-            if _reaches(out, out[i], i):
+            if reaches(out, out[i], i):
                 return False
         return True
 
@@ -253,14 +253,19 @@ def sequence_for_arborescence(inst: ArborescenceInstance,
                                    {i: parent[i] for i in range(inst.n)})
 
 
-def random_digraph_instance(n: int, seed: int,
-                            weight_denominator: int = 100) -> ArborescenceInstance:
+def random_digraph_weights(n: int, seed: int, weight_denominator: int = 100) -> list:
     """Uniform i.i.d. edge weights k/weight_denominator on all n(n-1) edges."""
     rng = random.Random(seed)
-    weights = [[Fraction(0) if i == j
-                else Fraction(rng.randint(0, weight_denominator), weight_denominator)
-                for j in range(n)] for i in range(n)]
-    return ArborescenceInstance.from_weights(weights)
+    return [[Fraction(0) if i == j
+             else Fraction(rng.randint(0, weight_denominator), weight_denominator)
+             for j in range(n)] for i in range(n)]
+
+
+def random_digraph_instance(n: int, seed: int,
+                            weight_denominator: int = 100) -> ArborescenceInstance:
+    """An arborescence instance on `random_digraph_weights`."""
+    return ArborescenceInstance.from_weights(
+        random_digraph_weights(n, seed, weight_denominator))
 
 
 @underlying_optimum.register

@@ -27,7 +27,7 @@ from .core import (
     oracle_for,
     underlying_optimum,
 )
-from .feasibility import FeasibilityContext, sequence_for_collection
+from .feasibility import FeasibilityContext, dominates, sequence_for_collection
 
 
 @dataclass(frozen=True)
@@ -131,18 +131,6 @@ def check_perfect_matching(assignment, n: int) -> None:
         raise ValueError("not a perfect matching")
 
 
-def _dominates(inst: MatchingInstance, a, b) -> bool:
-    """True iff matching `a` weakly rank-improves on `b` for all, strictly for one."""
-    strict = False
-    for i in range(inst.n):
-        ra, rb = inst.rank(i, a[i]), inst.rank(i, b[i])
-        if ra > rb:
-            return False
-        if ra < rb:
-            strict = True
-    return strict
-
-
 def is_pareto_optimal_matching(inst: MatchingInstance, matching,
                                caps: Optional[Caps] = None) -> bool:
     """Brute-force Pareto check against all n! perfect matchings."""
@@ -150,7 +138,7 @@ def is_pareto_optimal_matching(inst: MatchingInstance, matching,
     if inst.n > caps.factorial:
         raise CapExceededError(f"n={inst.n} exceeds factorial cap {caps.factorial}")
     check_perfect_matching(matching, inst.n)
-    return not any(_dominates(inst, alt, matching)
+    return not any(dominates(inst, alt, matching)
                    for alt in permutations(range(inst.n)))
 
 

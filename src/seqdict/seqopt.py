@@ -48,7 +48,8 @@ def max_welfare_ordering(value_fn: Callable[[int, tuple], Value],
     return best_order, best_total
 
 
-def _fill_ascending(prefix: tuple, n: int) -> tuple:
+def fill_ascending(prefix: tuple, n: int) -> tuple:
+    """`prefix`, then every other agent in ascending index order."""
     chosen = set(prefix)
     return prefix + tuple(i for i in range(n) if i not in chosen)
 
@@ -74,7 +75,7 @@ def det(oracle: ValuationOracle, c: int,
         order, total = max_welfare_ordering(oracle.value, subset)
         if best is None or total > best[0] or (total == best[0] and order < best[1]):
             best = (total, order)
-    return _fill_ascending(best[1], n)
+    return fill_ascending(best[1], n)
 
 
 def rand(oracle: ValuationOracle, c: int, seed: int,
@@ -98,7 +99,7 @@ def rand(oracle: ValuationOracle, c: int, seed: int,
         j = rng.randrange(k, n)
         pool[k], pool[j] = pool[j], pool[k]
     order, _ = max_welfare_ordering(oracle.value, pool[:c])
-    return _fill_ascending(order, n)
+    return fill_ascending(order, n)
 
 
 def det_plus(oracle: ValuationOracle, c: int,
@@ -120,7 +121,7 @@ def det_plus(oracle: ValuationOracle, c: int,
     best_seq = None
     best_val = None
     for prefix in permutations(range(n), c):  # lexicographic over prefixes
-        cand = _fill_ascending(prefix, n)
+        cand = fill_ascending(prefix, n)
         sw = social_welfare(oracle, cand)
         if best_val is None or sw > best_val:
             best_seq, best_val = cand, sw

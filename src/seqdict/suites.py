@@ -16,6 +16,7 @@ from .core import (
     check_monotone_exhaustive,
     find_monotonicity_violation,
     is_subsequence,
+    oracle_for,
     prefix_of,
     social_welfare,
 )
@@ -62,23 +63,13 @@ def suite_monotonicity(seed: int = 0) -> list:
     return rows
 
 
-def _matchings_three_way(inst) -> bool:
-    produced = {osm.matching_from_sequence(inst, s)
-                for s in permutations(range(inst.n))}
-    for cand in permutations(range(inst.n)):
-        by_search = osm.sequence_for_matching(inst, cand) is not None
-        by_pareto = osm.is_pareto_optimal_matching(inst, cand)
-        if not (cand in produced) == by_search == by_pareto:
-            return False
-    return True
-
-
-def _arborescences_three_way(inst) -> bool:
-    produced = {osa.arborescence_from_sequence(inst, s)
-                for s in permutations(range(inst.n))}
-    for cand in osa.all_arborescences(inst.n):
-        by_search = osa.sequence_for_arborescence(inst, cand) is not None
-        by_pareto = osa.is_pareto_optimal_arborescence(inst, cand)
+def _three_way(inst, from_sequence, candidates, sequence_for, is_pareto) -> bool:
+    """Every candidate structure is produced by some sequence, found by the
+    producibility search and Pareto optimal, or none of the three."""
+    produced = {from_sequence(inst, s) for s in permutations(range(inst.n))}
+    for cand in candidates(inst.n):
+        by_search = sequence_for(inst, cand) is not None
+        by_pareto = is_pareto(inst, cand)
         if not (cand in produced) == by_search == by_pareto:
             return False
     return True
@@ -86,37 +77,36 @@ def _arborescences_three_way(inst) -> bool:
 
 def suite_pareto(seed: int = 0) -> list:
     rows = []
-    for n in (2, 3, 4):
-        ok = all(_matchings_three_way(osm.random_matching_instance(n, seed + 7 * n + k, 6))
-                 for k in range(3))
-        rows.append(_row(f"matching pareto three-way n={n}", ok))
-    for n in (2, 3, 4):
-        ok = all(_arborescences_three_way(osa.random_digraph_instance(n, seed + 11 * n + k, 6))
-                 for k in range(3))
-        rows.append(_row(f"arborescence pareto three-way n={n}", ok))
+    # built per call, so the module attributes are looked up when the suite runs
+    domains = [
+        ("matching", 7, osm.random_matching_instance, osm.matching_from_sequence,
+         lambda n: permutations(range(n)), osm.sequence_for_matching,
+         osm.is_pareto_optimal_matching),
+        ("arborescence", 11, osa.random_digraph_instance, osa.arborescence_from_sequence,
+         osa.all_arborescences, osa.sequence_for_arborescence,
+         osa.is_pareto_optimal_arborescence),
+    ]
+    for name, stride, make, *wiring in domains:
+        for n in (2, 3, 4):
+            ok = all(_three_way(make(n, seed + stride * n + k, 6), *wiring)
+                     for k in range(3))
+            rows.append(_row(f"{name} pareto three-way n={n}", ok))
     return rows
 
 
 def suite_approx(seed: int = 0) -> list:
     rows = []
 
-    ok = True
-    for k in range(20):
-        inst = osm.random_matching_instance(3 + k % 3, seed + k)
-        oracle = osm.osm_oracle(inst)
-        sw = social_welfare(oracle.fresh(), osm.greedy_osm(oracle))
-        _, opt = brute_force_optimal_sequence(oracle.fresh())
-        ok = ok and 2 * sw >= opt
-    rows.append(_row("greedy matching within factor 2", ok))
-
-    ok = True
-    for k in range(20):
-        inst = osa.random_digraph_instance(3 + k % 3, seed + k)
-        oracle = osa.osa_oracle(inst)
-        sw = social_welfare(oracle.fresh(), osa.greedy_osa(oracle))
-        _, opt = brute_force_optimal_sequence(oracle.fresh())
-        ok = ok and 2 * sw >= opt
-    rows.append(_row("greedy arborescence within factor 2", ok))
+    greedy_domains = [("matching", osm.random_matching_instance, osm.greedy_osm),
+                      ("arborescence", osa.random_digraph_instance, osa.greedy_osa)]
+    for name, make, greedy in greedy_domains:
+        ok = True
+        for k in range(20):
+            oracle = oracle_for(make(3 + k % 3, seed + k))
+            sw = social_welfare(oracle.fresh(), greedy(oracle))
+            _, opt = brute_force_optimal_sequence(oracle.fresh())
+            ok = ok and 2 * sw >= opt
+        rows.append(_row(f"greedy {name} within factor 2", ok))
 
     ok = True
     for k in range(4):

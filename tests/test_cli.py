@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -176,6 +178,20 @@ class TestPosd:
         code, _, err = run_cli(capsys, "posd", "/nonexistent/file.json")
         assert code == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"schema_version": 1, "kind": "osm", "n": 2, "prefs": [[0, 1], [0, 1]]},
+        {"schema_version": 1, "kind": "osi", "n": "2", "edges": []},
+    ], ids=["osm-without-weights", "osi-with-string-n"])
+    def test_malformed_file_is_input_error(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "posd", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert doc["kind"] in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -228,6 +244,15 @@ class TestBench:
             max_ratio = float(row.split(",")[7])
             assert max_ratio <= 2.0
 
+    def test_lowerbound_with_c_matches_general(self, capsys):
+        cell = ("--algorithm", "det", "--n", "4", "--c", "2", "--trials", "2")
+        code, out, err = run_cli(capsys, "bench", "--kind", "lowerbound", *cell)
+        assert code == 0, err
+        _, general, _ = run_cli(capsys, "bench", "--kind", "general", *cell)
+        ratios = lambda text: [line.split(",")[6:8] for line in text.splitlines()[1:]]
+        assert ratios(out) == ratios(general)
+        assert len(ratios(out)) == 1
+
     def test_deterministic_apart_from_timings(self, capsys):
         args = ("bench", "--kind", "general", "--algorithm", "rand",
                 "--n", "4", "--c", "1..2", "--trials", "4", "--seed", "9")
@@ -244,3 +269,58 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["kind"] == "paths"
+
+
+# sha256 of stdout for `gen --paper NAME`, then `posd --json` and
+# `run --json --algorithm det --c 2` on that file, with default caps.
+# x3c is the yes-variant; the no-variant's posd search takes seconds.
+GOLDEN_DIGESTS = {
+    "sat-posd": (
+        "ec5518d61a16eb6bb0b681f383bef73eceee51ff32da780aa368d6645ae1cc86",
+        "3794d7ea464581115d0fe7c41338dddbf3becaf4f705d94ec97b620937c4b83d",
+        "978011ed5684a7eb8c98816543e2f57b76d82fdf7312a5b4ac51baa9eacd213b",
+    ),
+    "paths-posd": (
+        "057f82fa808d62aeece0ca55b9b82159e80d5b6cc043d1807740c54200d07200",
+        "92341512a6187e9b511db488ae87e5e853397ae8f827d31e7d108462a11c8165",
+        "a826d8f864c25847c73aa324262e21b7b466a11a9d92a3e1b22206c60271da7f",
+    ),
+    "oss-nonmono": (
+        "d23737d87e53206f5796b94f2b66158c87ad401131c711dc8673c14d632a2dc2",
+        "9ab326e5bf2acdc64bfa267b8aa5439719e06f0e478ead1799fa1a74d37a3063",
+        "9ac00ac8a531a6c17cb737db50fc50e9f5fffe1190b610c2308fd268fdf428a2",
+    ),
+    "osm-counterexample": (
+        "a7ec6601b12fcdbdf0d8798ef9be0e6f19c38ba9a9303741cb0289793fb13d99",
+        "fd6a2a28c21167190f0d6e4577a6c13dd4be61d5a947f3f19b37c17e693a8d78",
+        "e89ed8a994968f37e927790365dd51cc2f092f78ad105ae178fcf14bf520e4e4",
+    ),
+    "osa-counterexample": (
+        "b9353e9356e43262668aeefc972cbb610693d47500194b6a8e5bc8cdb7cbeed3",
+        "05c60d8f9f26321a930d34df1fd59a5528b6fc201907da913c48f80d974f6e30",
+        "61be5891d9cb3d43faf411014f9928ca4e10943d9faf3f496d85cd1a70fb0132",
+    ),
+    "x3c": (
+        "937914878f4dbd8fde76702c3b0380a3193ae55f10f3c3e31b9d30b7c36334a9",
+        "96a88a390afee8c24225fd81ca37bbdf7199d0f1aceaacea9a31f6000c8327a1",
+        "c56004d0800870662cdd202708b0d8fc772c944d23df214e8f6c57130323fc51",
+    ),
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    def test_stdout_bytes_pinned(self, capsys, tmp_path, monkeypatch, name):
+        monkeypatch.delenv("SEQDICT_CAPS", raising=False)
+        path = str(tmp_path / "inst.json")
+        runs = [("gen", "--paper", name),
+                ("posd", path, "--json"),
+                ("run", path, "--json", "--algorithm", "det", "--c", "2")]
+        digests = []
+        for argv in runs:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            digests.append(hashlib.sha256(out.encode()).hexdigest())
+            if argv[0] == "gen":
+                Path(path).write_text(out, encoding="utf-8")
+        assert tuple(digests) == GOLDEN_DIGESTS[name]

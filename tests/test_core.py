@@ -18,6 +18,7 @@ from seqdict.core import (
     price_of_serial_dictatorship,
     social_welfare,
     underlying_optimum,
+    welfare_ratio,
 )
 
 EPS = Fraction(1, 10)
@@ -204,6 +205,14 @@ class TestUnderlyingOptimumAndPosd:
     def test_zero_over_zero_is_one(self):
         inst = osm.MatchingInstance.from_weights([[0, 0], [0, 0]])
         assert price_of_serial_dictatorship(inst) == 1
+
+    @pytest.mark.parametrize("optimum, welfare, ratio", [
+        (Fraction(0), Fraction(0), Fraction(1)),
+        (Fraction(3, 2), Fraction(0), INFINITE_POSD),
+        (Fraction(57, 10), Fraction(39, 10), Fraction(19, 13)),
+    ])
+    def test_welfare_ratio_rule(self, optimum, welfare, ratio):
+        assert welfare_ratio(optimum, welfare) == ratio
 
     def test_posd_at_least_one_across_structures(self):
         instances = [
