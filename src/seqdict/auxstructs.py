@@ -18,7 +18,6 @@ from typing import Iterable, Optional
 
 from .core import (
     ActionSeq,
-    CapExceededError,
     Caps,
     DEFAULT_CAPS,
     PrefixStates,
@@ -60,6 +59,7 @@ class OsiInstance:
                 if self.adj[i][j]]
 
 
+@oracle_for.register
 def osi_oracle(inst: OsiInstance) -> ValuationOracle:
     """v_i(S) = 1 iff the nodes of S plus i form an independent set."""
     def fn(agent: int, seq: tuple) -> Value:
@@ -101,9 +101,7 @@ def _mis_from_masks(n: int, nbr: list) -> int:
 def max_independent_set(inst: OsiInstance,
                         caps: Optional[Caps] = None) -> frozenset:
     """Lexicographically-smallest maximum independent set, by subset search."""
-    caps = caps or DEFAULT_CAPS
-    if inst.n > caps.subset:
-        raise CapExceededError(f"n={inst.n} exceeds subset cap {caps.subset}")
+    (caps or DEFAULT_CAPS).check_subset(inst.n)
     nbr = [sum(1 << j for j in range(inst.n) if inst.adj[i][j])
            for i in range(inst.n)]
     mask = _mis_from_masks(inst.n, nbr)
@@ -114,10 +112,8 @@ def osi_learn_and_solve(oracle: ValuationOracle,
                         caps: Optional[Caps] = None) -> ActionSeq:
     """Learn the graph from all n(n-1) pair queries, then front a maximum
     independent set (ascending), remaining agents ascending after it."""
-    caps = caps or DEFAULT_CAPS
     n = oracle.n
-    if n > caps.subset:
-        raise CapExceededError(f"n={n} exceeds subset cap {caps.subset}")
+    (caps or DEFAULT_CAPS).check_subset(n)
     nbr = [0] * n
     for i in range(n):
         for j in range(n):
@@ -131,11 +127,6 @@ def osi_learn_and_solve(oracle: ValuationOracle,
 @underlying_optimum.register
 def _(inst: OsiInstance, caps: Optional[Caps] = None) -> Value:
     return Fraction(len(max_independent_set(inst, caps)))
-
-
-@oracle_for.register
-def _(inst: OsiInstance) -> ValuationOracle:
-    return osi_oracle(inst)
 
 
 def random_osi_instance(n: int, seed: int) -> OsiInstance:
@@ -187,10 +178,7 @@ def _step(inst: PathsInstance, state: tuple, agent: int) -> tuple:
     return {**out, agent: target}, has_in | {target}
 
 
-def _simulate_path_edges(inst: PathsInstance, seq) -> tuple[dict, frozenset]:
-    return reduce(partial(_step, inst), seq, ({}, frozenset()))
-
-
+@oracle_for.register
 def paths_oracle(inst: PathsInstance) -> ValuationOracle:
     """v_i(S) = weight of i's heaviest still-addable edge after simulating S.
 
@@ -215,7 +203,7 @@ def paths_edges_from_sequence(inst: PathsInstance, seq) -> dict:
     """Out-edge map drawn by a full sequence (used for structural checks)."""
     seq = tuple(seq)
     check_action_seq(seq, inst.n, full=True)
-    out, _ = _simulate_path_edges(inst, seq)
+    out, _ = reduce(partial(_step, inst), seq, ({}, frozenset()))
     return out
 
 
@@ -264,6 +252,7 @@ def random_paths_instance(n: int, seed: int,
         random_digraph_weights(n, seed, weight_denominator))
 
 
+@underlying_optimum.register
 def max_disjoint_paths_weight(inst: PathsInstance,
                               caps: Optional[Caps] = None) -> Value:
     """Exact max-weight union of vertex-disjoint paths.
@@ -272,10 +261,8 @@ def max_disjoint_paths_weight(inst: PathsInstance,
     the open path with a fresh node or close it and start a new path.  Every
     disjoint-path union is built exactly this way, path by path.
     """
-    caps = caps or DEFAULT_CAPS
     n = inst.n
-    if n > caps.subset:
-        raise CapExceededError(f"n={n} exceeds subset cap {caps.subset}")
+    (caps or DEFAULT_CAPS).check_subset(n)
     size = 1 << n
     open_best = [[None] * n for _ in range(size)]
     best = Fraction(0)
@@ -307,13 +294,3 @@ def max_disjoint_paths_weight(inst: PathsInstance,
                 if row[j] is None or cand > row[j]:
                     row[j] = cand
     return best
-
-
-@underlying_optimum.register
-def _(inst: PathsInstance, caps: Optional[Caps] = None) -> Value:
-    return max_disjoint_paths_weight(inst, caps)
-
-
-@oracle_for.register
-def _(inst: PathsInstance) -> ValuationOracle:
-    return paths_oracle(inst)

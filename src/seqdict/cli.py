@@ -31,6 +31,7 @@ from .core import (
 from .fileio import (
     KINDS,
     SCHEMA_VERSION,
+    encode_rational,
     instance_kind,
     load_instance,
     serialize_instance,
@@ -43,9 +44,7 @@ class UsageError(ValueError):
 
 
 def _fmt_q(v) -> str:
-    if v == INFINITE_POSD:
-        return "inf"
-    return f"{v.numerator}/{v.denominator}"
+    return "inf" if v == INFINITE_POSD else encode_rational(v)
 
 
 def _parse_eps(text: str) -> Fraction:
@@ -385,10 +384,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CapExceededError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # UsageError and CapExceededError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -56,8 +56,32 @@ class Caps:
             values[key] = int(num)
         return cls(**values)
 
+    def check_subset(self, n: int) -> None:
+        """Raise unless a 2^n loop fits the subset cap."""
+        if n > self.subset:
+            raise CapExceededError(f"n={n} exceeds subset cap {self.subset}")
+
+    def check_work(self, units: int, what: str) -> None:
+        """Raise unless `units` of work fit the budget of `factorial`! units."""
+        if units > math.factorial(self.factorial):
+            raise CapExceededError(f"enumeration cap exceeded: {what} over budget")
+
 
 DEFAULT_CAPS = Caps()
+
+
+def encode_rational(v: Fraction) -> str:
+    return f"{v.numerator}/{v.denominator}"
+
+
+def decode_rational(s) -> Fraction:
+    """A "p/q" (or integer) string as a Fraction; anything else is a ValueError."""
+    if not isinstance(s, str):
+        raise ValueError(f"rationals must be 'p/q' strings, got {s!r}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {s!r}") from None
 
 
 def check_action_seq(seq: Sequence[int], n: int, *, full: bool = False) -> None:
@@ -227,14 +251,17 @@ class MonotonicityViolation(NamedTuple):
     value_larger: Value
 
 
-def find_monotonicity_violation(oracle: ValuationOracle,
-                                max_n: int = 6) -> Optional[MonotonicityViolation]:
+#: The most agents the exhaustive monotonicity check accepts.
+MONOTONICITY_MAX_N = 6
+
+
+def find_monotonicity_violation(oracle: ValuationOracle) -> Optional[MonotonicityViolation]:
     """First (agent, S' <= S) pair with v(S') < v(S), or None if monotone.
 
     Exhausts all ordered-subset pairs, so it is limited to small n.
     """
-    if oracle.n > max_n:
-        raise CapExceededError(f"monotonicity check capped at n={max_n}")
+    if oracle.n > MONOTONICITY_MAX_N:
+        raise CapExceededError(f"monotonicity check capped at n={MONOTONICITY_MAX_N}")
     for agent in range(oracle.n):
         others = [j for j in range(oracle.n) if j != agent]
         vals = {s: oracle.value(agent, s) for s in ordered_subsequences(others)}
@@ -246,9 +273,9 @@ def find_monotonicity_violation(oracle: ValuationOracle,
     return None
 
 
-def check_monotone_exhaustive(oracle: ValuationOracle, max_n: int = 6) -> bool:
+def check_monotone_exhaustive(oracle: ValuationOracle) -> bool:
     """True iff v_i(S') >= v_i(S) for every agent and every pair S' <= S."""
-    return find_monotonicity_violation(oracle, max_n) is None
+    return find_monotonicity_violation(oracle) is None
 
 
 @singledispatch

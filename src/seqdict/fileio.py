@@ -8,11 +8,11 @@ Satisfiability instances may alternatively travel as weighted-CNF text;
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Union
 
 from . import oss
 from .auxstructs import OsiInstance, PathsInstance
+from .core import decode_rational, encode_rational
 from .osa import ArborescenceInstance
 from .osm import MatchingInstance
 from .oss import SatInstance
@@ -39,16 +39,6 @@ def instance_kind(inst: Instance) -> str:
         return _KINDS[type(inst)]
     except KeyError:
         raise TypeError(f"unknown instance type {type(inst).__name__}") from None
-
-
-def encode_rational(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
-
-
-def decode_rational(s) -> Fraction:
-    if not isinstance(s, str):
-        raise ValueError(f"rationals must be 'p/q' strings, got {s!r}")
-    return Fraction(s)
 
 
 def _weights_out(weights) -> list:
@@ -138,8 +128,3 @@ def load_instance_text(text: str) -> Instance:
 def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         return load_instance_text(fh.read())
-
-
-def dump_instance(inst: Instance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_instance(inst))

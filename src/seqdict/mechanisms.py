@@ -72,6 +72,18 @@ def _subset_sequence(profile: ValuationProfile, subset) -> tuple:
     return fill_ascending(order, profile.n)
 
 
+def _externality_payments(profile: ValuationProfile, payers, sequence: tuple,
+                          run: Callable[[ValuationProfile], tuple]) -> tuple:
+    """Each payer's charge: the other payers' value in `run` on the profile
+    with her report zeroed, minus their value in `sequence`.  Non-payers pay 0."""
+    def others_value(seq: tuple, i: int) -> Value:
+        return sum((profile.value(k, prefix_of(seq, k)) for k in payers if k != i),
+                   Fraction(0))
+
+    return tuple(others_value(run(profile.zeroed(i)), i) - others_value(sequence, i)
+                 if i in payers else Fraction(0) for i in range(profile.n))
+
+
 def _vcg_rand_outcome(profile: ValuationProfile, subset,
                       sequence: Optional[tuple] = None) -> MechanismOutcome:
     """Payments for one drawn subset: what the others lose, under the same
@@ -79,15 +91,8 @@ def _vcg_rand_outcome(profile: ValuationProfile, subset,
     subset = frozenset(subset)
     if sequence is None:
         sequence = _subset_sequence(profile, subset)
-    payments = [Fraction(0)] * profile.n
-    for i in subset:
-        seq_zero = _subset_sequence(profile.zeroed(i), subset)
-        term_zero = sum((profile.value(k, prefix_of(seq_zero, k))
-                         for k in subset if k != i), Fraction(0))
-        term_real = sum((profile.value(k, prefix_of(sequence, k))
-                         for k in subset if k != i), Fraction(0))
-        payments[i] = term_zero - term_real
-    return MechanismOutcome(sequence, tuple(payments))
+    return MechanismOutcome(sequence, _externality_payments(
+        profile, subset, sequence, lambda p: _subset_sequence(p, subset)))
 
 
 def vcg_rand(profile: ValuationProfile, c: int, seed: int) -> MechanismOutcome:
@@ -103,15 +108,8 @@ def vcg_rand(profile: ValuationProfile, c: int, seed: int) -> MechanismOutcome:
 def vcg_det_plus(profile: ValuationProfile, c: int) -> MechanismOutcome:
     """Full-welfare prefix search plus externality payments over all agents."""
     sequence = det_plus(profile.oracle(), c)
-    payments = []
-    for i in range(profile.n):
-        seq_zero = det_plus(profile.zeroed(i).oracle(), c)
-        term_zero = sum((profile.value(k, prefix_of(seq_zero, k))
-                         for k in range(profile.n) if k != i), Fraction(0))
-        term_real = sum((profile.value(k, prefix_of(sequence, k))
-                         for k in range(profile.n) if k != i), Fraction(0))
-        payments.append(term_zero - term_real)
-    return MechanismOutcome(sequence, tuple(payments))
+    return MechanismOutcome(sequence, _externality_payments(
+        profile, range(profile.n), sequence, lambda p: det_plus(p.oracle(), c)))
 
 
 def cycle_mon_violation(run: Callable[[ValuationOracle], tuple],

@@ -117,11 +117,7 @@ def _step(inst: ArborescenceInstance, out: dict, agent: int) -> dict:
     return out if target is None else {**out, agent: target}
 
 
-def _simulate_draws(inst: ArborescenceInstance, seq) -> dict:
-    """Out-edge map after the agents in `seq` acted in order."""
-    return reduce(partial(_step, inst), seq, {})
-
-
+@oracle_for.register
 def osa_oracle(inst: ArborescenceInstance) -> ValuationOracle:
     """v_i(S) = weight of i's best non-forbidden edge after simulating S.
 
@@ -181,7 +177,7 @@ def arborescence_from_sequence(inst: ArborescenceInstance, seq) -> tuple:
     """Arborescence produced by a full sequence: parent[i] = target or None."""
     seq = tuple(seq)
     check_action_seq(seq, inst.n, full=True)
-    out = _simulate_draws(inst, seq)
+    out = reduce(partial(_step, inst), seq, {})
     return tuple(out.get(i) for i in range(inst.n))
 
 
@@ -277,10 +273,8 @@ def _(inst: ArborescenceInstance, caps: Optional[Caps] = None) -> Value:
     tree, so every tree grows one node at a time, each new node drawing its
     heaviest edge into the set.  O(n^2 * 2^n).
     """
-    caps = caps or DEFAULT_CAPS
     n = inst.n
-    if n > caps.subset:
-        raise CapExceededError(f"n={n} exceeds subset cap {caps.subset}")
+    (caps or DEFAULT_CAPS).check_subset(n)
     best = [None] * (1 << n)
     for v in range(n):
         best[1 << v] = Fraction(0)
@@ -294,8 +288,3 @@ def _(inst: ArborescenceInstance, caps: Optional[Caps] = None) -> Value:
                 if best[grown] is None or cand > best[grown]:
                     best[grown] = cand
     return best[-1]
-
-
-@oracle_for.register
-def _(inst: ArborescenceInstance) -> ValuationOracle:
-    return osa_oracle(inst)

@@ -77,11 +77,7 @@ def _step(inst: MatchingInstance, taken: dict, agent: int) -> dict:
     return {**taken, agent: _pick(inst, agent, taken)}
 
 
-def _simulate_picks(inst: MatchingInstance, seq) -> dict:
-    """Items taken by the agents in `seq`, in order: {agent: item}."""
-    return reduce(partial(_step, inst), seq, {})
-
-
+@oracle_for.register
 def osm_oracle(inst: MatchingInstance) -> ValuationOracle:
     """v_i(S) = weight of i's best-ranked item left after S picked theirs.
 
@@ -122,7 +118,7 @@ def matching_from_sequence(inst: MatchingInstance, seq) -> tuple:
     """Perfect matching produced by a full sequence: assignment[i] = item."""
     seq = tuple(seq)
     check_action_seq(seq, inst.n, full=True)
-    picks = _simulate_picks(inst, seq)
+    picks = reduce(partial(_step, inst), seq, {})  # {agent: item}
     return tuple(picks[i] for i in range(inst.n))
 
 
@@ -174,10 +170,8 @@ def _(inst: MatchingInstance, caps: Optional[Caps] = None) -> Value:
     best[mask] is the heaviest assignment of agents 0..|mask|-1 to the items
     in mask; the next agent then takes any free item.  O(n * 2^n).
     """
-    caps = caps or DEFAULT_CAPS
     n = inst.n
-    if n > caps.subset:
-        raise CapExceededError(f"n={n} exceeds subset cap {caps.subset}")
+    (caps or DEFAULT_CAPS).check_subset(n)
     best = [None] * (1 << n)
     best[0] = Fraction(0)
     for mask in range((1 << n) - 1):  # every submask of a mask comes first
@@ -189,8 +183,3 @@ def _(inst: MatchingInstance, caps: Optional[Caps] = None) -> Value:
                 if best[grown] is None or cand > best[grown]:
                     best[grown] = cand
     return best[-1]
-
-
-@oracle_for.register
-def _(inst: MatchingInstance) -> ValuationOracle:
-    return osm_oracle(inst)

@@ -15,13 +15,14 @@ from functools import partial, reduce
 from typing import Iterable, Optional, Sequence
 
 from .core import (
-    CapExceededError,
     Caps,
     DEFAULT_CAPS,
     PrefixStates,
     Value,
     ValuationOracle,
     check_action_seq,
+    decode_rational,
+    encode_rational,
     oracle_for,
     underlying_optimum,
 )
@@ -90,19 +91,19 @@ def _start(inst: SatInstance) -> tuple:
     return {}, frozenset(range(len(inst.clauses)))
 
 
+def _still_open(inst: SatInstance, unsat, agent: int, value: bool) -> frozenset:
+    """The clauses in `unsat` left unsatisfied once x_agent = value."""
+    hit = (agent + 1) if value else -(agent + 1)
+    return frozenset(idx for idx in unsat if hit not in inst.clauses[idx][0])
+
+
 def _step(inst: SatInstance, state: tuple, agent: int) -> tuple:
     assign, unsat = state
     value = _choice(inst, agent, unsat)
-    hit = (agent + 1) if value else -(agent + 1)
-    return ({**assign, agent: value},
-            frozenset(idx for idx in unsat if hit not in inst.clauses[idx][0]))
+    return {**assign, agent: value}, _still_open(inst, unsat, agent, value)
 
 
-def _simulate(inst: SatInstance, seq) -> tuple[dict, frozenset]:
-    """Run the agents in `seq`; return (assignment, unsatisfied clause indices)."""
-    return reduce(partial(_step, inst), seq, _start(inst))
-
-
+@oracle_for.register
 def oss_oracle(inst: SatInstance) -> ValuationOracle:
     """v_i(S) = larger of the unsatisfied weights on x_i's two sides after S.
 
@@ -122,7 +123,7 @@ def assignment_from_sequence(inst: SatInstance, seq) -> tuple:
     """The Boolean assignment produced by simulating a full sequence."""
     seq = tuple(seq)
     check_action_seq(seq, inst.n, full=True)
-    assign, _ = _simulate(inst, seq)
+    assign, _ = reduce(partial(_step, inst), seq, _start(inst))
     return tuple(assign[i] for i in range(inst.n))
 
 
@@ -137,32 +138,25 @@ def sat_as_decide(inst: SatInstance, target,
     acted-sets (still exponential, but desk-scale fast) and reconstructs the
     lexicographically smallest producing sequence.
     """
-    caps = caps or DEFAULT_CAPS
     n = inst.n
-    if n > caps.subset:
-        raise CapExceededError(f"n={n} exceeds subset cap {caps.subset}")
+    (caps or DEFAULT_CAPS).check_subset(n)
     target = tuple(bool(b) for b in target)
     if len(target) != n:
         raise ValueError("target assignment has wrong length")
 
-    unsat_memo: dict = {}
-
-    def unsat(state: frozenset) -> tuple:
-        cached = unsat_memo.get(state)
-        if cached is None:
-            keep = []
-            for idx, (lits, _) in enumerate(inst.clauses):
-                for lit in lits:
-                    var = abs(lit) - 1
-                    if var in state and (lit > 0) == target[var]:
-                        break
-                else:
-                    keep.append(idx)
-            cached = unsat_memo[state] = tuple(keep)
-        return cached
+    # the clauses still open once the agents of an acted set play their
+    # targets, whatever their order; each set's entry is filtered from the
+    # entry of the first parent that reaches it
+    unsat_memo = {frozenset(): _start(inst)[1]}
 
     def acts_target(state: frozenset, agent: int) -> bool:
-        return _choice(inst, agent, unsat(state)) == target[agent]
+        unsat = unsat_memo[state]
+        if _choice(inst, agent, unsat) != target[agent]:
+            return False
+        grown = state | {agent}
+        if grown not in unsat_memo:
+            unsat_memo[grown] = _still_open(inst, unsat, agent, target[agent])
+        return True
 
     comp_memo: dict = {}
 
@@ -299,15 +293,8 @@ def _satisfied_weight(inst: SatInstance, bits: int) -> Value:
 @underlying_optimum.register
 def _(inst: SatInstance, caps: Optional[Caps] = None) -> Value:
     """MAX-SAT by scanning all 2^n assignments."""
-    caps = caps or DEFAULT_CAPS
-    if inst.n > caps.subset:
-        raise CapExceededError(f"n={inst.n} exceeds subset cap {caps.subset}")
+    (caps or DEFAULT_CAPS).check_subset(inst.n)
     return max(_satisfied_weight(inst, bits) for bits in range(1 << inst.n))
-
-
-@oracle_for.register
-def _(inst: SatInstance) -> ValuationOracle:
-    return oss_oracle(inst)
 
 
 # --- weighted-CNF text format ------------------------------------------------
@@ -322,7 +309,7 @@ def to_wcnf(inst: SatInstance) -> str:
     lines.append("t " + " ".join("1" if b else "0" for b in inst.tie_default))
     for lits, w in inst.clauses:
         body = " ".join(str(l) for l in sorted(lits, key=lambda l: (abs(l), l < 0)))
-        lines.append(f"{w.numerator}/{w.denominator} {body} 0")
+        lines.append(f"{encode_rational(w)} {body} 0")
     return "\n".join(lines) + "\n"
 
 
@@ -348,7 +335,7 @@ def from_wcnf(text: str) -> SatInstance:
         toks = line.split()
         if toks[-1] != "0":
             raise ValueError(f"clause line must end in 0: {line!r}")
-        weight = Fraction(toks[0])
+        weight = decode_rational(toks[0])
         lits = [int(tok) for tok in toks[1:-1]]
         clauses.append((lits, weight))
     if n is None:

@@ -16,7 +16,6 @@ from typing import Callable, Optional
 
 from .core import (
     ActionSeq,
-    CapExceededError,
     Caps,
     DEFAULT_CAPS,
     Value,
@@ -64,12 +63,9 @@ def det(oracle: ValuationOracle, c: int,
     with monotone valuations; the search itself runs on any oracle.
     """
     n = oracle.n
-    caps = caps or DEFAULT_CAPS
     if not 1 <= c <= n:
         raise ValueError("c out of range")
-    if perm(n, c) > factorial(caps.factorial):
-        raise CapExceededError(
-            f"enumeration cap exceeded: {n}!/{n - c}! prefixes over budget")
+    (caps or DEFAULT_CAPS).check_work(perm(n, c), f"{n}!/{n - c}! prefixes")
     best = None  # (total, order)
     for subset in combinations(range(n), c):
         order, total = max_welfare_ordering(oracle.value, subset)
@@ -87,12 +83,9 @@ def rand(oracle: ValuationOracle, c: int, seed: int,
     of agents is drawn with probability 1/C(n,c).
     """
     n = oracle.n
-    caps = caps or DEFAULT_CAPS
     if not 1 <= c <= n:
         raise ValueError("c out of range")
-    if factorial(c) > factorial(caps.factorial):
-        raise CapExceededError(
-            f"enumeration cap exceeded: {c}! prefix orderings over budget")
+    (caps or DEFAULT_CAPS).check_work(factorial(c), f"{c}! prefix orderings")
     rng = random.Random(seed)
     pool = list(range(n))
     for k in range(c):
@@ -112,12 +105,9 @@ def det_plus(oracle: ValuationOracle, c: int,
     is among the candidates.
     """
     n = oracle.n
-    caps = caps or DEFAULT_CAPS
     if not 0 <= c <= n:
         raise ValueError("c out of range")
-    if perm(n, c) > factorial(caps.factorial):
-        raise CapExceededError(
-            f"enumeration cap exceeded: {n}!/{n - c}! candidates over budget")
+    (caps or DEFAULT_CAPS).check_work(perm(n, c), f"{n}!/{n - c}! candidates")
     best_seq = None
     best_val = None
     for prefix in permutations(range(n), c):  # lexicographic over prefixes
@@ -147,6 +137,7 @@ class LowerBoundInstance:
         check_action_seq(self.hidden_pi, self.n, full=True)
 
 
+@oracle_for.register
 def make_lower_bound_oracle(inst: LowerBoundInstance) -> ValuationOracle:
     """Oracle returning 1 iff |S| < c or S is a subsequence of the hidden order."""
     one, zero = Fraction(1), Fraction(0)
@@ -161,8 +152,3 @@ def random_lower_bound_instance(n: int, c: int, seed: int) -> LowerBoundInstance
     """Instance with the hidden sequence drawn uniformly from all n! orders."""
     rng = random.Random(seed)
     return LowerBoundInstance(n, c, tuple(rng.sample(range(n), n)))
-
-
-@oracle_for.register
-def _(inst: LowerBoundInstance) -> ValuationOracle:
-    return make_lower_bound_oracle(inst)

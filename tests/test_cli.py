@@ -193,6 +193,27 @@ class TestPosd:
         assert "Traceback" not in err
 
 
+ZERO_DENOMINATOR_FILES = {
+    "m.json": json.dumps({"schema_version": 1, "kind": "osm", "n": 2,
+                          "weights": [["1/0", "1/2"], ["1/2", "1/2"]],
+                          "prefs": [[0, 1], [0, 1]]}),
+    "z.wcnf": "p wcnf 2 2\n1/0 1 2 0\n1 -1 0\n",
+}
+
+
+class TestZeroDenominator:
+    @pytest.mark.parametrize("command", [("posd",), ("run", "--algorithm", "det", "--c", "1")],
+                             ids=["posd", "run"])
+    @pytest.mark.parametrize("name", sorted(ZERO_DENOMINATOR_FILES))
+    def test_is_input_error(self, capsys, tmp_path, name, command):
+        path = tmp_path / name
+        path.write_text(ZERO_DENOMINATOR_FILES[name], encoding="utf-8")
+        code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+        assert code == 2
+        assert out == ""
+        assert err == "error: zero denominator in rational '1/0'\n"
+
+
 class TestVerify:
     @pytest.mark.parametrize("suite", sorted(SUITES))
     def test_all_suites_exit_zero(self, capsys, suite):

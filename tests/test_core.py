@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from seqdict import auxstructs, osa, osm, oss
+from seqdict import auxstructs, osa, osm, oss, seqopt
 from seqdict.core import (
     CapExceededError,
     Caps,
@@ -151,6 +151,49 @@ class TestCaps:
         monkeypatch.setenv("SEQDICT_CAPS", "factorial=big")
         with pytest.raises(ValueError):
             Caps.from_env()
+
+
+SMALL_CAPS = Caps(factorial=3, subset=3)
+SUBSET_MSG = "n=4 exceeds subset cap 3"
+
+# (entry point, instance, oracle the entry point reads or None, exact message)
+CAPPED_ENTRY_POINTS = {
+    "osm-optimum": (lambda inst, _: underlying_optimum(inst, SMALL_CAPS),
+                    osm.random_matching_instance(4, 0), None, SUBSET_MSG),
+    "osa-optimum": (lambda inst, _: underlying_optimum(inst, SMALL_CAPS),
+                    osa.random_digraph_instance(4, 0), None, SUBSET_MSG),
+    "sat-optimum": (lambda inst, _: underlying_optimum(inst, SMALL_CAPS),
+                    oss.random_sat_instance(4, 8, 3, 0), None, SUBSET_MSG),
+    "sat-as-decide": (lambda inst, _: oss.sat_as_decide(inst, (True,) * 4, SMALL_CAPS),
+                      oss.random_sat_instance(4, 8, 3, 0), None, SUBSET_MSG),
+    "max-independent-set": (lambda inst, _: auxstructs.max_independent_set(inst, SMALL_CAPS),
+                            auxstructs.random_osi_instance(4, 0), None, SUBSET_MSG),
+    "osi-learn-and-solve": (lambda _, oracle: auxstructs.osi_learn_and_solve(oracle, SMALL_CAPS),
+                            auxstructs.random_osi_instance(4, 0), auxstructs.osi_oracle,
+                            SUBSET_MSG),
+    "max-disjoint-paths": (lambda inst, _: auxstructs.max_disjoint_paths_weight(inst, SMALL_CAPS),
+                           auxstructs.random_paths_instance(4, 0), None, SUBSET_MSG),
+    "det": (lambda _, oracle: seqopt.det(oracle, 2, SMALL_CAPS),
+            seqopt.random_lower_bound_instance(4, 2, 0), seqopt.make_lower_bound_oracle,
+            "enumeration cap exceeded: 4!/2! prefixes over budget"),
+    "rand": (lambda _, oracle: seqopt.rand(oracle, 4, 0, SMALL_CAPS),
+             seqopt.random_lower_bound_instance(4, 2, 0), seqopt.make_lower_bound_oracle,
+             "enumeration cap exceeded: 4! prefix orderings over budget"),
+    "det-plus": (lambda _, oracle: seqopt.det_plus(oracle, 2, SMALL_CAPS),
+                 seqopt.random_lower_bound_instance(4, 2, 0), seqopt.make_lower_bound_oracle,
+                 "enumeration cap exceeded: 4!/2! candidates over budget"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_ENTRY_POINTS))
+def test_capped_entry_point_raises_before_any_work(name):
+    call, inst, make_oracle, message = CAPPED_ENTRY_POINTS[name]
+    oracle = make_oracle(inst) if make_oracle else None
+    with pytest.raises(CapExceededError) as exc:
+        call(inst, oracle)
+    assert str(exc.value) == message
+    if oracle is not None:
+        assert oracle.ledger.total_calls == 0
 
 
 class TestMonotonicity:

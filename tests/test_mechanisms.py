@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -18,6 +19,7 @@ from seqdict.mechanisms import (
     vcg_rand,
 )
 from seqdict.osm import osm_oracle, random_matching_instance
+from seqdict.seqopt import det_plus
 
 EPS = Fraction(1, 10)
 
@@ -157,3 +159,57 @@ class TestSpotcheck:
         profile = det_family_profile(4, 2)
         for mech in (VcgDetPlusMechanism(2), VcgRandMechanism(2), BitMechanism()):
             assert all(u >= 0 for u in expected_utilities(mech, profile))
+
+
+def _welfare_of_others(profile, sequence, agents, agent):
+    return sum((profile.value(k, prefix_of(sequence, k)) for k in agents if k != agent),
+               Fraction(0))
+
+
+def _best_subset_sequence(profile, subset):
+    """The random-subset search's output for one draw, written out: the best
+    ordering of the subset (ties lexicographic), then the rest ascending."""
+    best = max(permutations(sorted(subset)),
+               key=lambda order: (sum((profile.value(a, order[:k])
+                                       for k, a in enumerate(order)), Fraction(0)),
+                                  [-a for a in order]))
+    return best + tuple(i for i in range(profile.n) if i not in subset)
+
+
+PINNED_PROFILES = [("det-family", det_family_profile(4, 2))] + [
+    (ce.name, ce.profile) for ce in counterexample_profiles(EPS)]
+
+
+class TestVcgPaymentFormula:
+    """Each payment is the others' value in the run with the payer's report
+    zeroed, minus their value in the real run."""
+
+    @pytest.mark.parametrize("name,profile", PINNED_PROFILES,
+                             ids=[name for name, _ in PINNED_PROFILES])
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_det_plus(self, name, profile, c):
+        out = vcg_det_plus(profile, c)
+        assert out.sequence == det_plus(profile.oracle(), c)
+        everyone = range(profile.n)
+        expected = tuple(
+            _welfare_of_others(profile, det_plus(profile.zeroed(i).oracle(), c), everyone, i)
+            - _welfare_of_others(profile, out.sequence, everyone, i)
+            for i in everyone)
+        assert out.payments == expected
+
+    @pytest.mark.parametrize("name,profile", PINNED_PROFILES,
+                             ids=[name for name, _ in PINNED_PROFILES])
+    def test_every_rand_draw(self, name, profile):
+        dist = VcgRandMechanism(2).distribution(profile)
+        subsets = list(combinations(range(profile.n), 2))
+        assert len(dist) == len(subsets)
+        for (p, out), subset in zip(dist, subsets):
+            assert p == Fraction(1, len(subsets))
+            assert out.sequence == _best_subset_sequence(profile, subset)
+            expected = tuple(
+                _welfare_of_others(profile, _best_subset_sequence(profile.zeroed(i), subset),
+                                   subset, i)
+                - _welfare_of_others(profile, out.sequence, subset, i)
+                if i in subset else Fraction(0)
+                for i in range(profile.n))
+            assert out.payments == expected

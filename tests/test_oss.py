@@ -94,6 +94,21 @@ class TestSatAsDecide:
                 if exhaustive:
                     assert seq == min(exhaustive)
 
+    @pytest.mark.parametrize("weight_denominator", [1, 2])
+    def test_agrees_with_exhaustive_scan_under_ties(self, weight_denominator):
+        # coarse weights make both sides of a choice tie often, and the mixed
+        # defaults make those ties go either way
+        for seed in range(4):
+            base = random_sat_instance(5, 9, 3, seed, weight_denominator)
+            tie = tuple(bool((seed >> k ^ k) & 1) for k in range(5))
+            inst = sat_instance(5, [(lits, w) for lits, w in base.clauses], tie)
+            first = {}  # assignment -> lexicographically smallest producing sequence
+            for s in permutations(range(5)):
+                first.setdefault(assignment_from_sequence(inst, s), s)
+            for bits in range(32):
+                target = tuple(bool(bits >> k & 1) for k in range(5))
+                assert sat_as_decide(inst, target) == first.get(target)
+
 
 class TestX3cReduce:
     def test_small_yes_instance_shape(self):
