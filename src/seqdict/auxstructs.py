@@ -27,7 +27,7 @@ from .core import (
     oracle_for,
     underlying_optimum,
 )
-from .osa import check_digraph_row, digraph_rows, random_digraph_weights, reaches
+from .osa import check_digraph_row, digraph_rows, has_cycle, random_digraph_weights, reaches
 
 
 @dataclass(frozen=True)
@@ -212,9 +212,8 @@ def check_path_union(out: dict, n: int) -> None:
     targets = list(out.values())
     if len(targets) != len(set(targets)):
         raise ValueError("a node has in-degree above 1")
-    for i in out:
-        if reaches(out, out[i], i):
-            raise ValueError("edges contain a cycle")
+    if has_cycle(out):
+        raise ValueError("edges contain a cycle")
 
 
 def posd_paths_instance(eps) -> PathsInstance:

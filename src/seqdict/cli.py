@@ -117,39 +117,35 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-ALGORITHMS = ("det", "rand", "det-plus", "greedy-osm", "greedy-osa",
-              "bit", "osi-learn")
+def _bit_coin(args) -> bool:
+    if args.coin is not None:
+        return args.coin == "heads"
+    return bool(random.Random(args.seed).getrandbits(1))
 
-_KIND_ONLY = {"greedy-osm": "osm", "greedy-osa": "osa", "bit": "osa",
-              "osi-learn": "osi"}
+
+# name -> (the only kind it runs on, or None; whether it needs --c;
+# runner(args, inst, oracle, caps)).  Runners look the algorithms up as module
+# attributes when they run, so patched module functions are the ones called.
+ALGORITHMS = {
+    "det": (None, True, lambda a, inst, o, caps: seqopt.det(o, a.c, caps)),
+    "rand": (None, True, lambda a, inst, o, caps: seqopt.rand(o, a.c, a.seed, caps)),
+    "det-plus": (None, True, lambda a, inst, o, caps: seqopt.det_plus(o, a.c, caps)),
+    "greedy-osm": ("osm", False, lambda a, inst, o, caps: osm.greedy_osm(o)),
+    "greedy-osa": ("osa", False, lambda a, inst, o, caps: osa.greedy_osa(o)),
+    "bit": ("osa", False, lambda a, inst, o, caps: osa.bit(inst.n, _bit_coin(a))),
+    "osi-learn": ("osi", False,
+                  lambda a, inst, o, caps: auxstructs.osi_learn_and_solve(o, caps)),
+}
 
 
 def _run_algorithm(args, inst, kind, oracle, caps):
     algo = args.algorithm
-    wanted = _KIND_ONLY.get(algo)
+    wanted, needs_c, runner = ALGORITHMS[algo]
     if wanted is not None and kind != wanted:
         raise UsageError(f"algorithm {algo} runs on {wanted} instances, not {kind}")
-    if algo in ("det", "rand", "det-plus"):
-        if args.c is None:
-            raise UsageError(f"algorithm {algo} needs --c")
-        if algo == "det":
-            return seqopt.det(oracle, args.c, caps)
-        if algo == "rand":
-            return seqopt.rand(oracle, args.c, args.seed, caps)
-        return seqopt.det_plus(oracle, args.c, caps)
-    if algo == "greedy-osm":
-        return osm.greedy_osm(oracle)
-    if algo == "greedy-osa":
-        return osa.greedy_osa(oracle)
-    if algo == "bit":
-        if args.coin is not None:
-            coin = args.coin == "heads"
-        else:
-            coin = bool(random.Random(args.seed).getrandbits(1))
-        return osa.bit(inst.n, coin)
-    if algo == "osi-learn":
-        return auxstructs.osi_learn_and_solve(oracle, caps)
-    raise UsageError(f"unknown algorithm {algo!r}")
+    if needs_c and args.c is None:
+        raise UsageError(f"algorithm {algo} needs --c")
+    return runner(args, inst, oracle, caps)
 
 
 def _best_welfare(oracle, caps):

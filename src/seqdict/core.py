@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import singledispatch
@@ -42,9 +43,9 @@ class Caps:
     subset: int = 20
 
     @classmethod
-    def from_env(cls, var: str = "SEQDICT_CAPS") -> "Caps":
-        """Parse caps from an env var formatted like "factorial=8,subset=16"."""
-        raw = os.environ.get(var, "").strip()
+    def from_env(cls) -> "Caps":
+        """Parse caps from SEQDICT_CAPS, formatted like "factorial=8,subset=16"."""
+        raw = os.environ.get("SEQDICT_CAPS", "").strip()
         if not raw:
             return cls()
         values = {}
@@ -52,7 +53,7 @@ class Caps:
             key, _, num = part.partition("=")
             key, num = key.strip(), num.strip()
             if key not in ("factorial", "subset") or not num.isdigit():
-                raise ValueError(f"cannot parse {var}={raw!r}")
+                raise ValueError(f"cannot parse SEQDICT_CAPS={raw!r}")
             values[key] = int(num)
         return cls(**values)
 
@@ -76,7 +77,7 @@ def encode_rational(v: Fraction) -> str:
 
 def decode_rational(s) -> Fraction:
     """A "p/q" (or integer) string as a Fraction; anything else is a ValueError."""
-    if not isinstance(s, str):
+    if not isinstance(s, str) or not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s):
         raise ValueError(f"rationals must be 'p/q' strings, got {s!r}")
     try:
         return Fraction(s)

@@ -62,7 +62,7 @@ def instance_to_dict(inst: Instance) -> dict:
         doc["prefs"] = [list(p) for p in inst.prefs]
     elif kind == "oss":
         doc["clauses"] = [
-            {"literals": sorted(lits, key=lambda l: (abs(l), l < 0)),
+            {"literals": oss.sorted_literals(lits),
              "weight": encode_rational(w)}
             for lits, w in inst.clauses
         ]

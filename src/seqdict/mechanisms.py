@@ -19,7 +19,7 @@ from .core import (
     ordered_subsequences,
     prefix_of,
 )
-from .osa import ArborescenceInstance, greedy_osa, osa_oracle
+from .osa import ArborescenceInstance, bit, greedy_osa, osa_oracle
 from .osm import MatchingInstance, greedy_osm, osm_oracle
 from .seqopt import det, det_plus, fill_ascending, max_welfare_ordering, rand
 
@@ -160,11 +160,9 @@ class BitMechanism:
     no payments, nothing for a misreport to influence."""
 
     def distribution(self, profile: ValuationProfile):
-        n = profile.n
-        zero = (Fraction(0),) * n
-        half = Fraction(1, 2)
-        return [(half, MechanismOutcome(tuple(range(n)), zero)),
-                (half, MechanismOutcome(tuple(reversed(range(n))), zero))]
+        zero = (Fraction(0),) * profile.n
+        return [(Fraction(1, 2), MechanismOutcome(bit(profile.n, coin), zero))
+                for coin in (True, False)]
 
 
 class UnpaidAlgorithm:
@@ -299,10 +297,10 @@ def det_family_misreport(n: int, c: int, agent: int = 0) -> dict:
             for s in ordered_subsequences(others)}
 
 
-def counterexample_profiles(eps=Fraction(1, 10), det_n: int = 5,
-                            det_c: int = 2) -> tuple:
+def counterexample_profiles(eps=Fraction(1, 10)) -> tuple:
     """The three (profile, misreport) pairs on which the unpaid algorithms
-    fail the two-point truthfulness condition."""
+    fail the two-point truthfulness condition; the prefix-search pair is the
+    det family at n=5, c=2."""
     eps = Fraction(eps)
     osm_profile = ValuationProfile.from_oracle(
         osm_oracle(counterexample_matching_instance(eps)))
@@ -312,12 +310,12 @@ def counterexample_profiles(eps=Fraction(1, 10), det_n: int = 5,
         osa_oracle(counterexample_digraph_instance(eps)))
     osa_alt = _agent_table(osa_oracle(_counterexample_digraph_alt(eps)), 0)
 
-    det_profile = det_family_profile(det_n, det_c)
-    det_alt = det_family_misreport(det_n, det_c)
+    det_profile = det_family_profile(5, 2)
+    det_alt = det_family_misreport(5, 2)
 
     return (
         Counterexample("greedy-matching", osm_profile, 0, osm_alt, greedy_osm),
         Counterexample("greedy-arborescence", osa_profile, 0, osa_alt, greedy_osa),
         Counterexample("prefix-search", det_profile, 0, det_alt,
-                       lambda oracle: det(oracle, det_c)),
+                       lambda oracle: det(oracle, 2)),
     )

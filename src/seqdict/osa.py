@@ -92,7 +92,8 @@ def reaches(out: dict, start: int, goal: int) -> bool:
     """Walk out-edges from `start`; True iff the walk hits `goal`.
 
     Every node has out-degree <= 1, so this is a single chase; the visited
-    guard protects against cycles in malformed inputs.
+    guard protects against cycles in malformed inputs.  A None target (an
+    agent that drew no edge), or a None `start`, ends the walk.
     """
     seen = set()
     node = start
@@ -112,9 +113,14 @@ def _best_target(inst: ArborescenceInstance, agent: int, out: dict) -> Optional[
     return None
 
 
-def _step(inst: ArborescenceInstance, out: dict, agent: int) -> dict:
-    target = _best_target(inst, agent, out)
-    return out if target is None else {**out, agent: target}
+def has_cycle(out: dict) -> bool:
+    """True iff the out-edges close a directed cycle; None targets draw no edge."""
+    return any(reaches(out, j, i) for i, j in out.items())
+
+
+def _step(inst: ArborescenceInstance, acts: dict, agent: int) -> dict:
+    """The action collection after `agent` draws her best edge (None if none)."""
+    return {**acts, agent: _best_target(inst, agent, acts)}
 
 
 @oracle_for.register
@@ -177,8 +183,8 @@ def arborescence_from_sequence(inst: ArborescenceInstance, seq) -> tuple:
     """Arborescence produced by a full sequence: parent[i] = target or None."""
     seq = tuple(seq)
     check_action_seq(seq, inst.n, full=True)
-    out = reduce(partial(_step, inst), seq, {})
-    return tuple(out.get(i) for i in range(inst.n))
+    acts = reduce(partial(_step, inst), seq, {})
+    return tuple(acts[i] for i in range(inst.n))
 
 
 def check_arborescence(parent, n: int) -> None:
@@ -227,18 +233,8 @@ def is_pareto_optimal_arborescence(inst: ArborescenceInstance, parent,
 def arborescence_context(inst: ArborescenceInstance) -> FeasibilityContext:
     """Feasibility wiring: directed forests; the action token is the edge
     target, or None for drawing nothing."""
-    def feasible(acts) -> bool:
-        out = {i: j for i, j in acts.items() if j is not None}
-        for i in out:
-            if reaches(out, out[i], i):
-                return False
-        return True
-
-    def best_response(agent: int, acts):
-        out = {i: j for i, j in acts.items() if j is not None}
-        return _best_target(inst, agent, out)
-
-    return FeasibilityContext(inst.n, feasible, best_response)
+    return FeasibilityContext(inst.n, lambda acts: not has_cycle(acts),
+                              partial(_best_target, inst))
 
 
 def sequence_for_arborescence(inst: ArborescenceInstance,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -135,7 +135,7 @@ def sat_as_decide(inst: SatInstance, target,
     sequence produces `target` iff every prefix keeps all acted agents at
     their target values, and whether agent i can act next depends only on the
     *set* of agents already acted.  The search therefore memoizes over the 2^n
-    acted-sets (still exponential, but desk-scale fast) and reconstructs the
+    acted-sets (still exponential, but desk-scale fast) and returns the
     lexicographically smallest producing sequence.
     """
     n = inst.n
@@ -144,43 +144,30 @@ def sat_as_decide(inst: SatInstance, target,
     if len(target) != n:
         raise ValueError("target assignment has wrong length")
 
-    # the clauses still open once the agents of an acted set play their
-    # targets, whatever their order; each set's entry is filtered from the
-    # entry of the first parent that reaches it
-    unsat_memo = {frozenset(): _start(inst)[1]}
+    @cache
+    def still_open(acted: frozenset) -> frozenset:
+        """The clauses left open once the agents in `acted` play their
+        targets, whatever their order."""
+        if not acted:
+            return _start(inst)[1]
+        last = max(acted)
+        return _still_open(inst, still_open(acted - {last}), last, target[last])
 
-    def acts_target(state: frozenset, agent: int) -> bool:
-        unsat = unsat_memo[state]
-        if _choice(inst, agent, unsat) != target[agent]:
-            return False
-        grown = state | {agent}
-        if grown not in unsat_memo:
-            unsat_memo[grown] = _still_open(inst, unsat, agent, target[agent])
-        return True
-
-    comp_memo: dict = {}
-
-    def completable(state: frozenset) -> bool:
-        if len(state) == n:
-            return True
-        cached = comp_memo.get(state)
-        if cached is None:
-            cached = comp_memo[state] = any(
-                acts_target(state, i) and completable(state | {i})
-                for i in range(n) if i not in state)
-        return cached
-
-    if not completable(frozenset()):
-        return None
-    seq: list = []
-    state: frozenset = frozenset()
-    while len(seq) < n:
+    @cache
+    def completion(acted: frozenset) -> Optional[tuple]:
+        """The lexicographically smallest producing order of the agents not
+        in `acted`, or None."""
+        if len(acted) == n:
+            return ()
+        unsat = still_open(acted)
         for i in range(n):
-            if i not in state and acts_target(state, i) and completable(state | {i}):
-                seq.append(i)
-                state = state | {i}
-                break
-    return tuple(seq)
+            if i not in acted and _choice(inst, i, unsat) == target[i]:
+                rest = completion(acted | {i})
+                if rest is not None:
+                    return (i,) + rest
+        return None
+
+    return completion(frozenset())
 
 
 def x3c_reduce(universe_size: int, sets: Sequence) -> SatInstance:
@@ -304,11 +291,16 @@ def _(inst: SatInstance, caps: Optional[Caps] = None) -> Value:
 #   t <0/1 per agent>            (tie defaults; omitted means all True)
 #   <weight> <lit> <lit> ... 0   (weight is "p/q" or an integer)
 
+def sorted_literals(lits) -> list:
+    """A clause's literals in file order: by variable, positive first."""
+    return sorted(lits, key=lambda l: (abs(l), l < 0))
+
+
 def to_wcnf(inst: SatInstance) -> str:
     lines = [f"p wcnf {inst.n} {len(inst.clauses)}"]
     lines.append("t " + " ".join("1" if b else "0" for b in inst.tie_default))
     for lits, w in inst.clauses:
-        body = " ".join(str(l) for l in sorted(lits, key=lambda l: (abs(l), l < 0)))
+        body = " ".join(map(str, sorted_literals(lits)))
         lines.append(f"{encode_rational(w)} {body} 0")
     return "\n".join(lines) + "\n"
 

@@ -41,8 +41,7 @@ def max_welfare_ordering(value_fn: Callable[[int, tuple], Value],
         total = Fraction(0)
         for k, a in enumerate(order):
             total += value_fn(a, order[:k])
-        if best_total is None or total > best_total or \
-                (total == best_total and order < best_order):
+        if best_total is None or total > best_total:
             best_order, best_total = order, total
     return best_order, best_total
 

@@ -12,6 +12,7 @@ from itertools import permutations
 
 from . import auxstructs, mechanisms, osa, osm, oss, seqopt
 from .core import (
+    MonotonicityViolation,
     brute_force_optimal_sequence,
     check_monotone_exhaustive,
     find_monotonicity_violation,
@@ -45,20 +46,14 @@ def suite_monotonicity(seed: int = 0) -> list:
     # documented deviation: in-degree rerouting breaks paths monotonicity at n=4
     witness = find_monotonicity_violation(
         auxstructs.paths_oracle(auxstructs.nonmonotone_paths_instance()))
-    ok = (witness is not None
-          and witness.agent == 2
-          and witness.smaller == (1,) and witness.larger == (0, 1)
-          and witness.value_smaller == 0 and witness.value_larger == 1)
+    ok = witness == MonotonicityViolation(2, (1,), (0, 1), 0, 1)
     rows.append(_row("paths rerouting non-monotonicity reproducible at n=4", ok))
     for n, c in [(4, 2), (5, 2)]:
         inst = seqopt.random_lower_bound_instance(n, c, seed + n)
         ok = check_monotone_exhaustive(seqopt.make_lower_bound_oracle(inst))
         rows.append(_row(f"monotone hidden-sequence n={n} c={c}", ok))
     witness = find_monotonicity_violation(oss.oss_oracle(oss.nonmonotone_sat_instance()))
-    ok = (witness is not None
-          and witness.agent == 2
-          and witness.smaller == (1,) and witness.larger == (0, 1)
-          and witness.value_smaller == 1 and witness.value_larger == 2)
+    ok = witness == MonotonicityViolation(2, (1,), (0, 1), 1, 2)
     rows.append(_row("sat non-monotone witness", ok, f"witness={witness}"))
     return rows
 

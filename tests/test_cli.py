@@ -201,6 +201,25 @@ ZERO_DENOMINATOR_FILES = {
 }
 
 
+NON_RATIONAL_FILES = {
+    "m.json": (json.dumps({"schema_version": 1, "kind": "osm", "n": 2,
+                           "weights": [["1e-1", "1/2"], ["1/2", "1/2"]],
+                           "prefs": [[0, 1], [0, 1]]}), "1e-1"),
+    "s.wcnf": ("p wcnf 2 2\n0.5 1 2 0\n1 -1 0\n", "0.5"),
+}
+
+
+class TestNonRationalWeight:
+    @pytest.mark.parametrize("name", sorted(NON_RATIONAL_FILES))
+    def test_is_input_error(self, capsys, tmp_path, name):
+        text, weight = NON_RATIONAL_FILES[name]
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "posd", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: rationals must be 'p/q' strings, got {weight!r}\n"
+
+
 class TestZeroDenominator:
     @pytest.mark.parametrize("command", [("posd",), ("run", "--algorithm", "det", "--c", "1")],
                              ids=["posd", "run"])
@@ -345,3 +364,61 @@ class TestGoldenOutput:
             if argv[0] == "gen":
                 Path(path).write_text(out, encoding="utf-8")
         assert tuple(digests) == GOLDEN_DIGESTS[name]
+
+
+# sha256 of `run --json` stdout for each algorithm on `gen KIND --n 5 --seed 1`,
+# with default caps.  `bit` runs once on a fixed coin and once seeded (seed 3
+# draws tails).
+DISPATCH_DIGESTS = {
+    ("det", "osm", ("--c", "2")):
+        "fbe6fb5545d1270cf5554d50e9846d46de75469eeeb33521e6dbcf80f6ab53df",
+    ("rand", "osa", ("--c", "2", "--seed", "4")):
+        "0279648fb4eb5f136b435f50724b5fcf2507e86fce9b509bec26f1309cd9bc13",
+    ("det-plus", "lowerbound", ("--c", "2")):
+        "cecd74bfe78c37a2cd3630a210b745092bd61c9e714ade288234f1ffb7f31a89",
+    ("greedy-osm", "osm", ()):
+        "d0195d1bc7dbfba2c701f0b4c64e8f7b9ea238a9d31e2ab716165ea3b8f5a35b",
+    ("greedy-osa", "osa", ()):
+        "499492fbb7e7f77fe878e3e15695b3346c76a4755775cfebe17775bea1bfc8e6",
+    ("bit", "osa", ("--coin", "heads")):
+        "3f1d18adc144527eb819a9806688989c052330ad603b0c25d61a6059dbf4b1c6",
+    ("bit", "osa", ("--seed", "3")):
+        "2b25a84298ed6619499f1e8c0121144fce47414ace94f392d1ff7519b33a9d40",
+    ("osi-learn", "osi", ()):
+        "d17983b8b09cec7f925d0326bd6d5e8324ddbd5a34e0b0f9ea4e964a94ed8bf1",
+}
+
+
+class TestAlgorithmDispatch:
+    @pytest.mark.parametrize("case", sorted(DISPATCH_DIGESTS),
+                             ids=lambda case: "-".join(case[:2] + tuple(a.lstrip("-") for a in case[2])))
+    def test_run_json_pinned(self, capsys, tmp_path, monkeypatch, case):
+        monkeypatch.delenv("SEQDICT_CAPS", raising=False)
+        algorithm, kind, extra = case
+        path = str(tmp_path / "inst.json")
+        run_cli(capsys, "gen", kind, "--n", "5", "--seed", "1", "-o", path)
+        code, out, err = run_cli(capsys, "run", path, "--json",
+                                 "--algorithm", algorithm, *extra)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == DISPATCH_DIGESTS[case]
+
+    @pytest.mark.parametrize("algorithm,wanted,kind", [
+        ("greedy-osm", "osm", "osa"),
+        ("greedy-osa", "osa", "osm"),
+        ("bit", "osa", "osi"),
+        ("osi-learn", "osi", "paths"),
+    ])
+    def test_kind_mismatch_message(self, capsys, tmp_path, algorithm, wanted, kind):
+        path = str(tmp_path / "inst.json")
+        run_cli(capsys, "gen", kind, "--n", "3", "-o", path)
+        code, out, err = run_cli(capsys, "run", path, "--algorithm", algorithm)
+        assert (code, out) == (2, "")
+        assert err == f"error: algorithm {algorithm} runs on {wanted} instances, not {kind}\n"
+
+    @pytest.mark.parametrize("algorithm", ["det", "rand", "det-plus"])
+    def test_missing_c_message(self, capsys, tmp_path, algorithm):
+        path = str(tmp_path / "inst.json")
+        run_cli(capsys, "gen", "osm", "--n", "3", "-o", path)
+        code, out, err = run_cli(capsys, "run", path, "--algorithm", algorithm)
+        assert (code, out) == (2, "")
+        assert err == f"error: algorithm {algorithm} needs --c\n"

@@ -31,8 +31,9 @@ class TestRationals:
         assert decode_rational(encode_rational(v)) == v
 
     def test_floats_rejected(self):
-        with pytest.raises(ValueError):
-            decode_rational(0.5)
+        for text in (0.5, "0.5", "1e-1", " 1/2"):
+            with pytest.raises(ValueError, match="rationals must be 'p/q' strings"):
+                decode_rational(text)
 
 
 class TestRoundTrip:

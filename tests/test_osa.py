@@ -9,17 +9,22 @@ from seqdict.core import (
     social_welfare,
     underlying_optimum,
 )
+from seqdict.feasibility import produce_collection
 from seqdict.mechanisms import counterexample_digraph_instance
 from seqdict.osa import (
     ArborescenceInstance,
+    _best_target,
     all_arborescences,
+    arborescence_context,
     arborescence_from_sequence,
     bit,
     check_arborescence,
     greedy_osa,
+    has_cycle,
     is_pareto_optimal_arborescence,
     osa_oracle,
     random_digraph_instance,
+    reaches,
     sequence_for_arborescence,
 )
 
@@ -190,3 +195,44 @@ class TestValidation:
     def test_check_arborescence_rejects_two_roots(self):
         with pytest.raises(ValueError):
             check_arborescence((None, None), 2)
+
+
+class TestNoneTargets:
+    """A None target means "drew no edge": walks end there."""
+
+    def test_walk_meets_none_partway(self):
+        out = {0: 1, 1: None, 2: 0}
+        assert reaches(out, 2, 1)
+        assert not reaches(out, 2, 3)
+        assert not reaches(out, 0, 2)
+
+    def test_walk_starts_at_none(self):
+        out = {0: None, 1: 0}
+        assert not reaches(out, None, 0)
+        assert not reaches(out, None, 1)
+
+    def test_has_cycle_ignores_none_targets(self):
+        assert not has_cycle({0: 1, 1: None, 2: 1})
+        assert has_cycle({0: 1, 1: 2, 2: 0, 3: None})
+        ctx = arborescence_context(random_digraph_instance(3, seed=0))
+        assert not ctx.feasible({0: 1, 1: 0, 2: None})
+
+    def test_context_matches_filtered_best_target(self):
+        for n in range(1, 6):
+            inst = random_digraph_instance(n, seed=n)
+            ctx = arborescence_context(inst)
+            collections = set()
+            for seq in permutations(range(n)):
+                for k in range(n + 1):
+                    acts = produce_collection(ctx, seq[:k])
+                    collections.add(tuple(sorted(acts.items())))
+                    # an agent yet to act recorded as drawing nothing
+                    for i in set(range(n)) - set(acts):
+                        collections.add(tuple(sorted({**acts, i: None}.items())))
+            for items in collections:
+                acts = dict(items)
+                drawn = {i: j for i, j in acts.items() if j is not None}
+                assert ctx.feasible(acts)
+                for agent in range(n):
+                    assert (ctx.best_response(agent, acts)
+                            == _best_target(inst, agent, drawn))
