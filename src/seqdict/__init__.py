@@ -18,6 +18,7 @@ from .core import (
     MonotonicityViolation,
     QueryLedger,
     ValuationOracle,
+    best_sequence,
     brute_force_optimal_sequence,
     check_monotone_exhaustive,
     find_monotonicity_violation,
@@ -33,10 +34,11 @@ from .core import (
 __all__ = [
     "CapExceededError", "Caps", "DEFAULT_CAPS", "INFINITE_POSD",
     "MonotonicityViolation", "QueryLedger", "ValuationOracle",
-    "auxstructs", "brute_force_optimal_sequence", "check_monotone_exhaustive",
-    "feasibility", "fileio", "find_monotonicity_violation", "is_subsequence",
-    "mechanisms", "oracle_for", "ordered_subsequences", "osa", "osm", "oss",
-    "prefix_of", "price_of_serial_dictatorship", "seqopt", "social_welfare",
+    "auxstructs", "best_sequence", "brute_force_optimal_sequence",
+    "check_monotone_exhaustive", "feasibility", "fileio",
+    "find_monotonicity_violation", "is_subsequence", "mechanisms", "oracle_for",
+    "ordered_subsequences", "osa", "osm", "oss", "prefix_of",
+    "price_of_serial_dictatorship", "seqopt", "social_welfare",
     "underlying_optimum",
 ]
 

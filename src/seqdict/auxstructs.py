@@ -25,6 +25,7 @@ from .core import (
     ValuationOracle,
     check_action_seq,
     oracle_for,
+    structure_for,
     underlying_optimum,
 )
 from .osa import check_digraph_row, digraph_rows, has_cycle, random_digraph_weights, reaches
@@ -71,6 +72,12 @@ def osi_oracle(inst: OsiInstance) -> ValuationOracle:
         return Fraction(1)
 
     return ValuationOracle(inst.n, fn, monotone_claimed=True)
+
+
+@structure_for.register
+def _(inst: OsiInstance) -> tuple:
+    """Values depend only on the set of agents that acted, so there is no state."""
+    return None, lambda state, agent: None, lambda state: None
 
 
 def _mis_from_masks(n: int, nbr: list) -> int:
@@ -176,6 +183,14 @@ def _step(inst: PathsInstance, state: tuple, agent: int) -> tuple:
     if target is None:
         return state
     return {**out, agent: target}, has_in | {target}
+
+
+@structure_for.register
+def _(inst: PathsInstance) -> tuple:
+    """Later draws depend only on the drawn edges: each agent's target, None
+    where the agent drew no edge or has not acted."""
+    return (({}, frozenset()), partial(_step, inst),
+            lambda state: tuple(map(state[0].get, range(inst.n))))
 
 
 @oracle_for.register

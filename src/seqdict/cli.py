@@ -22,7 +22,7 @@ from .core import (
     CapExceededError,
     Caps,
     INFINITE_POSD,
-    brute_force_optimal_sequence,
+    best_sequence,
     oracle_for,
     social_welfare,
     underlying_optimum,
@@ -148,10 +148,10 @@ def _run_algorithm(args, inst, kind, oracle, caps):
     return runner(args, inst, oracle, caps)
 
 
-def _best_welfare(oracle, caps):
+def _best_welfare(inst, caps):
     """Welfare of the best sequence, or None when its search is over the cap."""
     try:
-        _, best = brute_force_optimal_sequence(oracle.fresh(), caps)
+        _, best = best_sequence(inst, caps)
     except CapExceededError:
         return None
     return best
@@ -168,7 +168,7 @@ def _cmd_run(args) -> int:
 
     opt = ratio = None
     if not args.skip_optimum:
-        opt = _best_welfare(oracle, caps)
+        opt = _best_welfare(inst, caps)
         if opt is not None:
             ratio = welfare_ratio(opt, welfare)
 
@@ -211,7 +211,7 @@ def _cmd_posd(args) -> int:
         opt = underlying_optimum(inst, caps)
     except TypeError:
         raise UsageError(f"no underlying optimum for kind {kind!r}") from None
-    seq, best = brute_force_optimal_sequence(oracle_for(inst), caps)
+    seq, best = best_sequence(inst, caps)
     posd = welfare_ratio(opt, best)
     if args.json:
         doc = {
@@ -292,7 +292,7 @@ def _cmd_bench(args) -> int:
                 runtimes.append((time.perf_counter() - t0) * 1000)
                 queries.append(oracle.ledger.total_calls)
                 welfare = social_welfare(oracle.fresh(), seq)
-                opt = _best_welfare(oracle, caps)
+                opt = _best_welfare(inst, caps)
                 if opt is not None:
                     ratios.append(welfare_ratio(opt, welfare))
             writer.writerow([

@@ -62,6 +62,12 @@ class Caps:
         if n > self.subset:
             raise CapExceededError(f"n={n} exceeds subset cap {self.subset}")
 
+    def check_sequences(self, n: int) -> None:
+        """Raise unless a search over the n! sequences fits the factorial cap."""
+        if n > self.factorial:
+            raise CapExceededError(
+                f"enumeration cap exceeded: n={n} > factorial cap {self.factorial}")
+
     def check_work(self, units: int, what: str) -> None:
         """Raise unless `units` of work fit the budget of `factorial`! units."""
         if units > math.factorial(self.factorial):
@@ -217,10 +223,7 @@ def brute_force_optimal_sequence(oracle: ValuationOracle,
     better one replaces the best, so ties break to the lexicographically
     smallest sequence.
     """
-    caps = caps or DEFAULT_CAPS
-    if oracle.n > caps.factorial:
-        raise CapExceededError(
-            f"enumeration cap exceeded: n={oracle.n} > factorial cap {caps.factorial}")
+    (caps or DEFAULT_CAPS).check_sequences(oracle.n)
     return _best_completion(oracle, (), tuple(range(oracle.n)), Fraction(0))
 
 
@@ -297,6 +300,58 @@ def oracle_for(instance) -> ValuationOracle:
     raise TypeError(f"no oracle constructor registered for {type(instance).__name__}")
 
 
+@singledispatch
+def structure_for(instance) -> tuple:
+    """(start, step, key) of a structured instance (dispatch per type).
+
+    `start` is the structure's state before anyone acts and `step(state,
+    agent)` the new state after `agent` acts, neither changing the state it
+    is given.  `key(state)` is the part of a state that, with the set of
+    agents that acted, fixes every later agent's value and every later step.
+    """
+    raise TypeError(f"no sequence structure registered for {type(instance).__name__}")
+
+
+def best_sequence(instance, caps: Optional[Caps] = None) -> tuple[ActionSeq, Value]:
+    """The (sequence, welfare) of `brute_force_optimal_sequence` on the
+    instance's oracle, by a prefix-tree search that memoises completions.
+
+    Two prefixes over the same acted set whose states share a key have the
+    same best completion, so the search expands the first of them and reuses
+    its result for the rest.  Each expanded prefix reads every next agent's
+    value through one counted query on a fresh `oracle_for(instance)`, so no
+    pair is read twice.  Children are visited in ascending agent order and
+    only a strictly better completion replaces the best, so every stored
+    completion is the lexicographically smallest best one, and ties break as
+    in the tree search.  The memo never outgrows the tree, so the tree
+    search's cap holds.
+    """
+    oracle = oracle_for(instance)
+    n = oracle.n
+    (caps or DEFAULT_CAPS).check_sequences(n)
+    start, step, key = structure_for(instance)
+    memo: dict = {}  # (acted set as a bitmask, key) -> (completion, its welfare)
+
+    def completion(prefix: ActionSeq, acted: int, state) -> tuple[ActionSeq, Value]:
+        if len(prefix) == n:
+            return (), Fraction(0)
+        at = (acted, key(state))
+        best = memo.get(at)
+        if best is None:
+            for agent in range(n):
+                if not acted >> agent & 1:
+                    value = oracle.value(agent, prefix)
+                    rest, welfare = completion(prefix + (agent,), acted | 1 << agent,
+                                               step(state, agent))
+                    welfare += value
+                    if best is None or welfare > best[1]:
+                        best = ((agent,) + rest, welfare)
+            memo[at] = best
+        return best
+
+    return completion((), 0, start)
+
+
 def welfare_ratio(optimum: Value, welfare: Value):
     """optimum / welfare: 1 if both are zero, INFINITE_POSD if only the welfare is.
 
@@ -311,5 +366,5 @@ def welfare_ratio(optimum: Value, welfare: Value):
 def price_of_serial_dictatorship(instance, caps: Optional[Caps] = None):
     """underlying_optimum / best-sequence welfare, by `welfare_ratio`."""
     opt = underlying_optimum(instance, caps)
-    _, best = brute_force_optimal_sequence(oracle_for(instance), caps)
+    _, best = best_sequence(instance, caps)
     return welfare_ratio(opt, best)

@@ -11,9 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import perm
 from typing import Callable, Mapping, Optional, Sequence
 
 from .core import (
+    DEFAULT_CAPS,
     Value,
     ValuationOracle,
     ordered_subsequences,
@@ -47,6 +49,11 @@ class ValuationProfile:
 
     @classmethod
     def from_oracle(cls, oracle: ValuationOracle) -> "ValuationProfile":
+        """Every agent's table, read through the oracle: n times the
+        sum_k (n-1)!/(n-1-k)! prefixes, checked against the default cap first."""
+        n = oracle.n
+        DEFAULT_CAPS.check_work(n * sum(perm(n - 1, k) for k in range(n)),
+                                f"n={n} valuation tables")
         return cls([_agent_table(oracle, i) for i in range(oracle.n)])
 
     def value(self, agent: int, prefix: tuple) -> Value:

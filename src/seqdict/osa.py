@@ -28,6 +28,7 @@ from .core import (
     ValuationOracle,
     check_action_seq,
     oracle_for,
+    structure_for,
     underlying_optimum,
 )
 from .feasibility import FeasibilityContext, dominates, sequence_for_collection
@@ -121,6 +122,13 @@ def has_cycle(out: dict) -> bool:
 def _step(inst: ArborescenceInstance, acts: dict, agent: int) -> dict:
     """The action collection after `agent` draws her best edge (None if none)."""
     return {**acts, agent: _best_target(inst, agent, acts)}
+
+
+@structure_for.register
+def _(inst: ArborescenceInstance) -> tuple:
+    """Later draws depend on the whole action collection: each agent's
+    target, None where the agent drew no edge or has not acted."""
+    return {}, partial(_step, inst), lambda acts: tuple(map(acts.get, range(inst.n)))
 
 
 @oracle_for.register

@@ -25,6 +25,7 @@ from .core import (
     ValuationOracle,
     check_action_seq,
     oracle_for,
+    structure_for,
     underlying_optimum,
 )
 from .feasibility import FeasibilityContext, dominates, sequence_for_collection
@@ -75,6 +76,12 @@ def _pick(inst: MatchingInstance, agent: int, taken) -> int:
 
 def _step(inst: MatchingInstance, taken: dict, agent: int) -> dict:
     return {**taken, agent: _pick(inst, agent, taken)}
+
+
+@structure_for.register
+def _(inst: MatchingInstance) -> tuple:
+    """Later picks depend only on which items are taken."""
+    return {}, partial(_step, inst), lambda taken: frozenset(taken.values())
 
 
 @oracle_for.register

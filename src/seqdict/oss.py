@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -24,6 +25,7 @@ from .core import (
     decode_rational,
     encode_rational,
     oracle_for,
+    structure_for,
     underlying_optimum,
 )
 
@@ -101,6 +103,12 @@ def _step(inst: SatInstance, state: tuple, agent: int) -> tuple:
     assign, unsat = state
     value = _choice(inst, agent, unsat)
     return {**assign, agent: value}, _still_open(inst, unsat, agent, value)
+
+
+@structure_for.register
+def _(inst: SatInstance) -> tuple:
+    """Later choices depend only on the clauses still open."""
+    return _start(inst), partial(_step, inst), itemgetter(1)
 
 
 @oracle_for.register

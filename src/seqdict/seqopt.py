@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial, perm
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .core import (
@@ -24,6 +25,7 @@ from .core import (
     is_subsequence,
     oracle_for,
     social_welfare,
+    structure_for,
 )
 
 
@@ -145,6 +147,21 @@ def make_lower_bound_oracle(inst: LowerBoundInstance) -> ValuationOracle:
         return one if len(seq) < inst.c or is_subsequence(seq, inst.hidden_pi) else zero
 
     return ValuationOracle(inst.n, fn, monotone_claimed=True)
+
+
+@structure_for.register
+def _(inst: LowerBoundInstance) -> tuple:
+    """State (ok, last): whether the prefix is still a subsequence of the
+    hidden order, and the hidden position of its last agent.  With the acted
+    set, `ok` fixes every later value: the prefix holds fewer than c agents,
+    or it is a subsequence exactly while `ok` holds."""
+    pos = {agent: k for k, agent in enumerate(inst.hidden_pi)}
+
+    def step(state: tuple, agent: int) -> tuple:
+        ok, last = state
+        return ok and pos[agent] > last, pos[agent]
+
+    return (True, -1), step, itemgetter(0)
 
 
 def random_lower_bound_instance(n: int, c: int, seed: int) -> LowerBoundInstance:

@@ -13,7 +13,7 @@ from itertools import permutations
 from . import auxstructs, mechanisms, osa, osm, oss, seqopt
 from .core import (
     MonotonicityViolation,
-    brute_force_optimal_sequence,
+    best_sequence,
     check_monotone_exhaustive,
     find_monotonicity_violation,
     is_subsequence,
@@ -97,9 +97,10 @@ def suite_approx(seed: int = 0) -> list:
     for name, make, greedy in greedy_domains:
         ok = True
         for k in range(20):
-            oracle = oracle_for(make(3 + k % 3, seed + k))
+            inst = make(3 + k % 3, seed + k)
+            oracle = oracle_for(inst)
             sw = social_welfare(oracle.fresh(), greedy(oracle))
-            _, opt = brute_force_optimal_sequence(oracle.fresh())
+            _, opt = best_sequence(inst)
             ok = ok and 2 * sw >= opt
         rows.append(_row(f"greedy {name} within factor 2", ok))
 
@@ -107,7 +108,7 @@ def suite_approx(seed: int = 0) -> list:
     for k in range(4):
         inst = seqopt.random_lower_bound_instance(5, 2, seed + k)
         oracle = seqopt.make_lower_bound_oracle(inst)
-        _, opt = brute_force_optimal_sequence(oracle.fresh())
+        _, opt = best_sequence(inst)
         for c in range(1, 6):
             sw = social_welfare(oracle.fresh(), seqopt.det(oracle.fresh(), c))
             ok = ok and 5 * sw >= c * opt
@@ -152,7 +153,7 @@ def suite_truthful(seed: int = 0) -> list:
         n = inst.n
         expect = (social_welfare(oracle.fresh(), osa.bit(n, True))
                   + social_welfare(oracle.fresh(), osa.bit(n, False))) / 2
-        _, opt = brute_force_optimal_sequence(oracle.fresh())
+        _, opt = best_sequence(inst)
         ok = ok and 2 * expect >= opt
     rows.append(_row("coin-flip sequence within factor 2 in expectation", ok))
     return rows

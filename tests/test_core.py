@@ -13,10 +13,12 @@ from seqdict.core import (
     check_monotone_exhaustive,
     find_monotonicity_violation,
     is_subsequence,
+    oracle_for,
     ordered_subsequences,
     prefix_of,
     price_of_serial_dictatorship,
     social_welfare,
+    structure_for,
     underlying_optimum,
     welfare_ratio,
 )
@@ -194,6 +196,12 @@ def test_capped_entry_point_raises_before_any_work(name):
     assert str(exc.value) == message
     if oracle is not None:
         assert oracle.ledger.total_calls == 0
+
+
+def test_every_oracle_kind_has_a_sequence_structure():
+    """A kind with an oracle but no (start, step, key) would crash posd."""
+    kinds = set(oracle_for.registry) - {object}
+    assert kinds and kinds <= set(structure_for.registry)
 
 
 class TestMonotonicity:

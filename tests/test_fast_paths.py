@@ -1,6 +1,7 @@
-"""The prefix-tree search, the prefix-state oracles and the subset-DP optima,
-each checked against a plain reference kept here: the n! sequence loop,
-from-scratch simulations of every domain, and enumeration of the optima."""
+"""The prefix-tree search, the memoised best-sequence search, the
+prefix-state oracles and the subset-DP optima, each checked against a plain
+reference: the n! sequence loop, the prefix-tree search, from-scratch
+simulations of every domain, and enumeration of the optima."""
 
 import random
 import sys
@@ -11,10 +12,12 @@ from math import factorial
 
 import pytest
 
-from seqdict import auxstructs, osa, osm, oss, seqopt
+from seqdict import auxstructs, core, osa, osm, oss, seqopt
+from seqdict.cli import NAMED_INSTANCES
 from seqdict.core import (
     CapExceededError,
     Caps,
+    best_sequence,
     brute_force_optimal_sequence,
     oracle_for,
     social_welfare,
@@ -176,6 +179,63 @@ class TestSearchQueryCount:
         with pytest.raises(CapExceededError):
             brute_force_optimal_sequence(oracle, Caps(factorial=4))
         assert oracle.ledger.total_calls == 0
+
+
+# --- the memoised search ------------------------------------------------------------
+
+
+def tree_edges(n):
+    return sum(factorial(n) // factorial(n - k - 1) for k in range(n))
+
+
+@pytest.fixture
+def search_oracles(monkeypatch):
+    """The oracles `best_sequence` builds, in the order it builds them."""
+    built = []
+
+    def spy(instance):
+        built.append(oracle_for(instance))
+        return built[-1]
+
+    monkeypatch.setattr(core, "oracle_for", spy)
+    return built
+
+
+class TestMemoSearchMatchesTreeSearch:
+    def check(self, inst, oracles):
+        got = best_sequence(inst)
+        assert got == brute_force_optimal_sequence(oracle_for(inst))
+        ledger = oracles[-1].ledger
+        assert ledger.total_calls == ledger.distinct_calls <= tree_edges(inst.n)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("wd", (1, 2, 3, 100))
+    def test_random_instances(self, kind, wd, search_oracles):
+        for n in range(1, 8):
+            for seed in range(3 if n < 7 else 1):
+                self.check(make_instance(kind, n, 1000 * n + 10 * wd + seed, wd),
+                           search_oracles)
+
+    def test_non_monotone_witnesses(self, search_oracles):
+        for inst in (oss.nonmonotone_sat_instance(),
+                     auxstructs.nonmonotone_paths_instance()):
+            self.check(inst, search_oracles)
+
+    @pytest.mark.parametrize("name", sorted(NAMED_INSTANCES))
+    def test_named_instances(self, name, search_oracles):
+        # the CLI's defaults; x3c's "no" variant has 9 agents, where the tree
+        # reference alone takes seconds
+        self.check(NAMED_INSTANCES[name](Fraction(1, 10), "yes"), search_oracles)
+
+    def test_cap_raises_before_any_query(self, search_oracles):
+        inst = make_instance("osm", 5, 0)
+        with pytest.raises(CapExceededError) as tree:
+            brute_force_optimal_sequence(oracle_for(inst), Caps(factorial=4))
+        with pytest.raises(CapExceededError) as memo:
+            best_sequence(inst, Caps(factorial=4))
+        assert str(memo.value) == str(tree.value) == \
+            "enumeration cap exceeded: n=5 > factorial cap 4"
+        assert search_oracles[-1].ledger.total_calls == 0
 
 
 # --- prefix-state oracles ------------------------------------------------------------

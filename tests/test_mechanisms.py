@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from seqdict.core import ordered_subsequences, prefix_of
+from seqdict.core import CapExceededError, ValuationOracle, ordered_subsequences, prefix_of
 from seqdict.mechanisms import (
     BitMechanism,
     UnpaidAlgorithm,
@@ -47,6 +47,14 @@ class TestValuationProfile:
             others = [j for j in range(3) if j != i]
             for s in ordered_subsequences(others):
                 assert rebuilt.value(i, s) == oracle.fresh().value(i, s)
+
+    def test_from_oracle_cap_raises_before_any_query(self):
+        # n=10 would read 9,864,100 table entries, over the default budget of 10!
+        oracle = ValuationOracle(10, lambda i, s: Fraction(0))
+        with pytest.raises(CapExceededError,
+                           match="enumeration cap exceeded: n=10 valuation tables"):
+            ValuationProfile.from_oracle(oracle)
+        assert oracle.ledger.total_calls == 0
 
     def test_incomplete_table_rejected(self):
         with pytest.raises(ValueError, match="every prefix"):
