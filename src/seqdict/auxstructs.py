@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from typing import Iterable, Optional
 
 from .core import (
@@ -23,7 +23,7 @@ from .core import (
     PrefixStates,
     Value,
     ValuationOracle,
-    check_action_seq,
+    final_state,
     oracle_for,
     structure_for,
     underlying_optimum,
@@ -201,11 +201,9 @@ def paths_oracle(inst: PathsInstance) -> ValuationOracle:
     the arborescence structure: with 4+ nodes, an extra predecessor can grab
     an agent's target node (in-degree competition), rerouting that agent's
     edge and thereby unblocking an edge that the shorter prefix forbade.
-    They are monotone for n <= 3, where no such rerouting is possible.  The
-    simulation resumes from the edges drawn by the longest prefix shared with
-    the previous query.
+    They are monotone for n <= 3, where no such rerouting is possible.
     """
-    states = PrefixStates(({}, frozenset()), partial(_step, inst))
+    states = PrefixStates(inst)
 
     def fn(agent: int, seq: tuple) -> Value:
         _, w = _best_addable(inst, agent, *states.after(seq))
@@ -216,10 +214,7 @@ def paths_oracle(inst: PathsInstance) -> ValuationOracle:
 
 def paths_edges_from_sequence(inst: PathsInstance, seq) -> dict:
     """Out-edge map drawn by a full sequence (used for structural checks)."""
-    seq = tuple(seq)
-    check_action_seq(seq, inst.n, full=True)
-    out, _ = reduce(partial(_step, inst), seq, ({}, frozenset()))
-    return out
+    return final_state(inst, seq)[0]
 
 
 def check_path_union(out: dict, n: int) -> None:

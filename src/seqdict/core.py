@@ -13,7 +13,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import singledispatch
+from functools import reduce, singledispatch
 from itertools import permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -136,20 +136,20 @@ class QueryLedger:
 
 
 class PrefixStates:
-    """A structure's state after each prefix of the last sequence asked for.
+    """An instance's structure state after each prefix of the last sequence
+    asked for, replayed with the (start, step) of its `structure_for` entry.
 
-    `after(seq)` replays with `step(state, agent)` only the agents past the
-    longest common prefix of `seq` and the previous call, so queries that walk
-    a prefix tree cost O(1) steps each.  The cache is one immutable snapshot
-    (sequence, states), replaced by a single assignment and never mutated in
-    place, so oracle copies sharing it may query it from several threads.
-    `step` must return a new state and never change the one it is given.
+    Replaying is bookkeeping, not a counted query.  `after(seq)` steps only
+    the agents past the longest common prefix of `seq` and the previous call,
+    so queries that walk a prefix tree cost O(1) steps each.  The cache is one
+    immutable snapshot (sequence, states), replaced by a single assignment, so
+    oracle copies sharing it may query it from several threads.
     """
 
     __slots__ = ("_step", "_snap")
 
-    def __init__(self, start, step: Callable):
-        self._step = step
+    def __init__(self, instance):
+        start, self._step, _ = structure_for(instance)
         self._snap = ((), (start,))
 
     def after(self, seq: ActionSeq):
@@ -310,6 +310,14 @@ def structure_for(instance) -> tuple:
     agents that acted, fixes every later agent's value and every later step.
     """
     raise TypeError(f"no sequence structure registered for {type(instance).__name__}")
+
+
+def final_state(instance, seq: Sequence[int]):
+    """The structure state a full sequence leaves: its `structure_for` fold."""
+    seq = tuple(seq)
+    check_action_seq(seq, instance.n, full=True)
+    start, step, _ = structure_for(instance)
+    return reduce(step, seq, start)
 
 
 def best_sequence(instance, caps: Optional[Caps] = None) -> tuple[ActionSeq, Value]:

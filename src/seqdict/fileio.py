@@ -77,34 +77,50 @@ def instance_to_dict(inst: Instance) -> dict:
     return doc
 
 
+def _checked(want: type, field: str, x):
+    """`x` if it is exactly a JSON `want`, int or bool (a boolean is not an
+    integer), else a TypeError naming `field`."""
+    if type(x) is not want:
+        raise TypeError(f"{field} must be {want.__name__}, not {type(x).__name__}")
+    return x
+
+
+def _ints(field: str, values) -> tuple:
+    return tuple(_checked(int, field, x) for x in values)
+
+
 def instance_from_dict(doc: dict) -> Instance:
     """Decode an instance document; a missing or mistyped field is a ValueError."""
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     kind = doc.get("kind")
-    n = doc.get("n")
+    if kind not in KINDS:
+        raise ValueError(f"unknown instance kind {kind!r}")
     try:
+        n = _checked(int, "n", doc["n"])
         if kind == "osm":
             return MatchingInstance(n, _weights_in(doc["weights"], allow_none=False),
-                                    tuple(tuple(p) for p in doc["prefs"]))
+                                    tuple(_ints("prefs", p) for p in doc["prefs"]))
         if kind == "osa":
             return ArborescenceInstance(n, _weights_in(doc["weights"], allow_none=True),
-                                        tuple(tuple(p) for p in doc["prefs"]))
+                                        tuple(_ints("prefs", p) for p in doc["prefs"]))
         if kind == "oss":
-            clauses = [(c["literals"], decode_rational(c["weight"]))
+            clauses = [(_ints("literals", c["literals"]), decode_rational(c["weight"]))
                        for c in doc["clauses"]]
-            return oss.sat_instance(n, clauses, doc.get("tie_default"))
+            tie = doc.get("tie_default")
+            if tie is not None:
+                tie = tuple(_checked(bool, "tie_default", b) for b in tie)
+            return oss.sat_instance(n, clauses, tie)
         if kind == "osi":
-            return OsiInstance.from_edges(n, [tuple(e) for e in doc["edges"]])
+            return OsiInstance.from_edges(n, [_ints("edges", e) for e in doc["edges"]])
         if kind == "paths":
             return PathsInstance(n, _weights_in(doc["weights"], allow_none=True))
-        if kind == "lowerbound":
-            return LowerBoundInstance(n, doc["c"], tuple(doc["hidden_pi"]))
+        return LowerBoundInstance(n, _checked(int, "c", doc["c"]),
+                                  _ints("hidden_pi", doc["hidden_pi"]))
     except KeyError as exc:
         raise ValueError(f"{kind} instance lacks field {exc}") from None
     except TypeError as exc:
         raise ValueError(f"malformed {kind} instance: {exc}") from None
-    raise ValueError(f"unknown instance kind {kind!r}")
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -112,7 +128,11 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def parse_instance(text: str) -> Instance:
-    return instance_from_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("instance JSON is nested too deeply") from None
+    return instance_from_dict(doc)
 
 
 def load_instance_text(text: str) -> Instance:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from itertools import product
 from math import factorial
 from typing import Iterator, Optional, Sequence
@@ -26,7 +26,7 @@ from .core import (
     PrefixStates,
     Value,
     ValuationOracle,
-    check_action_seq,
+    final_state,
     oracle_for,
     structure_for,
     underlying_optimum,
@@ -136,10 +136,9 @@ def osa_oracle(inst: ArborescenceInstance) -> ValuationOracle:
     """v_i(S) = weight of i's best non-forbidden edge after simulating S.
 
     An edge i->j is forbidden when j already reaches i through drawn edges;
-    if every edge is forbidden the value is 0.  The simulation resumes from
-    the edges drawn by the longest prefix shared with the previous query.
+    if every edge is forbidden the value is 0.
     """
-    states = PrefixStates({}, partial(_step, inst))
+    states = PrefixStates(inst)
 
     def fn(agent: int, seq: tuple) -> Value:
         target = _best_target(inst, agent, states.after(seq))
@@ -189,10 +188,7 @@ def bit(n: int, coin: bool) -> ActionSeq:
 
 def arborescence_from_sequence(inst: ArborescenceInstance, seq) -> tuple:
     """Arborescence produced by a full sequence: parent[i] = target or None."""
-    seq = tuple(seq)
-    check_action_seq(seq, inst.n, full=True)
-    acts = reduce(partial(_step, inst), seq, {})
-    return tuple(acts[i] for i in range(inst.n))
+    return tuple(map(final_state(inst, seq).get, range(inst.n)))
 
 
 def check_arborescence(parent, n: int) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from itertools import permutations
 from typing import Optional, Sequence
 
@@ -23,7 +23,7 @@ from .core import (
     PrefixStates,
     Value,
     ValuationOracle,
-    check_action_seq,
+    final_state,
     oracle_for,
     structure_for,
     underlying_optimum,
@@ -86,13 +86,8 @@ def _(inst: MatchingInstance) -> tuple:
 
 @oracle_for.register
 def osm_oracle(inst: MatchingInstance) -> ValuationOracle:
-    """v_i(S) = weight of i's best-ranked item left after S picked theirs.
-
-    The internal simulation of S is bookkeeping, not a counted query; it
-    resumes from the picks after the longest prefix shared with the previous
-    query.
-    """
-    states = PrefixStates({}, partial(_step, inst))
+    """v_i(S) = weight of i's best-ranked item left after S picked theirs."""
+    states = PrefixStates(inst)
 
     def fn(agent: int, seq: tuple) -> Value:
         return inst.weights[agent][_pick(inst, agent, states.after(seq))]
@@ -123,10 +118,7 @@ def greedy_osm(oracle: ValuationOracle) -> ActionSeq:
 
 def matching_from_sequence(inst: MatchingInstance, seq) -> tuple:
     """Perfect matching produced by a full sequence: assignment[i] = item."""
-    seq = tuple(seq)
-    check_action_seq(seq, inst.n, full=True)
-    picks = reduce(partial(_step, inst), seq, {})  # {agent: item}
-    return tuple(picks[i] for i in range(inst.n))
+    return tuple(map(final_state(inst, seq).get, range(inst.n)))
 
 
 def check_perfect_matching(assignment, n: int) -> None:

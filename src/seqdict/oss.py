@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, partial
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -21,9 +21,9 @@ from .core import (
     PrefixStates,
     Value,
     ValuationOracle,
-    check_action_seq,
     decode_rational,
     encode_rational,
+    final_state,
     oracle_for,
     structure_for,
     underlying_optimum,
@@ -89,10 +89,6 @@ def _choice(inst: SatInstance, agent: int, unsat) -> bool:
     return pos > neg or (pos == neg and inst.tie_default[agent])
 
 
-def _start(inst: SatInstance) -> tuple:
-    return {}, frozenset(range(len(inst.clauses)))
-
-
 def _still_open(inst: SatInstance, unsat, agent: int, value: bool) -> frozenset:
     """The clauses in `unsat` left unsatisfied once x_agent = value."""
     hit = (agent + 1) if value else -(agent + 1)
@@ -108,17 +104,14 @@ def _step(inst: SatInstance, state: tuple, agent: int) -> tuple:
 @structure_for.register
 def _(inst: SatInstance) -> tuple:
     """Later choices depend only on the clauses still open."""
-    return _start(inst), partial(_step, inst), itemgetter(1)
+    return (({}, frozenset(range(len(inst.clauses)))), partial(_step, inst),
+            itemgetter(1))
 
 
 @oracle_for.register
 def oss_oracle(inst: SatInstance) -> ValuationOracle:
-    """v_i(S) = larger of the unsatisfied weights on x_i's two sides after S.
-
-    The simulation resumes from the state after the longest prefix shared
-    with the previous query.
-    """
-    states = PrefixStates(_start(inst), partial(_step, inst))
+    """v_i(S) = larger of the unsatisfied weights on x_i's two sides after S."""
+    states = PrefixStates(inst)
 
     def fn(agent: int, seq: tuple) -> Value:
         _, unsat = states.after(seq)
@@ -129,10 +122,7 @@ def oss_oracle(inst: SatInstance) -> ValuationOracle:
 
 def assignment_from_sequence(inst: SatInstance, seq) -> tuple:
     """The Boolean assignment produced by simulating a full sequence."""
-    seq = tuple(seq)
-    check_action_seq(seq, inst.n, full=True)
-    assign, _ = reduce(partial(_step, inst), seq, _start(inst))
-    return tuple(assign[i] for i in range(inst.n))
+    return tuple(map(final_state(inst, seq)[0].get, range(inst.n)))
 
 
 def sat_as_decide(inst: SatInstance, target,
@@ -157,7 +147,7 @@ def sat_as_decide(inst: SatInstance, target,
         """The clauses left open once the agents in `acted` play their
         targets, whatever their order."""
         if not acted:
-            return _start(inst)[1]
+            return structure_for(inst)[0][1]  # the start state's: every clause
         last = max(acted)
         return _still_open(inst, still_open(acted - {last}), last, target[last])
 
@@ -328,7 +318,10 @@ def from_wcnf(text: str) -> SatInstance:
             n, expected = int(parts[2]), int(parts[3])
             continue
         if line.startswith("t"):
-            tie = tuple(tok == "1" for tok in line.split()[1:])
+            bits = line.split()[1:]
+            if any(tok not in ("0", "1") for tok in bits):
+                raise ValueError(f"oss tie defaults must be 0 or 1: {line!r}")
+            tie = tuple(tok == "1" for tok in bits)
             continue
         if n is None:
             raise ValueError("clause before header")

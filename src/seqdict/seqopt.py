@@ -19,10 +19,10 @@ from .core import (
     ActionSeq,
     Caps,
     DEFAULT_CAPS,
+    PrefixStates,
     Value,
     ValuationOracle,
     check_action_seq,
-    is_subsequence,
     oracle_for,
     social_welfare,
     structure_for,
@@ -142,9 +142,10 @@ class LowerBoundInstance:
 def make_lower_bound_oracle(inst: LowerBoundInstance) -> ValuationOracle:
     """Oracle returning 1 iff |S| < c or S is a subsequence of the hidden order."""
     one, zero = Fraction(1), Fraction(0)
+    states = PrefixStates(inst)
 
     def fn(agent: int, seq: tuple) -> Value:
-        return one if len(seq) < inst.c or is_subsequence(seq, inst.hidden_pi) else zero
+        return one if len(seq) < inst.c or states.after(seq)[0] else zero
 
     return ValuationOracle(inst.n, fn, monotone_claimed=True)
 

@@ -181,7 +181,9 @@ class TestPosd:
     @pytest.mark.parametrize("doc", [
         {"schema_version": 1, "kind": "osm", "n": 2, "prefs": [[0, 1], [0, 1]]},
         {"schema_version": 1, "kind": "osi", "n": "2", "edges": []},
-    ], ids=["osm-without-weights", "osi-with-string-n"])
+        {"schema_version": 1, "kind": "oss", "n": 1,
+         "clauses": [{"literals": [1.9], "weight": "1"}]},
+    ], ids=["osm-without-weights", "osi-with-string-n", "oss-with-float-literal"])
     def test_malformed_file_is_input_error(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -218,6 +220,18 @@ class TestNonRationalWeight:
         code, out, err = run_cli(capsys, "posd", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: rationals must be 'p/q' strings, got {weight!r}\n"
+
+
+class TestDeeplyNestedFile:
+    @pytest.mark.parametrize("command", [("posd",), ("run", "--algorithm", "det", "--c", "1")],
+                             ids=["posd", "run"])
+    def test_is_input_error(self, capsys, tmp_path, command):
+        depth = 100_000
+        path = tmp_path / "deep.json"
+        path.write_text('{"a": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+        code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+        assert (code, out) == (2, "")
+        assert err == "error: instance JSON is nested too deeply\n"
 
 
 class TestZeroDenominator:

@@ -11,6 +11,7 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqdict import auxstructs, core, osa, osm, oss, seqopt
 from seqdict.cli import NAMED_INSTANCES
@@ -19,6 +20,7 @@ from seqdict.core import (
     Caps,
     best_sequence,
     brute_force_optimal_sequence,
+    is_subsequence,
     oracle_for,
     social_welfare,
     underlying_optimum,
@@ -111,11 +113,16 @@ def paths_value(inst, agent, seq):
     return Fraction(0) if w is None else w
 
 
+def lowerbound_value(inst, agent, seq):
+    return Fraction(1 if len(seq) < inst.c or is_subsequence(seq, inst.hidden_pi) else 0)
+
+
 REFERENCE_VALUE = {
     "osm": osm_value,
     "osa": osa_value,
     "oss": oss_value,
     "paths": paths_value,
+    "lowerbound": lowerbound_value,
 }
 
 
@@ -295,6 +302,39 @@ class TestOracleMatchesSimulation:
         finally:
             sys.setswitchinterval(old)
         assert got == [w * REPEATS for w in want]
+
+
+# --- properties over drawn instances ----------------------------------------------
+
+drawn = settings(max_examples=150, deadline=None)
+
+
+def draw_instance(data, kinds):
+    """A drawn (kind, instance): n <= 6, any seed, weight denominator 1, 2, 3 or 100."""
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    n = data.draw(st.integers(1, 6), label="n")
+    seed = data.draw(st.integers(0, 10 ** 6), label="seed")
+    wd = data.draw(st.sampled_from((1, 2, 3, 100)), label="wd")
+    return kind, make_instance(kind, n, seed, wd)
+
+
+class TestDrawnInstances:
+    @drawn
+    @given(st.data())
+    def test_oracle_equals_reference(self, data):
+        kind, inst = draw_instance(data, sorted(REFERENCE_VALUE))
+        reference = REFERENCE_VALUE[kind]
+        oracle = oracle_for(inst)
+        queries = st.tuples(st.permutations(range(inst.n)), st.integers(0, inst.n - 1))
+        for order, k in data.draw(st.lists(queries, min_size=1, max_size=5), label="queries"):
+            agent, seq = order[k], tuple(order[:k])
+            assert oracle.value(agent, seq) == reference(inst, agent, seq)
+
+    @drawn
+    @given(st.data())
+    def test_memo_search_equals_tree_search(self, data):
+        _, inst = draw_instance(data, ALL_KINDS)
+        assert best_sequence(inst) == brute_force_optimal_sequence(oracle_for(inst))
 
 
 # --- subset-DP optima --------------------------------------------------------------

@@ -81,3 +81,53 @@ class TestParsing:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             load_instance_text("<xml/>")
+
+
+def _doc(kind, n, **fields):
+    return json.dumps({"schema_version": 1, "kind": kind, "n": n, **fields})
+
+
+OSS_CLAUSE = [{"literals": [1, -2], "weight": "1"}]
+MISTYPED = {
+    "float-literal": (_doc("oss", 2, clauses=[{"literals": [2.9], "weight": "1"}]),
+                      "oss", "literals must be int, not float"),
+    "string-literal": (_doc("oss", 2, clauses=[{"literals": ["-1"], "weight": "1"}]),
+                       "oss", "literals must be int, not str"),
+    "boolean-literal": (_doc("oss", 2, clauses=[{"literals": [True], "weight": "1"}]),
+                        "oss", "literals must be int, not bool"),
+    "string-tie-default": (_doc("oss", 3, clauses=OSS_CLAUSE, tie_default=[True, "no", False]),
+                           "oss", "tie_default must be bool, not str"),
+    "integer-tie-default": (_doc("oss", 2, clauses=OSS_CLAUSE, tie_default=[1, 0]),
+                            "oss", "tie_default must be bool, not int"),
+    "boolean-n": (_doc("osi", True, edges=[]), "osi", "n must be int, not bool"),
+    "float-n": (_doc("osi", 2.0, edges=[]), "osi", "n must be int, not float"),
+    "boolean-pref": (_doc("osm", 2, weights=[["1", "0"], ["1", "0"]], prefs=[[0, True], [0, 1]]),
+                     "osm", "prefs must be int, not bool"),
+    "float-edge": (_doc("osi", 2, edges=[[0, 1.0]]), "osi", "edges must be int, not float"),
+    "string-c": (_doc("lowerbound", 2, c="1", hidden_pi=[0, 1]),
+                 "lowerbound", "c must be int, not str"),
+    "boolean-hidden-agent": (_doc("lowerbound", 2, c=1, hidden_pi=[False, True]),
+                             "lowerbound", "hidden_pi must be int, not bool"),
+}
+
+
+class TestFieldTypes:
+    """Integer and boolean fields must hold exactly those JSON types; nothing
+    is coerced on the way in."""
+
+    @pytest.mark.parametrize("case", sorted(MISTYPED))
+    def test_mistyped_field_rejected(self, case):
+        text, kind, reason = MISTYPED[case]
+        with pytest.raises(ValueError) as exc:
+            parse_instance(text)
+        assert str(exc.value) == f"malformed {kind} instance: {reason}"
+
+    @pytest.mark.parametrize("bits", ["1 x", "1 2", "true 0"])
+    def test_wcnf_tie_defaults_are_bits(self, bits):
+        with pytest.raises(ValueError, match="oss tie defaults must be 0 or 1"):
+            load_instance_text(f"p wcnf 2 1\nt {bits}\n1 1 2 0\n")
+
+    def test_library_constructor_still_coerces(self):
+        inst = oss.sat_instance(2, [(["1", -2.0], "1/2")], [1, 0])
+        assert inst == oss.SatInstance(2, ((frozenset({1, -2}), Fraction(1, 2)),),
+                                       (True, False))
