@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from typing import Iterable, Optional
 
 from .core import (
@@ -23,6 +24,7 @@ from .core import (
     PrefixStates,
     Value,
     ValuationOracle,
+    common_denominator,
     final_state,
     oracle_for,
     structure_for,
@@ -71,7 +73,9 @@ def osi_oracle(inst: OsiInstance) -> ValuationOracle:
                     return Fraction(0)
         return Fraction(1)
 
-    return ValuationOracle(inst.n, fn, monotone_claimed=True)
+    oracle = ValuationOracle(inst.n, fn, monotone_claimed=True)
+    oracle.scale = 1
+    return oracle
 
 
 @structure_for.register
@@ -209,7 +213,9 @@ def paths_oracle(inst: PathsInstance) -> ValuationOracle:
         _, w = _best_addable(inst, agent, *states.after(seq))
         return Fraction(0) if w is None else w
 
-    return ValuationOracle(inst.n, fn, monotone_claimed=False)
+    oracle = ValuationOracle(inst.n, fn, monotone_claimed=False)
+    oracle.scale = common_denominator(chain.from_iterable(inst.weights))
+    return oracle
 
 
 def paths_edges_from_sequence(inst: PathsInstance, seq) -> dict:

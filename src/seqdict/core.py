@@ -3,7 +3,9 @@ and exact optima over serial dictatorships.
 
 Agents are the integers 0..n-1.  An action (sub)sequence is a duplicate-free
 tuple of agents; a full sequence is a permutation of all n agents.  All values
-are exact rationals (fractions.Fraction), never floats.
+are exact rationals (fractions.Fraction), never floats.  A structured
+oracle also serves each value as an exact integer over its instance's common
+denominator, so the algorithms that add values up add integers.
 """
 
 from __future__ import annotations
@@ -176,7 +178,13 @@ class ValuationOracle:
     attached ledger records every call.  `monotone_claimed` is metadata: it
     records whether the instance promises v_i(S') >= v_i(S) for S' <= S, which
     the prefix-search guarantees rely on.
+
+    `scale` is a positive common denominator D of every value, set by the
+    structured oracles after construction, or None for an opaque oracle;
+    `value_scaled(i, S)` is then v_i(S) * D as an int.
     """
+
+    scale: Optional[int] = None
 
     def __init__(self, n: int, fn: Callable[[int, ActionSeq], Value],
                  monotone_claimed: bool = False):
@@ -197,19 +205,35 @@ class ValuationOracle:
         self.ledger.record(agent, seq)
         return self._fn(agent, seq)
 
+    def value_scaled(self, agent: int, seq: Iterable[int] = ()):
+        """`value(agent, seq)` times `scale` as an int: one counted query.
+        Without a scale, the Fraction itself."""
+        v = self.value(agent, seq)
+        if self.scale is None:
+            return v
+        return v.numerator * (self.scale // v.denominator)
+
     def fresh(self) -> "ValuationOracle":
         """A copy with a zeroed ledger, for an independent algorithm run."""
-        return ValuationOracle(self.n, self._fn, self.monotone_claimed)
+        copy = ValuationOracle(self.n, self._fn, self.monotone_claimed)
+        copy.scale = self.scale
+        return copy
+
+
+def common_denominator(values: Iterable) -> int:
+    """The lcm of the denominators of `values`, None entries skipped; 1 if
+    there are none."""
+    return math.lcm(*(v.denominator for v in values if v is not None))
 
 
 def social_welfare(oracle: ValuationOracle, seq: Sequence[int]) -> Value:
     """Sum of v_i(prefix of i) over a full sequence; makes exactly n queries."""
     seq = tuple(seq)
     check_action_seq(seq, oracle.n, full=True)
-    total = Fraction(0)
+    total = 0
     for k, agent in enumerate(seq):
-        total += oracle.value(agent, seq[:k])
-    return total
+        total += oracle.value_scaled(agent, seq[:k])
+    return Fraction(total, oracle.scale or 1)
 
 
 def brute_force_optimal_sequence(oracle: ValuationOracle,
@@ -224,18 +248,20 @@ def brute_force_optimal_sequence(oracle: ValuationOracle,
     smallest sequence.
     """
     (caps or DEFAULT_CAPS).check_sequences(oracle.n)
-    return _best_completion(oracle, (), tuple(range(oracle.n)), Fraction(0))
+    seq, welfare = _best_completion(oracle, (), tuple(range(oracle.n)), 0)
+    return seq, Fraction(welfare, oracle.scale or 1)
 
 
 def _best_completion(oracle: ValuationOracle, prefix: ActionSeq, rest: tuple,
-                     welfare: Value) -> tuple[ActionSeq, Value]:
-    """Best (sequence, welfare) below `prefix`, whose welfare is `welfare`."""
+                     welfare) -> tuple:
+    """Best (sequence, welfare) below `prefix`, whose welfare is `welfare`,
+    all welfare read through `value_scaled`."""
     if not rest:
         return prefix, welfare
     best = None
     for k, agent in enumerate(rest):
         cand = _best_completion(oracle, prefix + (agent,), rest[:k] + rest[k + 1:],
-                                welfare + oracle.value(agent, prefix))
+                                welfare + oracle.value_scaled(agent, prefix))
         if best is None or cand[1] > best[1]:
             best = cand
     return best
@@ -331,8 +357,9 @@ def best_sequence(instance, caps: Optional[Caps] = None) -> tuple[ActionSeq, Val
     pair is read twice.  Children are visited in ascending agent order and
     only a strictly better completion replaces the best, so every stored
     completion is the lexicographically smallest best one, and ties break as
-    in the tree search.  The memo never outgrows the tree, so the tree
-    search's cap holds.
+    in the tree search.  Welfare is summed as integers over the oracle's
+    `scale`.  The memo never outgrows the tree, so the tree search's cap
+    holds.
     """
     oracle = oracle_for(instance)
     n = oracle.n
@@ -340,15 +367,15 @@ def best_sequence(instance, caps: Optional[Caps] = None) -> tuple[ActionSeq, Val
     start, step, key = structure_for(instance)
     memo: dict = {}  # (acted set as a bitmask, key) -> (completion, its welfare)
 
-    def completion(prefix: ActionSeq, acted: int, state) -> tuple[ActionSeq, Value]:
+    def completion(prefix: ActionSeq, acted: int, state) -> tuple[ActionSeq, int]:
         if len(prefix) == n:
-            return (), Fraction(0)
+            return (), 0
         at = (acted, key(state))
         best = memo.get(at)
         if best is None:
             for agent in range(n):
                 if not acted >> agent & 1:
-                    value = oracle.value(agent, prefix)
+                    value = oracle.value_scaled(agent, prefix)
                     rest, welfare = completion(prefix + (agent,), acted | 1 << agent,
                                                step(state, agent))
                     welfare += value
@@ -357,7 +384,8 @@ def best_sequence(instance, caps: Optional[Caps] = None) -> tuple[ActionSeq, Val
             memo[at] = best
         return best
 
-    return completion((), 0, start)
+    seq, welfare = completion((), 0, start)
+    return seq, Fraction(welfare, oracle.scale or 1)
 
 
 def welfare_ratio(optimum: Value, welfare: Value):

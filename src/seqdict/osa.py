@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import chain, product
 from math import factorial
 from typing import Iterator, Optional, Sequence
 
@@ -26,6 +26,7 @@ from .core import (
     PrefixStates,
     Value,
     ValuationOracle,
+    common_denominator,
     final_state,
     oracle_for,
     structure_for,
@@ -146,7 +147,9 @@ def osa_oracle(inst: ArborescenceInstance) -> ValuationOracle:
             return Fraction(0)
         return inst.weights[agent][target]
 
-    return ValuationOracle(inst.n, fn, monotone_claimed=True)
+    oracle = ValuationOracle(inst.n, fn, monotone_claimed=True)
+    oracle.scale = common_denominator(chain.from_iterable(inst.weights))
+    return oracle
 
 
 def greedy_osa(oracle: ValuationOracle) -> ActionSeq:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Optional, Sequence
 
 from .core import (
@@ -23,6 +23,7 @@ from .core import (
     PrefixStates,
     Value,
     ValuationOracle,
+    common_denominator,
     final_state,
     oracle_for,
     structure_for,
@@ -92,7 +93,9 @@ def osm_oracle(inst: MatchingInstance) -> ValuationOracle:
     def fn(agent: int, seq: tuple) -> Value:
         return inst.weights[agent][_pick(inst, agent, states.after(seq))]
 
-    return ValuationOracle(inst.n, fn, monotone_claimed=True)
+    oracle = ValuationOracle(inst.n, fn, monotone_claimed=True)
+    oracle.scale = common_denominator(chain.from_iterable(inst.weights))
+    return oracle
 
 
 def greedy_osm(oracle: ValuationOracle) -> ActionSeq:

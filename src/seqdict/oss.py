@@ -9,9 +9,10 @@ its negation.  Weights are exact rationals.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -21,6 +22,7 @@ from .core import (
     PrefixStates,
     Value,
     ValuationOracle,
+    common_denominator,
     decode_rational,
     encode_rational,
     final_state,
@@ -56,6 +58,16 @@ class SatInstance:
     def total_weight(self) -> Value:
         return sum((w for _, w in self.clauses), Fraction(0))
 
+    @cached_property
+    def scale(self) -> int:
+        """The common denominator D of the clause weights."""
+        return common_denominator(w for _, w in self.clauses)
+
+    @cached_property
+    def scaled_clauses(self) -> tuple:
+        """`clauses` with each weight w as the int w * `scale`."""
+        return tuple((lits, int(w * self.scale)) for lits, w in self.clauses)
+
 
 def sat_instance(n: int, clauses: Iterable, tie_default=None) -> SatInstance:
     """Convenience constructor from (literal list, weight) pairs.
@@ -71,14 +83,17 @@ def sat_instance(n: int, clauses: Iterable, tie_default=None) -> SatInstance:
     return SatInstance(n, built, tie)
 
 
-def _tally(inst: SatInstance, agent: int, unsat) -> tuple[Value, Value]:
-    """Weights of the clauses in `unsat` that x_agent or its negation satisfies."""
-    pos = neg = Fraction(0)
+def _tally(inst: SatInstance, agent: int, unsat) -> tuple[int, int]:
+    """Weights of the clauses in `unsat` that x_agent or its negation
+    satisfies, as ints over `inst.scale`."""
+    pos = neg = 0
+    lit = agent + 1
+    clauses = inst.scaled_clauses
     for idx in unsat:
-        lits, w = inst.clauses[idx]
-        if agent + 1 in lits:
+        lits, w = clauses[idx]
+        if lit in lits:
             pos += w
-        if -(agent + 1) in lits:
+        elif -lit in lits:  # a clause never holds both
             neg += w
     return pos, neg
 
@@ -112,12 +127,15 @@ def _(inst: SatInstance) -> tuple:
 def oss_oracle(inst: SatInstance) -> ValuationOracle:
     """v_i(S) = larger of the unsatisfied weights on x_i's two sides after S."""
     states = PrefixStates(inst)
+    scale = inst.scale
 
     def fn(agent: int, seq: tuple) -> Value:
         _, unsat = states.after(seq)
-        return max(_tally(inst, agent, unsat))
+        return Fraction(max(_tally(inst, agent, unsat)), scale)
 
-    return ValuationOracle(inst.n, fn, monotone_claimed=False)
+    oracle = ValuationOracle(inst.n, fn, monotone_claimed=False)
+    oracle.scale = scale
+    return oracle
 
 
 def assignment_from_sequence(inst: SatInstance, seq) -> tuple:
@@ -303,6 +321,13 @@ def to_wcnf(inst: SatInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _wcnf_int(tok: str, field: str) -> int:
+    """An integer token of the text format: `-?[0-9]+`, ASCII digits only."""
+    if not re.fullmatch(r"-?[0-9]+", tok):
+        raise ValueError(f"malformed oss instance: {field} must be an integer, got {tok!r}")
+    return int(tok)
+
+
 def from_wcnf(text: str) -> SatInstance:
     n = expected = None
     tie = None
@@ -315,7 +340,8 @@ def from_wcnf(text: str) -> SatInstance:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "wcnf":
                 raise ValueError(f"bad header: {line!r}")
-            n, expected = int(parts[2]), int(parts[3])
+            n = _wcnf_int(parts[2], "variable count")
+            expected = _wcnf_int(parts[3], "clause count")
             continue
         if line.startswith("t"):
             bits = line.split()[1:]
@@ -329,7 +355,7 @@ def from_wcnf(text: str) -> SatInstance:
         if toks[-1] != "0":
             raise ValueError(f"clause line must end in 0: {line!r}")
         weight = decode_rational(toks[0])
-        lits = [int(tok) for tok in toks[1:-1]]
+        lits = [_wcnf_int(tok, "literal") for tok in toks[1:-1]]
         clauses.append((lits, weight))
     if n is None:
         raise ValueError("missing wcnf header")

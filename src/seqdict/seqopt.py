@@ -34,13 +34,14 @@ def max_welfare_ordering(value_fn: Callable[[int, tuple], Value],
     """Ordering of `agents` maximizing the sum of prefix values.
 
     Evaluates value_fn(a, prefix) at every position of every ordering, i.e.
-    exactly k * k! calls for k agents.  Ties break to the lexicographically
-    smallest ordering.
+    exactly k * k! calls for k agents, and adds the results up as they come:
+    Fractions from `value`, ints from a structured oracle's `value_scaled`.
+    Ties break to the lexicographically smallest ordering.
     """
     best_order = None
     best_total = None
     for order in permutations(sorted(agents)):
-        total = Fraction(0)
+        total = 0
         for k, a in enumerate(order):
             total += value_fn(a, order[:k])
         if best_total is None or total > best_total:
@@ -69,7 +70,7 @@ def det(oracle: ValuationOracle, c: int,
     (caps or DEFAULT_CAPS).check_work(perm(n, c), f"{n}!/{n - c}! prefixes")
     best = None  # (total, order)
     for subset in combinations(range(n), c):
-        order, total = max_welfare_ordering(oracle.value, subset)
+        order, total = max_welfare_ordering(oracle.value_scaled, subset)
         if best is None or total > best[0] or (total == best[0] and order < best[1]):
             best = (total, order)
     return fill_ascending(best[1], n)
@@ -92,7 +93,7 @@ def rand(oracle: ValuationOracle, c: int, seed: int,
     for k in range(c):
         j = rng.randrange(k, n)
         pool[k], pool[j] = pool[j], pool[k]
-    order, _ = max_welfare_ordering(oracle.value, pool[:c])
+    order, _ = max_welfare_ordering(oracle.value_scaled, pool[:c])
     return fill_ascending(order, n)
 
 
@@ -147,7 +148,9 @@ def make_lower_bound_oracle(inst: LowerBoundInstance) -> ValuationOracle:
     def fn(agent: int, seq: tuple) -> Value:
         return one if len(seq) < inst.c or states.after(seq)[0] else zero
 
-    return ValuationOracle(inst.n, fn, monotone_claimed=True)
+    oracle = ValuationOracle(inst.n, fn, monotone_claimed=True)
+    oracle.scale = 1
+    return oracle
 
 
 @structure_for.register

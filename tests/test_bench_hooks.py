@@ -42,3 +42,37 @@ def test_tracer_hooks_resolve():
     for inst in INSTANCES:
         fn = oracle_for(inst)._fn
         assert fn.__module__ == DOMAIN_MODULE[instance_kind(inst)]
+
+
+def test_traced_queries_equal_ledger_counts():
+    """The tracer replaces `ValuationOracle.__init__` with one that takes
+    (n, fn, monotone_claimed) and wraps `value`: every oracle must still be
+    built through that signature, and every counted read, integer reads
+    included, must pass through `value`."""
+    from seqdict import cli, core, fileio, mechanisms, suites  # noqa: F401  (the tracer patches them)
+
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    untraced = []
+    for inst in INSTANCES:
+        oracle = oracle_for(inst)
+        untraced.append((oracle.scale, seqopt.det(oracle.fresh(), 2),
+                         seqopt.rand(oracle.fresh(), 2, seed=1),
+                         core.social_welfare(oracle.fresh(), (2, 0, 1))))
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        traced = []
+        for inst in INSTANCES:
+            oracle = core.oracle_for(inst)
+            copy = oracle.fresh()
+            traced.append((copy.scale, seqopt.det(oracle, 2), seqopt.rand(copy, 2, seed=1),
+                           core.social_welfare(copy, (2, 0, 1))))
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert len(tracer.ledgers) == 2 * len(INSTANCES)
+    calls = sum(ledger.total_calls for ledger in tracer.ledgers)
+    assert calls == len(INSTANCES) * (3 * 2 * 2 + 2 * 2 + 3)
+    assert tracer.groups["core.value"].calls == calls

@@ -436,3 +436,81 @@ class TestAlgorithmDispatch:
         code, out, err = run_cli(capsys, "run", path, "--algorithm", algorithm)
         assert (code, out) == (2, "")
         assert err == f"error: algorithm {algorithm} needs --c\n"
+
+
+# One osm file and one oss file whose weights have denominators 2, 3 and 7,
+# so every structured oracle reads over a common denominator of 42.
+MIXED_FILES = {
+    "osm.json": json.dumps({
+        "schema_version": 1, "kind": "osm", "n": 6,
+        "weights": [["1/1", "1/3", "6/7", "0/1", "0/1", "13/7"],
+                    ["4/3", "1/7", "1/1", "4/3", "0/1", "2/1"],
+                    ["3/7", "0/1", "0/1", "6/7", "3/2", "0/1"],
+                    ["1/2", "0/1", "8/7", "3/2", "0/1", "13/7"],
+                    ["4/3", "1/7", "1/2", "5/3", "10/7", "2/1"],
+                    ["0/1", "2/1", "4/3", "6/7", "0/1", "1/3"]],
+        "prefs": [[5, 0, 2, 1, 3, 4], [5, 0, 3, 2, 1, 4], [4, 3, 0, 1, 2, 5],
+                  [5, 3, 2, 0, 1, 4], [5, 3, 4, 0, 2, 1], [1, 2, 3, 5, 0, 4]]}),
+    "oss.wcnf": "p wcnf 6 12\nt 1 1 0 0 1 1\n1/1 5 0\n5/3 -2 4 0\n10/7 2 -5 0\n"
+                "1/2 -1 2 3 0\n5/3 2 -4 -5 0\n3/7 -3 6 0\n3/2 -1 2 3 0\n"
+                "2/3 -1 3 -4 0\n11/7 -2 -4 0\n3/2 5 0\n5/3 -3 6 0\n8/7 1 -6 0\n",
+}
+
+MIXED_RUNS = {
+    "posd": ("posd", "--json"),
+    "det-c3": ("run", "--json", "--algorithm", "det", "--c", "3"),
+    "rand-c4": ("run", "--json", "--algorithm", "rand", "--c", "4", "--seed", "5"),
+    "det-plus-c2": ("run", "--json", "--algorithm", "det-plus", "--c", "2"),
+}
+
+# sha256 of stdout for each of MIXED_RUNS on each of MIXED_FILES, with
+# default caps.
+MIXED_DIGESTS = {
+    ("osm.json", "posd"):
+        "d69b907140900b1a000735d05e78d508a745c8ccbf28d0c4d91efaf35da74060",
+    ("osm.json", "det-c3"):
+        "95fb54e67b68eedb21aa54102513ce68dc066116adfffa79cdf6b2c620356cf4",
+    ("osm.json", "rand-c4"):
+        "ddedbf8b503e477cffd845662df706e06d673680955a99acaa72d4ffa3fc5f82",
+    ("osm.json", "det-plus-c2"):
+        "67ed84c1bc4e8854b80444c43a4f4c006aa0c2c42c19e4ca5e0ab5a0112dd7de",
+    ("oss.wcnf", "posd"):
+        "7443b39c96f4ccf625ed176b6c227692ec39664a2d7231d5277097e1a43800c2",
+    ("oss.wcnf", "det-c3"):
+        "4fe5199d8613aabcaaf050bfc21c8884b07844eed488bac59544de851dd4f08a",
+    ("oss.wcnf", "rand-c4"):
+        "fa0da3e813fbe759140d2c435c4f40d7e1d15dc4eb5bec72ee6f8235799c3c21",
+    ("oss.wcnf", "det-plus-c2"):
+        "2e0430fca3e061dfae63e2518a0998ed0fd0bf9592899084c42192b5c9b34387",
+}
+
+
+class TestMixedDenominatorOutput:
+    @pytest.mark.parametrize("case", sorted(MIXED_DIGESTS), ids="-".join)
+    def test_stdout_bytes_pinned(self, capsys, tmp_path, monkeypatch, case):
+        monkeypatch.delenv("SEQDICT_CAPS", raising=False)
+        name, run = case
+        path = tmp_path / name
+        path.write_text(MIXED_FILES[name], encoding="utf-8")
+        command, *flags = MIXED_RUNS[run]
+        code, out, err = run_cli(capsys, command, str(path), *flags)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == MIXED_DIGESTS[case]
+
+
+class TestWcnfIntegers:
+    """Header counts and literals follow `-?[0-9]+`, not Python's `int()`."""
+
+    @pytest.mark.parametrize("token", ["1_0", "+2", "x", "\u0663"],
+                             ids=["underscore", "plus", "letter", "arabic-indic-digit"])
+    @pytest.mark.parametrize("where,field,text", [
+        ("header", "variable count", "p wcnf {} 1\n1 1 0\n"),
+        ("literal", "literal", "p wcnf 2 1\n1 1 {} 0\n"),
+    ], ids=["header", "literal"])
+    def test_is_input_error(self, capsys, tmp_path, token, where, field, text):
+        path = tmp_path / "bad.wcnf"
+        path.write_text(text.format(token), encoding="utf-8")
+        code, out, err = run_cli(capsys, "posd", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: malformed oss instance: {field} must be an integer, "
+                       f"got {token!r}\n")

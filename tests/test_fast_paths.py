@@ -7,17 +7,18 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqdict import auxstructs, core, osa, osm, oss, seqopt
+from seqdict import auxstructs, core, fileio, osa, osm, oss, seqopt
 from seqdict.cli import NAMED_INSTANCES
 from seqdict.core import (
     CapExceededError,
     Caps,
+    ValuationOracle,
     best_sequence,
     brute_force_optimal_sequence,
     is_subsequence,
@@ -371,3 +372,171 @@ class TestSubsetOptima:
     def test_subset_cap(self, make):
         with pytest.raises(CapExceededError):
             underlying_optimum(make(5, 0), Caps(subset=4))
+
+
+# --- integer reads over the common denominator ---------------------------------------
+
+MIXED_POOL = tuple(Fraction(w) for w in ("0", "1/3", "2/7", "5/6", "1", "3/2"))
+
+
+def mixed_instance(kind, weights):
+    """A `kind` instance whose weights are drawn from `weights`, read back
+    through the file loader."""
+    n = int(len(weights) ** 0.5)
+    rows = [[weights[n * i + j] for j in range(n)] for i in range(n)]
+    if kind == "osm":
+        inst = osm.MatchingInstance.from_weights(rows)
+    elif kind == "osa":
+        inst = osa.ArborescenceInstance.from_weights(rows)
+    elif kind == "paths":
+        inst = auxstructs.PathsInstance.from_weights(rows)
+    else:
+        inst = oss.sat_instance(n, [([i + 1, -(j + 1)] if i != j else [i + 1], rows[i][j])
+                                    for i in range(n) for j in range(n)])
+    return fileio.parse_instance(fileio.serialize_instance(inst))
+
+
+def draw_scaled_instance(data):
+    """A drawn instance: a generated one of any kind (n <= 7, weight
+    denominator 1, 2, 3 or 100), or a loaded one with mixed denominators."""
+    if data.draw(st.booleans(), label="loaded"):
+        kind = data.draw(st.sampled_from(("osm", "osa", "paths", "oss")), label="kind")
+        n = data.draw(st.integers(1, 7), label="n")
+        weights = data.draw(st.lists(st.sampled_from(MIXED_POOL), min_size=n * n,
+                                     max_size=n * n), label="weights")
+        return mixed_instance(kind, weights)
+    kind = data.draw(st.sampled_from(ALL_KINDS), label="kind")
+    n = data.draw(st.integers(1, 7), label="n")
+    seed = data.draw(st.integers(0, 10 ** 6), label="seed")
+    wd = data.draw(st.sampled_from((1, 2, 3, 100)), label="wd")
+    return make_instance(kind, n, seed, wd)
+
+
+def fraction_copy(oracle):
+    """The same valuations behind an opaque oracle: no scale, Fraction sums."""
+    return ValuationOracle(oracle.n, oracle._fn, oracle.monotone_claimed)
+
+
+def prefix_total(value, order):
+    return sum((value(a, order[:k]) for k, a in enumerate(order)), Fraction(0))
+
+
+def best_order(value, orders):
+    """The order with the largest Fraction total; ties to the smallest order."""
+    return min(orders, key=lambda order: (-prefix_total(value, order), order))
+
+
+def det_reference(value, n, c):
+    orders = [o for subset in combinations(range(n), c) for o in permutations(subset)]
+    return seqopt.fill_ascending(best_order(value, orders), n)
+
+
+def rand_reference(value, n, c, seed):
+    rng = random.Random(seed)
+    pool = list(range(n))
+    for k in range(c):
+        j = rng.randrange(k, n)
+        pool[k], pool[j] = pool[j], pool[k]
+    return seqopt.fill_ascending(best_order(value, permutations(sorted(pool[:c]))), n)
+
+
+def det_plus_reference(value, n, c):
+    return best_order(value, [seqopt.fill_ascending(p, n) for p in permutations(range(n), c)])
+
+
+class TestScaledReads:
+    @drawn
+    @given(st.data())
+    def test_scaled_read_is_one_counted_query(self, data):
+        inst = draw_scaled_instance(data)
+        oracle = oracle_for(inst)
+        assert type(oracle.scale) is int and oracle.scale > 0
+        queries = st.tuples(st.permutations(range(inst.n)), st.integers(0, inst.n - 1))
+        for order, k in data.draw(st.lists(queries, min_size=1, max_size=5), label="queries"):
+            agent, seq = order[k], tuple(order[:k])
+            before = oracle.ledger.total_calls
+            got = oracle.value_scaled(agent, seq)
+            assert oracle.ledger.total_calls == before + 1
+            assert type(got) is int
+            assert got == oracle.value(agent, seq) * oracle.scale
+
+    @pytest.mark.parametrize("kind", ("osm", "osa", "paths", "oss"))
+    def test_loaded_scale_is_lcm_of_denominators(self, kind):
+        thirds_sevenths = [Fraction(2, 7), Fraction(1, 3)] * 2
+        assert oracle_for(mixed_instance(kind, thirds_sevenths)).scale == 21
+        sixths_too = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 6)] * 3
+        assert oracle_for(mixed_instance(kind, sixths_too)).scale == 42
+
+    @pytest.mark.parametrize("kind", ("osi", "lowerbound"))
+    def test_unit_scale(self, kind):
+        assert oracle_for(make_instance(kind, 4, 0)).scale == 1
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_fresh_keeps_scale(self, kind):
+        oracle = oracle_for(make_instance(kind, 4, 1, wd=3))
+        oracle.value(0)
+        copy = oracle.fresh()
+        assert copy.scale == oracle.scale is not None
+        assert copy.fresh().scale == oracle.scale
+        assert copy.ledger.total_calls == 0
+        assert fraction_copy(oracle).fresh().scale is None
+
+
+def equivalence_instances():
+    for kind in ALL_KINDS:
+        for wd in (1, 2, 3, 100):
+            yield pytest.param(make_instance(kind, 6, 17 * wd + len(kind), wd),
+                               id=f"{kind}-wd{wd}")
+    for kind in ("osm", "osa", "paths", "oss"):
+        rng = random.Random(kind)
+        yield pytest.param(mixed_instance(kind, [rng.choice(MIXED_POOL) for _ in range(36)]),
+                           id=f"{kind}-mixed")
+
+
+@pytest.mark.parametrize("inst", list(equivalence_instances()))
+class TestScaledSumsMatchFractionSums:
+    def test_max_welfare_ordering(self, inst):
+        oracle = oracle_for(inst)
+        for agents in ((0, 2, 3), (5, 1, 4, 2), tuple(range(inst.n))[:5]):
+            order, total = seqopt.max_welfare_ordering(oracle.value_scaled, agents)
+            assert type(total) is int
+            assert (order, Fraction(total, oracle.scale)) == \
+                seqopt.max_welfare_ordering(oracle.value, agents)
+
+    def test_social_welfare(self, inst):
+        oracle = oracle_for(inst)
+        for seed in range(5):
+            seq = tuple(random.Random(seed).sample(range(inst.n), inst.n))
+            want = prefix_total(oracle_for(inst).value, seq)
+            got = social_welfare(oracle, seq)
+            assert type(got) is Fraction and got == want
+            assert social_welfare(fraction_copy(oracle), seq) == want
+        assert oracle.ledger.total_calls == 5 * inst.n
+
+    def test_algorithms(self, inst):
+        oracle, n = oracle_for(inst), inst.n
+        value = oracle_for(inst).value
+        for c in (1, 2, 3):
+            for run, want in ((lambda o: seqopt.det(o, c), det_reference(value, n, c)),
+                              (lambda o: seqopt.det_plus(o, c), det_plus_reference(value, n, c)),
+                              (lambda o: seqopt.rand(o, c + 1, seed=c),
+                               rand_reference(value, n, c + 1, c))):
+                scaled, plain = oracle.fresh(), fraction_copy(oracle)
+                assert run(scaled) == run(plain) == want
+                assert scaled.ledger.total_calls == plain.ledger.total_calls
+
+
+class TestOpaqueOracle:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_fraction_valued_fn_runs_as_before(self, kind):
+        inst = make_instance(kind, 6, 5, wd=3)
+        table = {(a, s): oracle_for(inst).value(a, s) for a in range(6)
+                 for s in core.ordered_subsequences([j for j in range(6) if j != a])
+                 if len(s) < 4}
+        opaque = ValuationOracle(6, lambda a, s: table[a, s])
+        assert opaque.scale is None
+        assert opaque.value_scaled(1, (0,)) is table[1, (0,)]
+        value = lambda a, s: table[a, s]
+        for c in (2, 3, 4):
+            assert seqopt.det(opaque.fresh(), c) == det_reference(value, 6, c)
+            assert seqopt.rand(opaque.fresh(), c, seed=c) == rand_reference(value, 6, c, c)
