@@ -37,35 +37,51 @@ def produce_collection(ctx: FeasibilityContext, seq) -> dict:
     return acts
 
 
+def producing_sequence(n: int, start, step: Callable, act: Callable, target,
+                       *, commit_first: bool) -> Optional[tuple]:
+    """The lexicographically smallest sequence producing `target`, or None.
+
+    Agent i may go next when act(i, state) == target[i]; the state becomes
+    step(state, i).  Choices are final, so acted sets (bitmasks) that lead
+    nowhere are remembered and skipped.  `commit_first` stops at the first
+    dead end, exact when committing never hurts (downward-closed constraints).
+    """
+    full = (1 << n) - 1
+    dead: set = set()
+    path = [[0, start, 0]]  # per depth: acted set, state, next agent to try
+    while path:
+        acted, state, i = path[-1]
+        if acted == full:
+            return tuple(frame[2] - 1 for frame in path[:-1])
+        while i < n and (acted >> i & 1 or (acted | 1 << i) in dead
+                         or act(i, state) != target[i]):
+            i += 1
+        if i == n:
+            if commit_first:
+                return None
+            dead.add(acted)
+            path.pop()
+        else:
+            path[-1][2] = i + 1
+            path.append([acted | 1 << i, step(state, i), 0])
+    return None
+
+
 def sequence_for_collection(ctx: FeasibilityContext,
                             target: Mapping[int, object]) -> Optional[tuple]:
     """A sequence producing `target`, or None when no such sequence exists.
 
-    Greedy: repeatedly emit the smallest-index pending agent whose best
-    response to the actions fixed so far is her target action.  If at some
-    round no pending agent qualifies, no producing sequence exists at all.
-    Raises ValueError (distinct from the None failure) when the target is not
-    a full feasible collection.
+    Greedy: the smallest-index agent whose best response is her target action
+    commits; if none qualifies, no producing sequence exists at all.  Raises
+    ValueError (distinct from the None failure) when the target is not a full
+    feasible collection.
     """
     if set(target) != set(range(ctx.n)):
         raise ValueError("target collection is not full")
     if not ctx.feasible(target):
         raise ValueError("target collection is infeasible")
-    pending = set(range(ctx.n))
-    acts: dict = {}
-    order = []
-    while pending:
-        pick = None
-        for i in sorted(pending):
-            if ctx.best_response(i, acts) == target[i]:
-                pick = i
-                break
-        if pick is None:
-            return None
-        order.append(pick)
-        pending.remove(pick)
-        acts[pick] = target[pick]
-    return tuple(order)
+    return producing_sequence(ctx.n, {}, lambda acts, i: {**acts, i: target[i]},
+                              ctx.best_response, target, commit_first=True)
 
 
 def dominates(inst, a, b) -> bool:

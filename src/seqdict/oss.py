@@ -12,7 +12,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -30,6 +30,7 @@ from .core import (
     structure_for,
     underlying_optimum,
 )
+from .feasibility import producing_sequence
 
 
 @dataclass(frozen=True)
@@ -98,22 +99,18 @@ def _tally(inst: SatInstance, agent: int, unsat) -> tuple[int, int]:
     return pos, neg
 
 
-def _choice(inst: SatInstance, agent: int, unsat) -> bool:
-    """The value the agent sets x_agent to while the clauses in `unsat` are open."""
-    pos, neg = _tally(inst, agent, unsat)
+def _choice(inst: SatInstance, agent: int, state: tuple) -> bool:
+    """The value the agent sets x_agent to in `state`, given its open clauses."""
+    pos, neg = _tally(inst, agent, state[1])
     return pos > neg or (pos == neg and inst.tie_default[agent])
-
-
-def _still_open(inst: SatInstance, unsat, agent: int, value: bool) -> frozenset:
-    """The clauses in `unsat` left unsatisfied once x_agent = value."""
-    hit = (agent + 1) if value else -(agent + 1)
-    return frozenset(idx for idx in unsat if hit not in inst.clauses[idx][0])
 
 
 def _step(inst: SatInstance, state: tuple, agent: int) -> tuple:
     assign, unsat = state
-    value = _choice(inst, agent, unsat)
-    return {**assign, agent: value}, _still_open(inst, unsat, agent, value)
+    value = _choice(inst, agent, state)
+    hit = (agent + 1) if value else -(agent + 1)
+    return ({**assign, agent: value},
+            frozenset(idx for idx in unsat if hit not in inst.clauses[idx][0]))
 
 
 @structure_for.register
@@ -145,45 +142,19 @@ def assignment_from_sequence(inst: SatInstance, seq) -> tuple:
 
 def sat_as_decide(inst: SatInstance, target,
                   caps: Optional[Caps] = None) -> Optional[tuple]:
-    """Search all sequences for one producing `target`; None when none exists.
+    """The lexicographically smallest sequence producing `target`, or None.
 
-    Equivalent to scanning the n! sequences: an agent's choice is final, so a
-    sequence produces `target` iff every prefix keeps all acted agents at
-    their target values, and whether agent i can act next depends only on the
-    *set* of agents already acted.  The search therefore memoizes over the 2^n
-    acted-sets (still exponential, but desk-scale fast) and returns the
-    lexicographically smallest producing sequence.
+    Equivalent to scanning the n! sequences, but the search backtracks over
+    the 2^n acted sets instead (still exponential, but desk-scale fast).
     """
     n = inst.n
     (caps or DEFAULT_CAPS).check_subset(n)
     target = tuple(bool(b) for b in target)
     if len(target) != n:
         raise ValueError("target assignment has wrong length")
-
-    @cache
-    def still_open(acted: frozenset) -> frozenset:
-        """The clauses left open once the agents in `acted` play their
-        targets, whatever their order."""
-        if not acted:
-            return structure_for(inst)[0][1]  # the start state's: every clause
-        last = max(acted)
-        return _still_open(inst, still_open(acted - {last}), last, target[last])
-
-    @cache
-    def completion(acted: frozenset) -> Optional[tuple]:
-        """The lexicographically smallest producing order of the agents not
-        in `acted`, or None."""
-        if len(acted) == n:
-            return ()
-        unsat = still_open(acted)
-        for i in range(n):
-            if i not in acted and _choice(inst, i, unsat) == target[i]:
-                rest = completion(acted | {i})
-                if rest is not None:
-                    return (i,) + rest
-        return None
-
-    return completion(frozenset())
+    start, step, _ = structure_for(inst)
+    return producing_sequence(n, start, step, partial(_choice, inst), target,
+                              commit_first=False)
 
 
 def x3c_reduce(universe_size: int, sets: Sequence) -> SatInstance:
@@ -282,12 +253,13 @@ def random_sat_instance(n: int, m: int, max_clause_len: int, seed: int,
     return sat_instance(n, clauses)
 
 
-def _satisfied_weight(inst: SatInstance, bits: int) -> Value:
-    total = Fraction(0)
-    for lits, w in inst.clauses:
+def _satisfied_weight(inst: SatInstance, bits: int) -> int:
+    """The weight of the clauses that assignment `bits` satisfies, as an int
+    over `inst.scale`."""
+    total = 0
+    for lits, w in inst.scaled_clauses:
         for lit in lits:
-            var = abs(lit) - 1
-            if (bits >> var & 1) == (lit > 0):
+            if (bits >> (abs(lit) - 1) & 1) == (lit > 0):
                 total += w
                 break
     return total
@@ -297,7 +269,8 @@ def _satisfied_weight(inst: SatInstance, bits: int) -> Value:
 def _(inst: SatInstance, caps: Optional[Caps] = None) -> Value:
     """MAX-SAT by scanning all 2^n assignments."""
     (caps or DEFAULT_CAPS).check_subset(inst.n)
-    return max(_satisfied_weight(inst, bits) for bits in range(1 << inst.n))
+    best = max(_satisfied_weight(inst, bits) for bits in range(1 << inst.n))
+    return Fraction(best, inst.scale)
 
 
 # --- weighted-CNF text format ------------------------------------------------

@@ -26,11 +26,15 @@ DOMAIN_MODULE = {"osm": "seqdict.osm", "osa": "seqdict.osa", "oss": "seqdict.oss
                  "lowerbound": "seqdict.seqopt"}
 
 
-def _tracer_targets():
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def _tracer_targets():
+    return _tracer_module().TARGETS
 
 
 def test_tracer_hooks_resolve():
@@ -51,9 +55,7 @@ def test_traced_queries_equal_ledger_counts():
     included, must pass through `value`."""
     from seqdict import cli, core, fileio, mechanisms, suites  # noqa: F401  (the tracer patches them)
 
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _tracer_module()
     untraced = []
     for inst in INSTANCES:
         oracle = oracle_for(inst)
@@ -76,3 +78,25 @@ def test_traced_queries_equal_ledger_counts():
     calls = sum(ledger.total_calls for ledger in tracer.ledgers)
     assert calls == len(INSTANCES) * (3 * 2 * 2 + 2 * 2 + 3)
     assert tracer.groups["core.value"].calls == calls
+
+
+def test_deciders_reach_traced_groups():
+    """The matching and arborescence deciders run through
+    `sequence_for_collection`, and the sat decider is `sat_as_decide`: the
+    groups those per-layer metrics read must count their calls."""
+    from seqdict import cli, core, fileio, mechanisms, suites  # noqa: F401  (the tracer patches them)
+
+    module = _tracer_module()
+    matching, digraph, sat = INSTANCES[:3]
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        assert osm.sequence_for_matching(matching, osm.matching_from_sequence(
+            matching, (2, 0, 1))) is not None
+        assert osa.sequence_for_arborescence(digraph, osa.arborescence_from_sequence(
+            digraph, (1, 2, 0))) is not None
+        assert oss.sat_as_decide(sat, oss.assignment_from_sequence(sat, (0, 2, 1))) is not None
+    finally:
+        tracer.uninstall()
+    assert tracer.groups["feasibility.sequence_for_collection"].calls == 2
+    assert tracer.groups["oss.sat_as_decide"].calls == 1

@@ -380,6 +380,23 @@ class TestGoldenOutput:
         assert tuple(digests) == GOLDEN_DIGESTS[name]
 
 
+# sha256 of `verify SUITE --seed S --json` stdout; every seed 0..5 prints the
+# same report.
+VERIFY_DIGESTS = {
+    "pareto": "53bb533c2333f9f3410e07268e019ab0ca15972a3cd7cca37f9eb76e838861a3",
+    "x3c": "6689977327af9b8542c2c0e7f753c4cdf445a5ce4899912e090978fb2e496796",
+}
+
+
+class TestVerifyGoldenOutput:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("suite", sorted(VERIFY_DIGESTS))
+    def test_json_bytes_pinned(self, capsys, suite, seed):
+        code, out, err = run_cli(capsys, "verify", suite, "--seed", str(seed), "--json")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[suite]
+
+
 # sha256 of `run --json` stdout for each algorithm on `gen KIND --n 5 --seed 1`,
 # with default caps.  `bit` runs once on a fixed coin and once seeded (seed 3
 # draws tails).

@@ -352,6 +352,15 @@ def arborescence_by_enumeration(inst):
                for p in osa.all_arborescences(inst.n))
 
 
+def max_sat_by_fraction_sums(inst):
+    """The best satisfied weight over all 2^n assignments, adding Fractions."""
+    def satisfied(bits):
+        return sum((w for lits, w in inst.clauses
+                    if any((bits >> (abs(l) - 1) & 1) == (l > 0) for l in lits)),
+                   Fraction(0))
+    return max(satisfied(bits) for bits in range(1 << inst.n))
+
+
 class TestSubsetOptima:
     def test_matching_equals_enumeration(self):
         for n in range(1, 8):
@@ -366,6 +375,25 @@ class TestSubsetOptima:
                 assert underlying_optimum(inst) == arborescence_by_enumeration(inst)
         inst = osa.random_digraph_instance(7, 7)
         assert underlying_optimum(inst) == arborescence_by_enumeration(inst)
+
+    def test_max_sat_equals_fraction_sums(self):
+        for n in range(1, 9):
+            for wd in (1, 3, 100):
+                for seed in range(3):
+                    inst = oss.random_sat_instance(n, 2 * n, 3, 41 * n + seed, wd)
+                    assert underlying_optimum(inst) == max_sat_by_fraction_sums(inst)
+        inst = oss.from_wcnf("p wcnf 3 4\n1/3 1 -2 0\n2/7 2 3 0\n5 -1 0\n3/2 -3 0\n")
+        assert inst.scale == 42
+        assert underlying_optimum(inst) == max_sat_by_fraction_sums(inst)
+
+    @drawn
+    @given(st.data())
+    def test_max_sat_equals_fraction_sums_on_loaded_files(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        weights = data.draw(st.lists(st.sampled_from(MIXED_POOL), min_size=n * n,
+                                     max_size=n * n), label="weights")
+        inst = mixed_instance("oss", weights)
+        assert underlying_optimum(inst) == max_sat_by_fraction_sums(inst)
 
     @pytest.mark.parametrize("make", (osm.random_matching_instance,
                                       osa.random_digraph_instance))

@@ -2,7 +2,7 @@ from itertools import permutations
 
 import pytest
 
-from seqdict import osm
+from seqdict import osa, osm
 from seqdict.feasibility import (
     FeasibilityContext,
     is_downward_closed_on,
@@ -67,6 +67,60 @@ class TestSequenceForCollection:
         _, ctx = matching_setup([[2, 1], [1, 2]])
         with pytest.raises(ValueError, match="infeasible"):
             sequence_for_collection(ctx, {0: 0, 1: 0})
+
+
+class TestLexicographicallySmallest:
+    """Both deciders return the first producing sequence in lexicographic
+    order, as the sat decider does."""
+
+    @staticmethod
+    def first_producing(produce, n):
+        first = {}  # collection -> lexicographically smallest producing sequence
+        for s in permutations(range(n)):
+            first.setdefault(produce(s), s)
+        return first
+
+    @pytest.mark.parametrize("weight_denominator", [1, 2, 100])
+    def test_matching(self, weight_denominator):
+        for n in range(1, 6):
+            for seed in range(3):
+                inst = osm.random_matching_instance(n, seed, weight_denominator)
+                first = self.first_producing(
+                    lambda s: osm.matching_from_sequence(inst, s), n)
+                for target in permutations(range(n)):
+                    assert osm.sequence_for_matching(inst, target) == first.get(target)
+
+    @pytest.mark.parametrize("weight_denominator", [1, 2, 100])
+    def test_arborescence(self, weight_denominator):
+        for n in range(1, 6):
+            for seed in range(3):
+                inst = osa.random_digraph_instance(n, seed, weight_denominator)
+                first = self.first_producing(
+                    lambda s: osa.arborescence_from_sequence(inst, s), n)
+                for target in osa.all_arborescences(n):
+                    assert (osa.sequence_for_arborescence(inst, target)
+                            == first.get(target))
+
+
+def test_dominated_target_is_refused_in_polynomially_many_calls():
+    """Under a downward-closed constraint a dead end is final: agents
+    0..57 commit to their top items, then neither 58 nor 59 can take the
+    other's.  A search that backtracked would try 2^58 acted sets."""
+    n = 60
+    inst = osm.MatchingInstance.from_weights(
+        [[1 if j == i else 0 for j in range(n)] for i in range(n)])
+    base = osm.matching_context(inst)
+    calls = 0
+
+    def counted(i, acts):
+        nonlocal calls
+        calls += 1
+        return base.best_response(i, acts)
+
+    ctx = FeasibilityContext(n, base.feasible, counted)
+    target = {i: i for i in range(n)} | {58: 59, 59: 58}
+    assert sequence_for_collection(ctx, target) is None
+    assert calls <= n * (n + 1) // 2
 
 
 class TestDownwardClosure:
