@@ -1,40 +1,14 @@
-"""Decide whether a full feasible collection of actions can be produced by
-some action sequence, for any downward-closed constraint with endogenous
-best responses.
+"""Decide whether a full collection of actions can be produced by some
+action sequence, given each agent's action as a function of what was taken
+before her.
 
-A collection of actions is a dict {agent: action token}; the token type is
-opaque to this module.  A context supplies the feasibility predicate and the
-best-response function BR(i, collection).
+A collection of actions maps each agent to an action token (a tuple or dict
+indexed by agent); the token type is opaque to this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Mapping, Optional
-
-
-@dataclass(frozen=True)
-class FeasibilityContext:
-    """The two callables a structure must provide.
-
-    feasible(M) decides whether a collection is allowed; it must be downward
-    closed (every sub-collection of a feasible collection is feasible).
-    best_response(i, M) returns agent i's best action a such that M + (i, a)
-    stays feasible, and must be deterministic (strict rankings).
-    """
-
-    n: int
-    feasible: Callable[[Mapping[int, object]], bool]
-    best_response: Callable[[int, Mapping[int, object]], object]
-
-
-def produce_collection(ctx: FeasibilityContext, seq) -> dict:
-    """Simulate a (sub)sequence: each agent takes her best response in turn."""
-    acts: dict = {}
-    for agent in seq:
-        acts[agent] = ctx.best_response(agent, acts)
-    return acts
+from typing import Callable, Optional
 
 
 def producing_sequence(n: int, start, step: Callable, act: Callable, target,
@@ -67,21 +41,19 @@ def producing_sequence(n: int, start, step: Callable, act: Callable, target,
     return None
 
 
-def sequence_for_collection(ctx: FeasibilityContext,
-                            target: Mapping[int, object]) -> Optional[tuple]:
+def sequence_for_collection(n: int, act: Callable, target) -> Optional[tuple]:
     """A sequence producing `target`, or None when no such sequence exists.
 
-    Greedy: the smallest-index agent whose best response is her target action
-    commits; if none qualifies, no producing sequence exists at all.  Raises
-    ValueError (distinct from the None failure) when the target is not a full
-    feasible collection.
+    act(i, acts) is agent i's best response to the collection `acts` taken
+    so far, under a downward-closed constraint (every sub-collection of a
+    feasible collection is feasible).  Committing greedily is then exact:
+    once agent i's best response is target[i], it stays so while the others
+    take their target actions, since her options only shrink and target[i]
+    stays among them.  So the first dead end is final.  The caller checks
+    that `target` is a full feasible collection.
     """
-    if set(target) != set(range(ctx.n)):
-        raise ValueError("target collection is not full")
-    if not ctx.feasible(target):
-        raise ValueError("target collection is infeasible")
-    return producing_sequence(ctx.n, {}, lambda acts, i: {**acts, i: target[i]},
-                              ctx.best_response, target, commit_first=True)
+    return producing_sequence(n, {}, lambda acts, i: {**acts, i: target[i]},
+                              act, target, commit_first=True)
 
 
 def dominates(inst, a, b) -> bool:
@@ -95,14 +67,3 @@ def dominates(inst, a, b) -> bool:
         if ra < rb:
             strict = True
     return strict
-
-
-def is_downward_closed_on(ctx: FeasibilityContext,
-                          collection: Mapping[int, object]) -> bool:
-    """Check every sub-collection of `collection` is feasible (2^|collection|)."""
-    items = list(collection.items())
-    for k in range(len(items) + 1):
-        for subset in combinations(items, k):
-            if not ctx.feasible(dict(subset)):
-                return False
-    return True

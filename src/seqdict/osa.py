@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product
-from math import factorial
 from typing import Iterator, Optional, Sequence
 
 from .core import (
     ActionSeq,
-    CapExceededError,
     Caps,
     DEFAULT_CAPS,
     PrefixStates,
@@ -32,7 +30,7 @@ from .core import (
     structure_for,
     underlying_optimum,
 )
-from .feasibility import FeasibilityContext, dominates, sequence_for_collection
+from .feasibility import dominates, sequence_for_collection
 
 
 def digraph_rows(weights: Sequence[Sequence]) -> tuple:
@@ -212,9 +210,8 @@ def check_arborescence(parent, n: int) -> None:
 
 def all_arborescences(n: int, caps: Optional[Caps] = None) -> Iterator[tuple]:
     """Yield every arborescence on n labeled nodes (n^(n-1) of them)."""
-    caps = caps or DEFAULT_CAPS
-    if n * max(n - 1, 1) ** max(n - 1, 1) > factorial(caps.factorial):
-        raise CapExceededError("arborescence enumeration over budget")
+    (caps or DEFAULT_CAPS).check_work(n * max(n - 1, 1) ** max(n - 1, 1),
+                                      "arborescence enumeration")
     if n == 1:
         yield (None,)
         return
@@ -237,19 +234,11 @@ def is_pareto_optimal_arborescence(inst: ArborescenceInstance, parent,
                    for alt in all_arborescences(inst.n, caps))
 
 
-def arborescence_context(inst: ArborescenceInstance) -> FeasibilityContext:
-    """Feasibility wiring: directed forests; the action token is the edge
-    target, or None for drawing nothing."""
-    return FeasibilityContext(inst.n, lambda acts: not has_cycle(acts),
-                              partial(_best_target, inst))
-
-
 def sequence_for_arborescence(inst: ArborescenceInstance,
                               parent) -> Optional[tuple]:
     """A sequence producing the arborescence, or None when none exists."""
     check_arborescence(parent, inst.n)
-    return sequence_for_collection(arborescence_context(inst),
-                                   {i: parent[i] for i in range(inst.n)})
+    return sequence_for_collection(inst.n, partial(_best_target, inst), tuple(parent))
 
 
 def random_digraph_weights(n: int, seed: int, weight_denominator: int = 100) -> list:

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 from .core import (
     ActionSeq,
-    CapExceededError,
     Caps,
     DEFAULT_CAPS,
     PrefixStates,
@@ -29,7 +28,7 @@ from .core import (
     structure_for,
     underlying_optimum,
 )
-from .feasibility import FeasibilityContext, dominates, sequence_for_collection
+from .feasibility import dominates, sequence_for_collection
 
 
 @dataclass(frozen=True)
@@ -132,28 +131,16 @@ def check_perfect_matching(assignment, n: int) -> None:
 def is_pareto_optimal_matching(inst: MatchingInstance, matching,
                                caps: Optional[Caps] = None) -> bool:
     """Brute-force Pareto check against all n! perfect matchings."""
-    caps = caps or DEFAULT_CAPS
-    if inst.n > caps.factorial:
-        raise CapExceededError(f"n={inst.n} exceeds factorial cap {caps.factorial}")
+    (caps or DEFAULT_CAPS).check_sequences(inst.n)
     check_perfect_matching(matching, inst.n)
     return not any(dominates(inst, alt, matching)
                    for alt in permutations(range(inst.n)))
 
 
-def matching_context(inst: MatchingInstance) -> FeasibilityContext:
-    """Feasibility wiring: partial matchings, best response = top free item."""
-    def feasible(acts) -> bool:
-        items = list(acts.values())
-        return len(items) == len(set(items))
-
-    return FeasibilityContext(inst.n, feasible, partial(_pick, inst))
-
-
 def sequence_for_matching(inst: MatchingInstance, matching) -> Optional[tuple]:
     """A sequence producing the matching, or None when none exists."""
     check_perfect_matching(matching, inst.n)
-    return sequence_for_collection(matching_context(inst),
-                                   {i: matching[i] for i in range(inst.n)})
+    return sequence_for_collection(inst.n, partial(_pick, inst), tuple(matching))
 
 
 def random_matching_instance(n: int, seed: int,

@@ -7,6 +7,7 @@ small enough to run in seconds (the test suite runs heavier versions).
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -179,6 +180,15 @@ def suite_lowerbound(seed: int = 0) -> list:
     return rows
 
 
+def uncoverable_x3c(seed: int) -> oss.SatInstance:
+    """The reduction of a drawn uncoverable X3C instance: two 3-element
+    subsets of a 6-element universe that share an element."""
+    rng = random.Random(seed)
+    first = rng.sample(range(6), 3)
+    rest = [x for x in range(6) if x not in first]
+    return oss.x3c_reduce(6, [first, [rng.choice(first)] + rng.sample(rest, 2)])
+
+
 def suite_x3c(seed: int = 0) -> list:
     rows = []
     yes = oss.x3c_reduce(3, [(0, 1, 2)])
@@ -188,7 +198,7 @@ def suite_x3c(seed: int = 0) -> list:
     seq = oss.sat_as_decide(yes, (True,) * yes.n)
     ok = seq is not None and oss.assignment_from_sequence(yes, seq) == (True,) * yes.n
     rows.append(_row("coverable universe reaches all-True", ok))
-    no = oss.x3c_reduce(6, [(0, 1, 2), (2, 3, 4)])
+    no = uncoverable_x3c(seed)
     rows.append(_row("uncoverable universe cannot reach all-True",
                      oss.sat_as_decide(no, (True,) * no.n) is None))
     return rows

@@ -175,6 +175,13 @@ CAPPED_ENTRY_POINTS = {
                             SUBSET_MSG),
     "max-disjoint-paths": (lambda inst, _: auxstructs.max_disjoint_paths_weight(inst, SMALL_CAPS),
                            auxstructs.random_paths_instance(4, 0), None, SUBSET_MSG),
+    "osm-pareto": (lambda inst, _: osm.is_pareto_optimal_matching(inst, (0, 1, 2, 3),
+                                                                  SMALL_CAPS),
+                   osm.random_matching_instance(4, 0), None,
+                   "enumeration cap exceeded: n=4 > factorial cap 3"),
+    "osa-enumeration": (lambda _, __: list(osa.all_arborescences(4, SMALL_CAPS)),
+                        None, None,
+                        "enumeration cap exceeded: arborescence enumeration over budget"),
     "det": (lambda _, oracle: seqopt.det(oracle, 2, SMALL_CAPS),
             seqopt.random_lower_bound_instance(4, 2, 0), seqopt.make_lower_bound_oracle,
             "enumeration cap exceeded: 4!/2! prefixes over budget"),

@@ -3,70 +3,83 @@ from itertools import permutations
 import pytest
 
 from seqdict import osa, osm
-from seqdict.feasibility import (
-    FeasibilityContext,
-    is_downward_closed_on,
-    produce_collection,
-    sequence_for_collection,
-)
-
-
-def matching_setup(weights):
-    inst = osm.MatchingInstance.from_weights(weights)
-    return inst, osm.matching_context(inst)
+from seqdict.feasibility import sequence_for_collection
 
 
 class TestSequenceForCollection:
     def test_both_want_item0_target_aligned(self):
         # both agents rank item 0 first; giving each their simulated pick works
-        _, ctx = matching_setup([[2, 1], [2, 1]])
-        assert sequence_for_collection(ctx, {0: 0, 1: 1}) == (0, 1)
+        inst = osm.MatchingInstance.from_weights([[2, 1], [2, 1]])
+        assert osm.sequence_for_matching(inst, (0, 1)) == (0, 1)
 
     def test_both_want_item0_swapped_target(self):
         # the swap is producible too: agent 1 just acts first
-        _, ctx = matching_setup([[2, 1], [2, 1]])
-        assert sequence_for_collection(ctx, {0: 1, 1: 0}) == (1, 0)
+        inst = osm.MatchingInstance.from_weights([[2, 1], [2, 1]])
+        assert osm.sequence_for_matching(inst, (1, 0)) == (1, 0)
 
     def test_dominated_target_fails(self):
         # each agent prefers her own item; the swap is Pareto-dominated
-        _, ctx = matching_setup([[2, 1], [1, 2]])
-        assert sequence_for_collection(ctx, {0: 1, 1: 0}) is None
+        inst = osm.MatchingInstance.from_weights([[2, 1], [1, 2]])
+        assert osm.sequence_for_matching(inst, (1, 0)) is None
 
     def test_single_agent(self):
-        _, ctx = matching_setup([[1]])
-        assert sequence_for_collection(ctx, {0: 0}) == (0,)
+        inst = osm.MatchingInstance.from_weights([[1]])
+        assert osm.sequence_for_matching(inst, (0,)) == (0,)
 
     def test_returned_sequence_reproduces_target(self):
         for seed in range(10):
             inst = osm.random_matching_instance(4, seed)
-            ctx = osm.matching_context(inst)
-            for target_perm in permutations(range(4)):
-                target = dict(enumerate(target_perm))
-                seq = sequence_for_collection(ctx, target)
+            for target in permutations(range(4)):
+                seq = osm.sequence_for_matching(inst, target)
                 if seq is not None:
-                    assert produce_collection(ctx, seq) == target
+                    assert osm.matching_from_sequence(inst, seq) == target
 
     def test_agrees_with_exhaustive_search(self):
         for seed in range(10):
             for n in (2, 3, 4):
                 inst = osm.random_matching_instance(n, seed, 6)
-                ctx = osm.matching_context(inst)
-                producible = {tuple(sorted(produce_collection(ctx, s).items()))
+                producible = {osm.matching_from_sequence(inst, s)
                               for s in permutations(range(n))}
-                for target_perm in permutations(range(n)):
-                    target = dict(enumerate(target_perm))
-                    found = sequence_for_collection(ctx, target) is not None
-                    assert found == (tuple(sorted(target.items())) in producible)
+                for target in permutations(range(n)):
+                    found = osm.sequence_for_matching(inst, target) is not None
+                    assert found == (target in producible)
 
     def test_partial_target_rejected(self):
-        _, ctx = matching_setup([[2, 1], [1, 2]])
-        with pytest.raises(ValueError, match="not full"):
-            sequence_for_collection(ctx, {0: 0})
+        inst = osm.MatchingInstance.from_weights([[2, 1], [1, 2]])
+        with pytest.raises(ValueError, match="not a perfect matching"):
+            osm.sequence_for_matching(inst, (0,))
 
     def test_infeasible_target_rejected(self):
-        _, ctx = matching_setup([[2, 1], [1, 2]])
-        with pytest.raises(ValueError, match="infeasible"):
-            sequence_for_collection(ctx, {0: 0, 1: 0})
+        inst = osm.MatchingInstance.from_weights([[2, 1], [1, 2]])
+        with pytest.raises(ValueError, match="not a perfect matching"):
+            osm.sequence_for_matching(inst, (0, 0))
+
+
+class TestDeciderInputRejection:
+    """Each decider checks its target before searching, with exact messages."""
+
+    @pytest.mark.parametrize("n, target", [(2, (0,)), (3, (0, 0, 1)), (3, (1, 1, 1))])
+    def test_matching(self, n, target):
+        inst = osm.random_matching_instance(n, 0)
+        with pytest.raises(ValueError) as exc:
+            osm.sequence_for_matching(inst, target)
+        assert str(exc.value) == "not a perfect matching"
+
+    @pytest.mark.parametrize("target, message", [
+        ((None, 0), "parent vector has wrong length"),
+        ((None, 0, 0, 1), "parent vector has wrong length"),
+        ((None, None, 0), "an arborescence has exactly one rootless agent"),
+        ((0, 0, 0), "an arborescence has exactly one rootless agent"),
+        ((None, 1, 0), "bad edge target"),
+        ((None, 3, 0), "bad edge target"),
+        ((None, -1, 0), "bad edge target"),
+        ((None, 2, 1), "edges contain a cycle or disconnected part"),
+    ])
+    def test_arborescence(self, target, message):
+        inst = osa.random_digraph_instance(3, 0)
+        with pytest.raises(ValueError) as exc:
+            osa.sequence_for_arborescence(inst, target)
+        assert str(exc.value) == message
 
 
 class TestLexicographicallySmallest:
@@ -109,31 +122,13 @@ def test_dominated_target_is_refused_in_polynomially_many_calls():
     n = 60
     inst = osm.MatchingInstance.from_weights(
         [[1 if j == i else 0 for j in range(n)] for i in range(n)])
-    base = osm.matching_context(inst)
     calls = 0
 
     def counted(i, acts):
         nonlocal calls
         calls += 1
-        return base.best_response(i, acts)
+        return osm._pick(inst, i, acts)
 
-    ctx = FeasibilityContext(n, base.feasible, counted)
-    target = {i: i for i in range(n)} | {58: 59, 59: 58}
-    assert sequence_for_collection(ctx, target) is None
+    target = tuple(range(58)) + (59, 58)
+    assert sequence_for_collection(n, counted, target) is None
     assert calls <= n * (n + 1) // 2
-
-
-class TestDownwardClosure:
-    def test_matching_constraint_is_downward_closed(self):
-        inst = osm.random_matching_instance(4, seed=0)
-        ctx = osm.matching_context(inst)
-        target = dict(enumerate(osm.matching_from_sequence(inst, (0, 1, 2, 3))))
-        assert is_downward_closed_on(ctx, target)
-
-    def test_detects_non_downward_closed(self):
-        ctx = FeasibilityContext(
-            2,
-            feasible=lambda m: len(m) != 1,  # singletons banned: not closed
-            best_response=lambda i, m: 0,
-        )
-        assert not is_downward_closed_on(ctx, {0: 0, 1: 0})

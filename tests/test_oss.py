@@ -20,6 +20,7 @@ from seqdict.oss import (
     to_wcnf,
     x3c_reduce,
 )
+from seqdict.suites import suite_x3c, uncoverable_x3c
 
 EPS = Fraction(1, 10)
 
@@ -145,6 +146,12 @@ class TestX3cReduce:
     def test_no_instance_cannot_reach_all_true(self):
         inst = x3c_reduce(6, [(0, 1, 2), (2, 3, 4)])  # element 5 uncovered
         assert sat_as_decide(inst, (True,) * inst.n) is None
+
+    def test_suite_draws_its_uncoverable_instance_from_the_seed(self):
+        assert uncoverable_x3c(0) != uncoverable_x3c(1)
+        for seed in range(50):
+            rows = {name: ok for name, ok, _ in suite_x3c(seed)}
+            assert rows["uncoverable universe cannot reach all-True"]
 
     def test_disjoint_cover_yes_instance(self):
         inst = x3c_reduce(6, [(0, 1, 2), (3, 4, 5)])
