@@ -288,18 +288,22 @@ MONOTONICITY_MAX_N = 6
 def find_monotonicity_violation(oracle: ValuationOracle) -> Optional[MonotonicityViolation]:
     """First (agent, S' <= S) pair with v(S') < v(S), or None if monotone.
 
-    Exhausts all ordered-subset pairs, so it is limited to small n.
+    Exhausts all ordered-subset pairs, so it is limited to small n.  Values
+    are compared as the integers `value_scaled` reads (Fractions for an
+    opaque oracle); the witness carries them back as Fractions.
     """
     if oracle.n > MONOTONICITY_MAX_N:
         raise CapExceededError(f"monotonicity check capped at n={MONOTONICITY_MAX_N}")
+    scale = oracle.scale or 1
     for agent in range(oracle.n):
         others = [j for j in range(oracle.n) if j != agent]
-        vals = {s: oracle.value(agent, s) for s in ordered_subsequences(others)}
+        vals = {s: oracle.value_scaled(agent, s) for s in ordered_subsequences(others)}
         for s, v_s in vals.items():
             for mask in range(1 << len(s)):
                 sub = tuple(s[b] for b in range(len(s)) if mask >> b & 1)
                 if vals[sub] < v_s:
-                    return MonotonicityViolation(agent, sub, s, vals[sub], v_s)
+                    return MonotonicityViolation(agent, sub, s, Fraction(vals[sub], scale),
+                                                 Fraction(v_s, scale))
     return None
 
 

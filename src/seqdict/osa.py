@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, product
 from typing import Iterator, Optional, Sequence
 
@@ -209,12 +209,23 @@ def check_arborescence(parent, n: int) -> None:
 
 
 def all_arborescences(n: int, caps: Optional[Caps] = None) -> Iterator[tuple]:
-    """Yield every arborescence on n labeled nodes (n^(n-1) of them)."""
+    """An iterator over every arborescence on n labeled nodes (n^(n-1) of
+    them), by root, then by the parent vectors of the others in product order.
+
+    The caps are checked on every call, before any work.  The table is built
+    once per size and kept for the most recent size only, so repeated calls
+    at one n (a Pareto check per candidate) share a single enumeration.
+    """
     (caps or DEFAULT_CAPS).check_work(n * max(n - 1, 1) ** max(n - 1, 1),
                                       "arborescence enumeration")
+    return iter(_arborescence_table(n))
+
+
+@lru_cache(maxsize=1)
+def _arborescence_table(n: int) -> tuple:
     if n == 1:
-        yield (None,)
-        return
+        return ((None,),)
+    table = []
     for root in range(n):
         others = [i for i in range(n) if i != root]
         for choice in product(*[[j for j in range(n) if j != i] for i in others]):
@@ -223,7 +234,8 @@ def all_arborescences(n: int, caps: Optional[Caps] = None) -> Iterator[tuple]:
                 parent[i] = j
             out = {i: parent[i] for i in range(n) if parent[i] is not None}
             if all(reaches(out, i, root) for i in others):
-                yield tuple(parent)
+                table.append(tuple(parent))
+    return tuple(table)
 
 
 def is_pareto_optimal_arborescence(inst: ArborescenceInstance, parent,

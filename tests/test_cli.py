@@ -385,6 +385,10 @@ class TestGoldenOutput:
 VERIFY_DIGESTS = {
     "pareto": "53bb533c2333f9f3410e07268e019ab0ca15972a3cd7cca37f9eb76e838861a3",
     "x3c": "6689977327af9b8542c2c0e7f753c4cdf445a5ce4899912e090978fb2e496796",
+    "monotonicity": "b5947aaa22fd8e98704fa21b7e82009acbe7ff03898bb8369629930910cae865",
+    "approx": "9889d34a026ffff50b184e11587caaaad7e51a2dda4f087bfecc166c5156c5dc",
+    "truthful": "360c0be2eb0b43e9df89db7e1adf61187945b25395a1f1d8a00459b06086bd45",
+    "lowerbound": "2c7e0413dfe19270193c565b7a3f680c7ac7c3f8971b038dde5024952cc11f89",
 }
 
 

@@ -205,6 +205,19 @@ def test_capped_entry_point_raises_before_any_work(name):
         assert oracle.ledger.total_calls == 0
 
 
+def test_cached_arborescence_table_still_checks_the_cap():
+    """Once the n=4 table is built, a capped call still raises when made."""
+    assert len(list(osa.all_arborescences(4))) == 64
+    inst = osa.random_digraph_instance(4, 0)
+    parent = osa.arborescence_from_sequence(inst, (0, 1, 2, 3))
+    assert osa.is_pareto_optimal_arborescence(inst, parent)
+    message = "enumeration cap exceeded: arborescence enumeration over budget"
+    with pytest.raises(CapExceededError, match=f"^{message}$"):
+        osa.all_arborescences(4, SMALL_CAPS)  # raises before anything is iterated
+    with pytest.raises(CapExceededError, match=f"^{message}$"):
+        osa.is_pareto_optimal_arborescence(inst, parent, SMALL_CAPS)
+
+
 def test_every_oracle_kind_has_a_sequence_structure():
     """A kind with an oracle but no (start, step, key) would crash posd."""
     kinds = set(oracle_for.registry) - {object}

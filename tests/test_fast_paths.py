@@ -568,3 +568,78 @@ class TestOpaqueOracle:
         for c in (2, 3, 4):
             assert seqopt.det(opaque.fresh(), c) == det_reference(value, 6, c)
             assert seqopt.rand(opaque.fresh(), c, seed=c) == rand_reference(value, 6, c, c)
+
+
+# --- the exhaustive monotonicity scan ------------------------------------------------
+
+
+def monotonicity_violation_by_fractions(oracle):
+    """The exhaustive scan reading every value through `value` and comparing
+    Fractions: the reference for the integer scan."""
+    for agent in range(oracle.n):
+        others = [j for j in range(oracle.n) if j != agent]
+        vals = {s: oracle.value(agent, s) for s in core.ordered_subsequences(others)}
+        for s, v_s in vals.items():
+            for mask in range(1 << len(s)):
+                sub = tuple(s[b] for b in range(len(s)) if mask >> b & 1)
+                if vals[sub] < v_s:
+                    return core.MonotonicityViolation(agent, sub, s, vals[sub], v_s)
+    return None
+
+
+def scan_both_ways(oracle):
+    """The scan's witness on `oracle` after checking it against the Fraction
+    reference: same witness, same repr, same query count."""
+    reference = oracle.fresh()
+    got = core.find_monotonicity_violation(oracle)
+    want = monotonicity_violation_by_fractions(reference)
+    assert got == want
+    assert repr(got) == repr(want)
+    assert oracle.ledger.total_calls == reference.ledger.total_calls
+    if got is not None:
+        assert type(got.value_smaller) is type(got.value_larger) is Fraction
+    return got
+
+
+class TestMonotonicityScan:
+    def test_every_kind_up_to_four_agents(self):
+        witnesses = set()
+        for kind in ALL_KINDS:
+            for n in range(1, 5):
+                for wd in (1, 3, 100):
+                    for seed in range(4):
+                        inst = make_instance(kind, n, 50 * n + seed, wd)
+                        if scan_both_ways(oracle_for(inst)) is not None:
+                            witnesses.add(kind)
+        assert witnesses == {"oss", "paths"}
+
+    def test_opaque_oracles(self):
+        for kind in ALL_KINDS:
+            for seed in range(3):
+                scan_both_ways(fraction_copy(oracle_for(make_instance(kind, 4, seed, 3))))
+        opaque = fraction_copy(oss.oss_oracle(oss.nonmonotone_sat_instance()))
+        assert opaque.scale is None
+        assert scan_both_ways(opaque) == (2, (1,), (0, 1), 1, 2)
+
+    def test_loaded_files_with_mixed_denominators(self):
+        for kind in ("osm", "osa", "paths", "oss"):
+            rng = random.Random(kind)
+            scales = set()
+            for n in range(2, 5):
+                for _ in range(4):
+                    oracle = oracle_for(mixed_instance(
+                        kind, [rng.choice(MIXED_POOL) for _ in range(n * n)]))
+                    scales.add(oracle.scale)
+                    scan_both_ways(oracle)
+            assert any(scale % 21 == 0 for scale in scales)
+
+    @pytest.mark.parametrize("inst, text", [
+        (oss.nonmonotone_sat_instance(),
+         "MonotonicityViolation(agent=2, smaller=(1,), larger=(0, 1), "
+         "value_smaller=Fraction(1, 1), value_larger=Fraction(2, 1))"),
+        (auxstructs.nonmonotone_paths_instance(),
+         "MonotonicityViolation(agent=2, smaller=(1,), larger=(0, 1), "
+         "value_smaller=Fraction(0, 1), value_larger=Fraction(1, 1))"),
+    ], ids=["sat", "paths-n4"])
+    def test_known_witnesses(self, inst, text):
+        assert repr(scan_both_ways(oracle_for(inst))) == text

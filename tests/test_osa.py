@@ -1,8 +1,10 @@
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
 
 import pytest
 
+from seqdict import osa, suites
 from seqdict.core import (
     PrefixStates,
     brute_force_optimal_sequence,
@@ -175,6 +177,44 @@ class TestPareto:
         # Cayley: n^(n-1) arborescences on n labeled nodes
         assert sum(1 for _ in all_arborescences(3)) == 9
         assert sum(1 for _ in all_arborescences(4)) == 64
+
+
+def arborescences_by_product(n):
+    """Every parent vector `check_arborescence` accepts, grouped by root and
+    otherwise in `itertools.product` order."""
+    accepted = []
+    for parent in product(*[[None] + [j for j in range(n) if j != i] for i in range(n)]):
+        try:
+            check_arborescence(parent, n)
+        except ValueError:
+            continue
+        accepted.append(parent)
+    return sorted(accepted, key=lambda parent: parent.index(None))
+
+
+class TestArborescenceTable:
+    def test_table_equals_product_reference(self):
+        for n in range(1, 6):
+            assert tuple(all_arborescences(n)) == tuple(arborescences_by_product(n))
+
+    def test_every_call_iterates_the_whole_table(self):
+        first, second = all_arborescences(3), all_arborescences(3)
+        assert next(first) == (None, 0, 0)
+        assert len(list(second)) == 9
+        assert len(list(first)) == 8
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_pareto_suite_builds_each_size_once(self, monkeypatch, seed):
+        builds = []
+        build = osa._arborescence_table.__wrapped__
+
+        def counted(n):
+            builds.append(n)
+            return build(n)
+
+        monkeypatch.setattr(osa, "_arborescence_table", lru_cache(maxsize=1)(counted))
+        assert all(ok for _, ok, _ in suites.suite_pareto(seed))
+        assert builds == [2, 3, 4]
 
 
 class TestPosd:
