@@ -215,6 +215,7 @@ def paths_oracle(inst: PathsInstance) -> ValuationOracle:
 
     oracle = ValuationOracle(inst.n, fn, monotone_claimed=False)
     oracle.scale = common_denominator(chain.from_iterable(inst.weights))
+    oracle.prefixes = states
     return oracle
 
 

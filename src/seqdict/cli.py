@@ -16,6 +16,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from . import auxstructs, mechanisms, osa, osm, oss, seqopt
 from .core import (
@@ -372,8 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser(suites: tuple) -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process and again only when the
+    registered `suites` change (the cache key; `verify` lists them)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser(tuple(SUITES))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce, singledispatch
 from itertools import permutations
+from operator import is_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 ActionSeq = tuple  # tuple[int, ...]
@@ -123,7 +124,12 @@ def is_subsequence(small: Iterable[int], big: Iterable[int]) -> bool:
 
 @dataclass
 class QueryLedger:
-    """Counts oracle queries: every call, and distinct (agent, prefix) pairs."""
+    """Counts oracle queries: every call, and distinct (agent, prefix) pairs.
+
+    A pair is kept as one int, code * n + agent, where code is the prefix's
+    `PrefixStates` code; the map is one-to-one, so `distinct_calls` counts
+    exactly the distinct pairs.
+    """
 
     total_calls: int = 0
     _seen: set = field(default_factory=set, repr=False)
@@ -132,42 +138,78 @@ class QueryLedger:
     def distinct_calls(self) -> int:
         return len(self._seen)
 
-    def record(self, agent: int, seq: ActionSeq) -> None:
-        self.total_calls += 1
-        self._seen.add((agent, seq))
-
 
 class PrefixStates:
-    """An instance's structure state after each prefix of the last sequence
-    asked for, replayed with the (start, step) of its `structure_for` entry.
+    """The one walk over a counted query's prefix: it validates the prefix,
+    names it by an exact integer code, and replays the instance's structure
+    state after it with the (start, step) of its `structure_for` entry.
 
-    Replaying is bookkeeping, not a counted query.  `after(seq)` steps only
-    the agents past the longest common prefix of `seq` and the previous call,
-    so queries that walk a prefix tree cost O(1) steps each.  The cache is one
-    immutable snapshot (sequence, states), replaced by a single assignment, so
-    oracle copies sharing it may query it from several threads.
+    The cache is the last path walked, one immutable snapshot (path, rows)
+    where rows[k] is (acted bitmask, code, state) after path[:k]; the code
+    reads the prefix as base-(n+1) digits a+1, so distinct prefixes get
+    distinct codes.  `walk(seq)` checks and steps only the agents past the
+    run of positions where `seq` holds the very objects of the last path
+    (those were checked when that path was walked), raising the errors of
+    `check_action_seq`, and returns the code.  It also records (seq, state)
+    as one pair, so the oracle's `after(seq)` on the same tuple is a lookup.
+    Without an instance (an opaque oracle, n agents) it keeps no state.
+    Replaying is bookkeeping, not a counted query.  Every cache is replaced
+    by a single assignment, so oracle copies sharing a walk may query it
+    from several threads.
     """
 
-    __slots__ = ("_step", "_snap")
+    __slots__ = ("_n", "_step", "_snap", "_mark")
 
-    def __init__(self, instance):
-        start, self._step, _ = structure_for(instance)
-        self._snap = ((), (start,))
+    def __init__(self, instance=None, n: Optional[int] = None):
+        if instance is None:
+            start, self._step, self._n = None, None, n
+        else:
+            start, self._step, _ = structure_for(instance)
+            self._n = instance.n
+        self._snap = ((), ((0, 0, start),))
+        self._mark = ((), start)
+
+    def walk(self, seq: ActionSeq) -> int:
+        """Check `seq` as `check_action_seq` does and return its code."""
+        last, rows = self._snap
+        if all(map(is_, seq, last)):
+            k = len(last)
+            if len(seq) <= k:
+                _, code, state = rows[len(seq)]
+                self._mark = (seq, state)
+                return code
+        else:  # they part below both lengths
+            k = 0
+            while seq[k] is last[k]:
+                k += 1
+        n, step = self._n, self._step
+        mask, code, state = rows[k]
+        rows = rows[:k + 1]
+        for a in seq[k:]:
+            if not (isinstance(a, int) and 0 <= a < n):
+                raise ValueError(f"agent {a!r} out of range for n={n}")
+            if mask >> a & 1:
+                raise ValueError(f"duplicate agent {a} in sequence")
+            mask |= 1 << a
+            code = code * (n + 1) + a + 1
+            if step is not None:
+                state = step(state, a)
+            rows += ((mask, code, state),)
+        self._snap = (seq, rows)
+        self._mark = (seq, state)
+        return code
 
     def after(self, seq: ActionSeq):
-        last, states = self._snap
-        if seq == last[:len(seq)]:  # keep `last`: a later query may extend it
-            return states[len(seq)]
-        k = len(last)
-        if seq[:k] != last:  # neither is a prefix of the other: find where they part
-            k = 0
-            while seq[k] == last[k]:
-                k += 1
-        grown = states[:k + 1]
-        for agent in seq[k:]:
-            grown += (self._step(grown[-1], agent),)
-        self._snap = (seq, grown)
-        return grown[-1]
+        """The structure state after `seq`: the one just walked, or a
+        replay from the last path's state where the two part."""
+        walked, state = self._mark
+        if walked is seq:
+            return state
+        last, rows = self._snap
+        k = 0
+        while k < len(seq) and k < len(last) and seq[k] is last[k]:
+            k += 1
+        return reduce(self._step, seq[k:], rows[k][2])
 
 
 class ValuationOracle:
@@ -182,6 +224,11 @@ class ValuationOracle:
     `scale` is a positive common denominator D of every value, set by the
     structured oracles after construction, or None for an opaque oracle;
     `value_scaled(i, S)` is then v_i(S) * D as an int.
+
+    `prefixes` is the `PrefixStates` walk that checks each query's prefix
+    and names it for the ledger.  A structured oracle hands over the walk
+    its `fn` reads states from, after construction; any other oracle walks
+    with no structure.
     """
 
     scale: Optional[int] = None
@@ -194,6 +241,7 @@ class ValuationOracle:
         self._fn = fn
         self.monotone_claimed = monotone_claimed
         self.ledger = QueryLedger()
+        self.prefixes = PrefixStates(n=n)
 
     def value(self, agent: int, seq: Iterable[int] = ()) -> Value:
         seq = tuple(seq)
@@ -201,22 +249,27 @@ class ValuationOracle:
             raise ValueError(f"agent {agent} out of range")
         if agent in seq:
             raise ValueError("query subsequence contains the queried agent")
-        check_action_seq(seq, self.n)
-        self.ledger.record(agent, seq)
+        key = self.prefixes.walk(seq) * self.n + agent
+        ledger = self.ledger
+        ledger.total_calls += 1
+        ledger._seen.add(key)
         return self._fn(agent, seq)
 
     def value_scaled(self, agent: int, seq: Iterable[int] = ()):
         """`value(agent, seq)` times `scale` as an int: one counted query.
         Without a scale, the Fraction itself."""
         v = self.value(agent, seq)
-        if self.scale is None:
+        scale = self.scale
+        if scale is None:
             return v
-        return v.numerator * (self.scale // v.denominator)
+        num, den = v.as_integer_ratio()
+        return num * (scale // den)
 
     def fresh(self) -> "ValuationOracle":
         """A copy with a zeroed ledger, for an independent algorithm run."""
         copy = ValuationOracle(self.n, self._fn, self.monotone_claimed)
         copy.scale = self.scale
+        copy.prefixes = self.prefixes
         return copy
 
 

@@ -56,12 +56,17 @@ def sequence_for_collection(n: int, act: Callable, target) -> Optional[tuple]:
                               act, target, commit_first=True)
 
 
-def dominates(inst, a, b) -> bool:
-    """True iff collection `a` weakly rank-improves on `b` for every agent and
-    strictly for one, ranking actions by `inst.rank(agent, action)`."""
+def ranks(inst, collection) -> tuple:
+    """Each agent's rank of her action in `collection`, by `inst.rank`."""
+    return tuple(inst.rank(i, collection[i]) for i in range(inst.n))
+
+
+def dominates(inst, a, b_ranks) -> bool:
+    """True iff collection `a` weakly rank-improves for every agent on the
+    collection whose `ranks` are `b_ranks`, and strictly for one."""
     strict = False
-    for i in range(inst.n):
-        ra, rb = inst.rank(i, a[i]), inst.rank(i, b[i])
+    for i, rb in enumerate(b_ranks):
+        ra = inst.rank(i, a[i])
         if ra > rb:
             return False
         if ra < rb:

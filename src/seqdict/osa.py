@@ -30,7 +30,7 @@ from .core import (
     structure_for,
     underlying_optimum,
 )
-from .feasibility import dominates, sequence_for_collection
+from .feasibility import dominates, ranks, sequence_for_collection
 
 
 def digraph_rows(weights: Sequence[Sequence]) -> tuple:
@@ -147,6 +147,7 @@ def osa_oracle(inst: ArborescenceInstance) -> ValuationOracle:
 
     oracle = ValuationOracle(inst.n, fn, monotone_claimed=True)
     oracle.scale = common_denominator(chain.from_iterable(inst.weights))
+    oracle.prefixes = states
     return oracle
 
 
@@ -242,7 +243,8 @@ def is_pareto_optimal_arborescence(inst: ArborescenceInstance, parent,
                                    caps: Optional[Caps] = None) -> bool:
     """Brute-force dominance check over every arborescence."""
     check_arborescence(parent, inst.n)
-    return not any(dominates(inst, alt, parent)
+    ranked = ranks(inst, parent)
+    return not any(dominates(inst, alt, ranked)
                    for alt in all_arborescences(inst.n, caps))
 
 

@@ -28,7 +28,7 @@ from .core import (
     structure_for,
     underlying_optimum,
 )
-from .feasibility import dominates, sequence_for_collection
+from .feasibility import dominates, ranks, sequence_for_collection
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,7 @@ def osm_oracle(inst: MatchingInstance) -> ValuationOracle:
 
     oracle = ValuationOracle(inst.n, fn, monotone_claimed=True)
     oracle.scale = common_denominator(chain.from_iterable(inst.weights))
+    oracle.prefixes = states
     return oracle
 
 
@@ -133,7 +134,8 @@ def is_pareto_optimal_matching(inst: MatchingInstance, matching,
     """Brute-force Pareto check against all n! perfect matchings."""
     (caps or DEFAULT_CAPS).check_sequences(inst.n)
     check_perfect_matching(matching, inst.n)
-    return not any(dominates(inst, alt, matching)
+    ranked = ranks(inst, matching)
+    return not any(dominates(inst, alt, ranked)
                    for alt in permutations(range(inst.n)))
 
 

@@ -132,6 +132,7 @@ def oss_oracle(inst: SatInstance) -> ValuationOracle:
 
     oracle = ValuationOracle(inst.n, fn, monotone_claimed=False)
     oracle.scale = scale
+    oracle.prefixes = states
     return oracle
 
 

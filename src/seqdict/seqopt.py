@@ -150,6 +150,7 @@ def make_lower_bound_oracle(inst: LowerBoundInstance) -> ValuationOracle:
 
     oracle = ValuationOracle(inst.n, fn, monotone_claimed=True)
     oracle.scale = 1
+    oracle.prefixes = states
     return oracle
 
 

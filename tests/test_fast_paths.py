@@ -6,6 +6,7 @@ simulations of every domain, and enumeration of the optima."""
 import random
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -336,6 +337,104 @@ class TestDrawnInstances:
     def test_memo_search_equals_tree_search(self, data):
         _, inst = draw_instance(data, ALL_KINDS)
         assert best_sequence(inst) == brute_force_optimal_sequence(oracle_for(inst))
+
+
+# --- the prefix walk: checks and ledger keys --------------------------------------
+
+WALK_KINDS = ALL_KINDS + ("opaque",)
+
+
+def walk_oracle(kind, n, seed=0):
+    """An oracle of `kind`; "opaque" is a table-free `ValuationOracle`."""
+    if kind == "opaque":
+        return ValuationOracle(n, lambda agent, seq: Fraction(sum(seq) + agent, len(seq) + 1))
+    return oracle_for(make_instance(kind, n, seed, wd=3))
+
+
+def value_error(call):
+    """The text of the ValueError `call()` raises; None if it raises none."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind", WALK_KINDS)
+class TestPrefixWalkChecks:
+    """A query that shares a walked prefix is checked as a fresh one would be."""
+
+    @pytest.mark.parametrize("seq, message", [
+        ((1.0,), "agent 1.0 out of range for n=4"),
+        ((Fraction(1), 2), "agent Fraction(1, 1) out of range for n=4"),
+        ((1, Decimal(2)), "agent Decimal('2') out of range for n=4"),
+        ((1, 2.0, 3), "agent 2.0 out of range for n=4"),
+    ])
+    def test_equal_non_ints_after_a_walked_prefix(self, kind, seq, message):
+        oracle = walk_oracle(kind, 4)
+        want = oracle.fresh().value(0, (1, 2))
+        assert oracle.value(0, (1, 2)) == want
+        assert value_error(lambda: core.check_action_seq(seq, 4)) == message
+        assert value_error(lambda: oracle.value(0, seq)) == message
+        assert oracle.ledger.total_calls == 1
+        assert oracle.value(0, (1, 2)) == want
+
+    def test_bool_agents_are_accepted(self, kind):
+        oracle = walk_oracle(kind, 4)
+        want = oracle.fresh().value(0, (1, 2))
+        assert oracle.value(0, (1, 2)) == want
+        assert oracle.value(0, (True, 2)) == want
+        assert oracle.value(3, (2, True)) == oracle.fresh().value(3, (2, 1))
+        assert (oracle.ledger.total_calls, oracle.ledger.distinct_calls) == (3, 2)
+
+    @pytest.mark.parametrize("seq", [
+        (1, 2, 7), (1, 2, -1), (1, 2, "x"), (1, 2, None), (1, 2, 1), (1, 2, 2),
+        (1, 3, 3), (1, 3, 9), (3, 1, 3), (2, 1, 5, 1), (2, 2), (4,), (1, 2, 3, 3),
+    ])
+    def test_bad_suffix_or_diverging_query(self, kind, seq):
+        oracle = walk_oracle(kind, 4)
+        oracle.value(0, (1, 2, 3))
+        oracle.value(0, (1, 2))
+        want = value_error(lambda: core.check_action_seq(seq, 4))
+        assert want is not None
+        assert value_error(lambda: oracle.value(0, seq)) == want
+        assert oracle.ledger.total_calls == 2
+        assert oracle.value(0, (1, 3)) == oracle.fresh().value(0, (1, 3))
+
+    def test_queried_agent_is_reported_before_a_bad_prefix(self, kind):
+        oracle = walk_oracle(kind, 4)
+        oracle.value(0, (1, 2))
+        for seq in ((1, 2, 3, 9), (3, 2, 2), (1.0, 3)):
+            assert value_error(lambda: oracle.value(3, seq)) == \
+                "query subsequence contains the queried agent"
+
+    def test_copies_share_the_walk(self, kind):
+        oracle = walk_oracle(kind, 4)
+        assert oracle.fresh().prefixes is oracle.prefixes
+
+
+class TestPrefixWalkLedger:
+    @drawn
+    @given(st.data())
+    def test_counts_equal_a_plain_pair_set(self, data):
+        kind = data.draw(st.sampled_from(WALK_KINDS), label="kind")
+        n = data.draw(st.integers(1, 6), label="n")
+        seed = data.draw(st.integers(0, 10 ** 6), label="seed")
+        oracle, reference = walk_oracle(kind, n, seed), walk_oracle(kind, n, seed)
+        orders = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4),
+                           label="orders")
+        picks = st.tuples(st.integers(0, len(orders) - 1), st.integers(0, n - 1),
+                          st.booleans())
+        pairs = []
+        for i, k, as_bools in data.draw(st.lists(picks, min_size=1, max_size=30),
+                                        label="queries"):
+            agent, seq = orders[i][k], orders[i][:k]
+            if as_bools:  # 0 and 1 as False and True: equal agents, other objects
+                seq = tuple(bool(a) if a < 2 else a for a in seq)
+            pairs.append((agent, tuple(seq)))
+            assert oracle.value(agent, seq) == reference.value(agent, orders[i][:k])
+        assert oracle.ledger.total_calls == len(pairs)
+        assert oracle.ledger.distinct_calls == len(set(pairs))
 
 
 # --- subset-DP optima --------------------------------------------------------------
