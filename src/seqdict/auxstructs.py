@@ -14,19 +14,19 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 from typing import Iterable, Optional
 
 from .core import (
     ActionSeq,
     Caps,
     DEFAULT_CAPS,
-    PrefixStates,
+    ScaledWeights,
+    Structure,
     Value,
     ValuationOracle,
-    common_denominator,
     final_state,
-    oracle_for,
+    oracle_for as osi_oracle,
+    oracle_for as paths_oracle,
     structure_for,
     underlying_optimum,
 )
@@ -62,26 +62,29 @@ class OsiInstance:
                 if self.adj[i][j]]
 
 
-@oracle_for.register
-def osi_oracle(inst: OsiInstance) -> ValuationOracle:
-    """v_i(S) = 1 iff the nodes of S plus i form an independent set."""
-    def fn(agent: int, seq: tuple) -> Value:
-        nodes = list(seq) + [agent]
-        for a in range(len(nodes)):
-            for b in range(a + 1, len(nodes)):
-                if inst.adj[nodes[a]][nodes[b]]:
-                    return Fraction(0)
-        return Fraction(1)
-
-    oracle = ValuationOracle(inst.n, fn, monotone_claimed=True)
-    oracle.scale = 1
-    return oracle
+def _neighbour_masks(inst: OsiInstance) -> list:
+    """Each node's neighbours as a bitmask."""
+    return [sum(1 << j for j in range(inst.n) if inst.adj[i][j]) for i in range(inst.n)]
 
 
 @structure_for.register
-def _(inst: OsiInstance) -> tuple:
-    """Values depend only on the set of agents that acted, so there is no state."""
-    return None, lambda state, agent: None, lambda state: None
+def _(inst: OsiInstance) -> Structure:
+    """v_i(S) = 1 iff the nodes of S plus i form an independent set.
+
+    The state is the neighbours of the acted set as a bitmask, with every
+    bit set once the acted set stops being independent.  Values depend only
+    on the set of agents that acted, so the key is None.
+    """
+    nbr = _neighbour_masks(inst)
+    dependent = (1 << inst.n) - 1
+
+    def step(mask: int, agent: int) -> int:
+        return dependent if mask >> agent & 1 else mask | nbr[agent]
+
+    def read(mask: int, agent: int) -> int:
+        return 0 if mask >> agent & 1 else 1
+
+    return Structure(0, step, lambda mask: None, read, 1, True)
 
 
 def _mis_from_masks(n: int, nbr: list) -> int:
@@ -113,9 +116,7 @@ def max_independent_set(inst: OsiInstance,
                         caps: Optional[Caps] = None) -> frozenset:
     """Lexicographically-smallest maximum independent set, by subset search."""
     (caps or DEFAULT_CAPS).check_subset(inst.n)
-    nbr = [sum(1 << j for j in range(inst.n) if inst.adj[i][j])
-           for i in range(inst.n)]
-    mask = _mis_from_masks(inst.n, nbr)
+    mask = _mis_from_masks(inst.n, _neighbour_masks(inst))
     return frozenset(i for i in range(inst.n) if mask >> i & 1)
 
 
@@ -149,7 +150,7 @@ def random_osi_instance(n: int, seed: int) -> OsiInstance:
 
 
 @dataclass(frozen=True)
-class PathsInstance:
+class PathsInstance(ScaledWeights):
     n: int
     weights: tuple  # weights[i][j]: weight of edge i->j; diagonal is None
 
@@ -165,40 +166,34 @@ class PathsInstance:
 
 
 def _best_addable(inst: PathsInstance, agent: int, out: dict, has_in: frozenset):
-    """Heaviest edge agent->j keeping a union of paths; ties pick smallest j.
+    """Target j of the heaviest edge agent->j keeping a union of paths, or
+    None if there is none; ties pick the smallest j.
 
     Addable means: j has no incoming edge yet and j's path does not already
     lead back to the agent (which would close a cycle).
     """
     best = None
     best_w = None
+    row = inst.scaled[1][agent]
     for j in range(inst.n):
         if j == agent or j in has_in or reaches(out, j, agent):
             continue
-        w = inst.weights[agent][j]
+        w = row[j]
         if best_w is None or w > best_w:
             best, best_w = j, w
-    return best, best_w
+    return best
 
 
 def _step(inst: PathsInstance, state: tuple, agent: int) -> tuple:
     out, has_in = state
-    target, _ = _best_addable(inst, agent, out, has_in)
+    target = _best_addable(inst, agent, out, has_in)
     if target is None:
         return state
     return {**out, agent: target}, has_in | {target}
 
 
 @structure_for.register
-def _(inst: PathsInstance) -> tuple:
-    """Later draws depend only on the drawn edges: each agent's target, None
-    where the agent drew no edge or has not acted."""
-    return (({}, frozenset()), partial(_step, inst),
-            lambda state: tuple(map(state[0].get, range(inst.n))))
-
-
-@oracle_for.register
-def paths_oracle(inst: PathsInstance) -> ValuationOracle:
+def _(inst: PathsInstance) -> Structure:
     """v_i(S) = weight of i's heaviest still-addable edge after simulating S.
 
     These valuations are NOT monotone in general, despite the resemblance to
@@ -206,17 +201,17 @@ def paths_oracle(inst: PathsInstance) -> ValuationOracle:
     an agent's target node (in-degree competition), rerouting that agent's
     edge and thereby unblocking an edge that the shorter prefix forbade.
     They are monotone for n <= 3, where no such rerouting is possible.
+    Later draws depend only on the drawn edges: each agent's target, None
+    where the agent drew no edge or has not acted.
     """
-    states = PrefixStates(inst)
+    scale, rows = inst.scaled
 
-    def fn(agent: int, seq: tuple) -> Value:
-        _, w = _best_addable(inst, agent, *states.after(seq))
-        return Fraction(0) if w is None else w
+    def read(state: tuple, agent: int) -> int:
+        target = _best_addable(inst, agent, *state)
+        return 0 if target is None else rows[agent][target]
 
-    oracle = ValuationOracle(inst.n, fn, monotone_claimed=False)
-    oracle.scale = common_denominator(chain.from_iterable(inst.weights))
-    oracle.prefixes = states
-    return oracle
+    return Structure(({}, frozenset()), partial(_step, inst),
+                     lambda state: tuple(map(state[0].get, range(inst.n))), read, scale, False)
 
 
 def paths_edges_from_sequence(inst: PathsInstance, seq) -> dict:

@@ -15,8 +15,8 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce, singledispatch
-from itertools import permutations
+from functools import cached_property, reduce, singledispatch
+from itertools import chain, permutations
 from operator import is_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -141,8 +141,8 @@ class QueryLedger:
 
 class PrefixStates:
     """The one walk over a counted query's prefix: it validates the prefix,
-    names it by an exact integer code, and replays the instance's structure
-    state after it with the (start, step) of its `structure_for` entry.
+    names it by an exact integer code, and replays a structure's state after
+    it from `start` by `step`.
 
     The cache is the last path walked, one immutable snapshot (path, rows)
     where rows[k] is (acted bitmask, code, state) after path[:k]; the code
@@ -150,34 +150,27 @@ class PrefixStates:
     distinct codes.  `walk(seq)` checks and steps only the agents past the
     run of positions where `seq` holds the very objects of the last path
     (those were checked when that path was walked), raising the errors of
-    `check_action_seq`, and returns the code.  It also records (seq, state)
-    as one pair, so the oracle's `after(seq)` on the same tuple is a lookup.
-    Without an instance (an opaque oracle, n agents) it keeps no state.
-    Replaying is bookkeeping, not a counted query.  Every cache is replaced
-    by a single assignment, so oracle copies sharing a walk may query it
-    from several threads.
+    `check_action_seq`, and returns (code, state).  Without a `step` (an
+    opaque oracle) the state stays `start`.  Replaying is bookkeeping, not
+    a counted query.  The cache is replaced by a single assignment, so
+    oracle copies sharing a walk may query it from several threads.
     """
 
-    __slots__ = ("_n", "_step", "_snap", "_mark")
+    __slots__ = ("_n", "_step", "_snap")
 
-    def __init__(self, instance=None, n: Optional[int] = None):
-        if instance is None:
-            start, self._step, self._n = None, None, n
-        else:
-            start, self._step, _ = structure_for(instance)
-            self._n = instance.n
+    def __init__(self, n: int, start=None, step: Optional[Callable] = None):
+        self._n, self._step = n, step
         self._snap = ((), ((0, 0, start),))
-        self._mark = ((), start)
 
-    def walk(self, seq: ActionSeq) -> int:
-        """Check `seq` as `check_action_seq` does and return its code."""
+    def walk(self, seq: ActionSeq) -> tuple:
+        """Check `seq` as `check_action_seq` does; return (its code, the
+        state after it)."""
         last, rows = self._snap
         if all(map(is_, seq, last)):
             k = len(last)
             if len(seq) <= k:
                 _, code, state = rows[len(seq)]
-                self._mark = (seq, state)
-                return code
+                return code, state
         else:  # they part below both lengths
             k = 0
             while seq[k] is last[k]:
@@ -196,20 +189,7 @@ class PrefixStates:
                 state = step(state, a)
             rows += ((mask, code, state),)
         self._snap = (seq, rows)
-        self._mark = (seq, state)
-        return code
-
-    def after(self, seq: ActionSeq):
-        """The structure state after `seq`: the one just walked, or a
-        replay from the last path's state where the two part."""
-        walked, state = self._mark
-        if walked is seq:
-            return state
-        last, rows = self._snap
-        k = 0
-        while k < len(seq) and k < len(last) and seq[k] is last[k]:
-            k += 1
-        return reduce(self._step, seq[k:], rows[k][2])
+        return code, state
 
 
 class ValuationOracle:
@@ -221,49 +201,47 @@ class ValuationOracle:
     records whether the instance promises v_i(S') >= v_i(S) for S' <= S, which
     the prefix-search guarantees rely on.
 
-    `scale` is a positive common denominator D of every value, set by the
-    structured oracles after construction, or None for an opaque oracle;
-    `value_scaled(i, S)` is then v_i(S) * D as an int.
-
+    `scale` is a positive common denominator D of every value, or None for
+    an opaque oracle; `value_scaled(i, S)` is then v_i(S) * D as an int.
     `prefixes` is the `PrefixStates` walk that checks each query's prefix
-    and names it for the ledger.  A structured oracle hands over the walk
-    its `fn` reads states from, after construction; any other oracle walks
-    with no structure.
+    and names it for the ledger.  A structured oracle, built by `oracle_for`,
+    has `fn = read(state, agent)` of its `Structure`, reading v_i(S) * D at
+    the state its walk reaches after S; an opaque oracle has `fn(agent, S)`,
+    the Fraction itself, and a walk with no structure.
     """
 
     scale: Optional[int] = None
 
-    def __init__(self, n: int, fn: Callable[[int, ActionSeq], Value],
-                 monotone_claimed: bool = False):
+    def __init__(self, n: int, fn: Callable, monotone_claimed: bool = False):
         if n < 1:
             raise ValueError("need at least one agent")
         self.n = n
         self._fn = fn
         self.monotone_claimed = monotone_claimed
         self.ledger = QueryLedger()
-        self.prefixes = PrefixStates(n=n)
+        self.prefixes = PrefixStates(n)
 
-    def value(self, agent: int, seq: Iterable[int] = ()) -> Value:
+    def value(self, agent: int, seq: Iterable[int] = (), scaled: bool = False):
+        """v_agent(seq); with `scaled`, as `value_scaled` reads it."""
         seq = tuple(seq)
-        if not 0 <= agent < self.n:
+        if not (isinstance(agent, int) and 0 <= agent < self.n):
             raise ValueError(f"agent {agent} out of range")
         if agent in seq:
             raise ValueError("query subsequence contains the queried agent")
-        key = self.prefixes.walk(seq) * self.n + agent
+        code, state = self.prefixes.walk(seq)
         ledger = self.ledger
         ledger.total_calls += 1
-        ledger._seen.add(key)
-        return self._fn(agent, seq)
+        ledger._seen.add(code * self.n + agent)
+        scale = self.scale
+        if scale is None:
+            return self._fn(agent, seq)
+        v = self._fn(state, agent)
+        return v if scaled else Fraction(v, scale)
 
     def value_scaled(self, agent: int, seq: Iterable[int] = ()):
         """`value(agent, seq)` times `scale` as an int: one counted query.
         Without a scale, the Fraction itself."""
-        v = self.value(agent, seq)
-        scale = self.scale
-        if scale is None:
-            return v
-        num, den = v.as_integer_ratio()
-        return num * (scale // den)
+        return self.value(agent, seq, True)
 
     def fresh(self) -> "ValuationOracle":
         """A copy with a zeroed ledger, for an independent algorithm run."""
@@ -277,6 +255,18 @@ def common_denominator(values: Iterable) -> int:
     """The lcm of the denominators of `values`, None entries skipped; 1 if
     there are none."""
     return math.lcm(*(v.denominator for v in values if v is not None))
+
+
+class ScaledWeights:
+    """For instances with a `weights` matrix of Fractions (None entries
+    allowed): `scaled` is (D, the matrix as ints over D), where D is the
+    `common_denominator` of the weights, worked out once per instance."""
+
+    @cached_property
+    def scaled(self) -> tuple:
+        scale = common_denominator(chain.from_iterable(self.weights))
+        return scale, tuple(tuple(None if w is None else w.numerator * (scale // w.denominator)
+                                  for w in row) for row in self.weights)
 
 
 def social_welfare(oracle: ValuationOracle, seq: Sequence[int]) -> Value:
@@ -377,29 +367,47 @@ def underlying_optimum(instance, caps: Optional[Caps] = None) -> Value:
     raise TypeError(f"no underlying optimum registered for {type(instance).__name__}")
 
 
-@singledispatch
-def oracle_for(instance) -> ValuationOracle:
-    """A fresh valuation oracle for a structured instance (dispatch per type)."""
-    raise TypeError(f"no oracle constructor registered for {type(instance).__name__}")
+class Structure(NamedTuple):
+    """How a structured instance plays out as agents act (see `structure_for`)."""
+
+    start: object
+    step: Callable
+    key: Callable
+    read: Callable
+    scale: int
+    monotone_claimed: bool
 
 
 @singledispatch
-def structure_for(instance) -> tuple:
-    """(start, step, key) of a structured instance (dispatch per type).
+def structure_for(instance) -> Structure:
+    """The `Structure` of a structured instance (dispatch per type).
 
     `start` is the structure's state before anyone acts and `step(state,
     agent)` the new state after `agent` acts, neither changing the state it
     is given.  `key(state)` is the part of a state that, with the set of
     agents that acted, fixes every later agent's value and every later step.
+    `read(state, agent)` is the value of an agent acting in `state` as an int
+    over `scale`, a positive common denominator of every value, and
+    `monotone_claimed` says whether the kind promises monotone valuations.
     """
     raise TypeError(f"no sequence structure registered for {type(instance).__name__}")
+
+
+def oracle_for(instance) -> ValuationOracle:
+    """A fresh counted oracle for a structured instance: each query reads its
+    `Structure`'s `read` at the state the query's prefix leaves."""
+    structure = structure_for(instance)
+    oracle = ValuationOracle(instance.n, structure.read, structure.monotone_claimed)
+    oracle.scale = structure.scale
+    oracle.prefixes = PrefixStates(instance.n, structure.start, structure.step)
+    return oracle
 
 
 def final_state(instance, seq: Sequence[int]):
     """The structure state a full sequence leaves: its `structure_for` fold."""
     seq = tuple(seq)
     check_action_seq(seq, instance.n, full=True)
-    start, step, _ = structure_for(instance)
+    start, step, *_ = structure_for(instance)
     return reduce(step, seq, start)
 
 
@@ -421,7 +429,7 @@ def best_sequence(instance, caps: Optional[Caps] = None) -> tuple[ActionSeq, Val
     oracle = oracle_for(instance)
     n = oracle.n
     (caps or DEFAULT_CAPS).check_sequences(n)
-    start, step, key = structure_for(instance)
+    start, step, key, *_ = structure_for(instance)
     memo: dict = {}  # (acted set as a bitmask, key) -> (completion, its welfare)
 
     def completion(prefix: ActionSeq, acted: int, state) -> tuple[ActionSeq, int]:

@@ -14,19 +14,19 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, product
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .core import (
     ActionSeq,
     Caps,
     DEFAULT_CAPS,
-    PrefixStates,
+    ScaledWeights,
+    Structure,
     Value,
     ValuationOracle,
-    common_denominator,
     final_state,
-    oracle_for,
+    oracle_for as osa_oracle,
     structure_for,
     underlying_optimum,
 )
@@ -52,7 +52,7 @@ def check_digraph_row(row, i: int, n: int) -> None:
 
 
 @dataclass(frozen=True)
-class ArborescenceInstance:
+class ArborescenceInstance(ScaledWeights):
     n: int
     weights: tuple  # weights[i][j]: value of edge i->j; diagonal is None
     prefs: tuple    # prefs[i]: the n-1 targets in strictly decreasing preference
@@ -124,31 +124,22 @@ def _step(inst: ArborescenceInstance, acts: dict, agent: int) -> dict:
 
 
 @structure_for.register
-def _(inst: ArborescenceInstance) -> tuple:
-    """Later draws depend on the whole action collection: each agent's
-    target, None where the agent drew no edge or has not acted."""
-    return {}, partial(_step, inst), lambda acts: tuple(map(acts.get, range(inst.n)))
-
-
-@oracle_for.register
-def osa_oracle(inst: ArborescenceInstance) -> ValuationOracle:
+def _(inst: ArborescenceInstance) -> Structure:
     """v_i(S) = weight of i's best non-forbidden edge after simulating S.
 
     An edge i->j is forbidden when j already reaches i through drawn edges;
-    if every edge is forbidden the value is 0.
+    if every edge is forbidden the value is 0.  Later draws depend on the
+    whole action collection: each agent's target, None where the agent drew
+    no edge or has not acted.
     """
-    states = PrefixStates(inst)
+    scale, rows = inst.scaled
 
-    def fn(agent: int, seq: tuple) -> Value:
-        target = _best_target(inst, agent, states.after(seq))
-        if target is None:
-            return Fraction(0)
-        return inst.weights[agent][target]
+    def read(acts: dict, agent: int) -> int:
+        target = _best_target(inst, agent, acts)
+        return 0 if target is None else rows[agent][target]
 
-    oracle = ValuationOracle(inst.n, fn, monotone_claimed=True)
-    oracle.scale = common_denominator(chain.from_iterable(inst.weights))
-    oracle.prefixes = states
-    return oracle
+    return Structure({}, partial(_step, inst), lambda acts: tuple(map(acts.get, range(inst.n))),
+                     read, scale, True)
 
 
 def greedy_osa(oracle: ValuationOracle) -> ActionSeq:
@@ -241,7 +232,11 @@ def _arborescence_table(n: int) -> tuple:
 
 def is_pareto_optimal_arborescence(inst: ArborescenceInstance, parent,
                                    caps: Optional[Caps] = None) -> bool:
-    """Brute-force dominance check over every arborescence."""
+    """Brute-force dominance check over every arborescence.
+
+    The first call at a size builds that size's whole `all_arborescences`
+    table before any candidate is compared, even where an early one
+    dominates; later calls at the same size reuse it."""
     check_arborescence(parent, inst.n)
     ranked = ranks(inst, parent)
     return not any(dominates(inst, alt, ranked)

@@ -12,19 +12,19 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, permutations
+from itertools import permutations
 from typing import Optional, Sequence
 
 from .core import (
     ActionSeq,
     Caps,
     DEFAULT_CAPS,
-    PrefixStates,
+    ScaledWeights,
+    Structure,
     Value,
     ValuationOracle,
-    common_denominator,
     final_state,
-    oracle_for,
+    oracle_for as osm_oracle,
     structure_for,
     underlying_optimum,
 )
@@ -32,7 +32,7 @@ from .feasibility import dominates, ranks, sequence_for_collection
 
 
 @dataclass(frozen=True)
-class MatchingInstance:
+class MatchingInstance(ScaledWeights):
     n: int
     weights: tuple  # weights[i][j]: agent i's value for item j
     prefs: tuple    # prefs[i]: items in strictly decreasing preference
@@ -79,23 +79,16 @@ def _step(inst: MatchingInstance, taken: dict, agent: int) -> dict:
 
 
 @structure_for.register
-def _(inst: MatchingInstance) -> tuple:
-    """Later picks depend only on which items are taken."""
-    return {}, partial(_step, inst), lambda taken: frozenset(taken.values())
+def _(inst: MatchingInstance) -> Structure:
+    """v_i(S) = weight of i's best-ranked item left after S picked theirs.
+    Later picks depend only on which items are taken."""
+    scale, rows = inst.scaled
 
+    def read(taken: dict, agent: int) -> int:
+        return rows[agent][_pick(inst, agent, taken)]
 
-@oracle_for.register
-def osm_oracle(inst: MatchingInstance) -> ValuationOracle:
-    """v_i(S) = weight of i's best-ranked item left after S picked theirs."""
-    states = PrefixStates(inst)
-
-    def fn(agent: int, seq: tuple) -> Value:
-        return inst.weights[agent][_pick(inst, agent, states.after(seq))]
-
-    oracle = ValuationOracle(inst.n, fn, monotone_claimed=True)
-    oracle.scale = common_denominator(chain.from_iterable(inst.weights))
-    oracle.prefixes = states
-    return oracle
+    return Structure({}, partial(_step, inst), lambda taken: frozenset(taken.values()),
+                     read, scale, True)
 
 
 def greedy_osm(oracle: ValuationOracle) -> ActionSeq:

@@ -19,14 +19,13 @@ from typing import Iterable, Optional, Sequence
 from .core import (
     Caps,
     DEFAULT_CAPS,
-    PrefixStates,
+    Structure,
     Value,
-    ValuationOracle,
     common_denominator,
     decode_rational,
     encode_rational,
     final_state,
-    oracle_for,
+    oracle_for as oss_oracle,
     structure_for,
     underlying_optimum,
 )
@@ -114,26 +113,15 @@ def _step(inst: SatInstance, state: tuple, agent: int) -> tuple:
 
 
 @structure_for.register
-def _(inst: SatInstance) -> tuple:
-    """Later choices depend only on the clauses still open."""
-    return (({}, frozenset(range(len(inst.clauses)))), partial(_step, inst),
-            itemgetter(1))
+def _(inst: SatInstance) -> Structure:
+    """v_i(S) = larger of the unsatisfied weights on x_i's two sides after S.
+    Later choices depend only on the clauses still open."""
 
+    def read(state: tuple, agent: int) -> int:
+        return max(_tally(inst, agent, state[1]))
 
-@oracle_for.register
-def oss_oracle(inst: SatInstance) -> ValuationOracle:
-    """v_i(S) = larger of the unsatisfied weights on x_i's two sides after S."""
-    states = PrefixStates(inst)
-    scale = inst.scale
-
-    def fn(agent: int, seq: tuple) -> Value:
-        _, unsat = states.after(seq)
-        return Fraction(max(_tally(inst, agent, unsat)), scale)
-
-    oracle = ValuationOracle(inst.n, fn, monotone_claimed=False)
-    oracle.scale = scale
-    oracle.prefixes = states
-    return oracle
+    return Structure(({}, frozenset(range(len(inst.clauses)))), partial(_step, inst),
+                     itemgetter(1), read, inst.scale, False)
 
 
 def assignment_from_sequence(inst: SatInstance, seq) -> tuple:
@@ -153,7 +141,7 @@ def sat_as_decide(inst: SatInstance, target,
     target = tuple(bool(b) for b in target)
     if len(target) != n:
         raise ValueError("target assignment has wrong length")
-    start, step, _ = structure_for(inst)
+    start, step, *_ = structure_for(inst)
     return producing_sequence(n, start, step, partial(_choice, inst), target,
                               commit_first=False)
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial, perm
 from operator import itemgetter
@@ -19,11 +18,11 @@ from .core import (
     ActionSeq,
     Caps,
     DEFAULT_CAPS,
-    PrefixStates,
+    Structure,
     Value,
     ValuationOracle,
     check_action_seq,
-    oracle_for,
+    oracle_for as make_lower_bound_oracle,
     social_welfare,
     structure_for,
 )
@@ -139,34 +138,25 @@ class LowerBoundInstance:
         check_action_seq(self.hidden_pi, self.n, full=True)
 
 
-@oracle_for.register
-def make_lower_bound_oracle(inst: LowerBoundInstance) -> ValuationOracle:
-    """Oracle returning 1 iff |S| < c or S is a subsequence of the hidden order."""
-    one, zero = Fraction(1), Fraction(0)
-    states = PrefixStates(inst)
-
-    def fn(agent: int, seq: tuple) -> Value:
-        return one if len(seq) < inst.c or states.after(seq)[0] else zero
-
-    oracle = ValuationOracle(inst.n, fn, monotone_claimed=True)
-    oracle.scale = 1
-    oracle.prefixes = states
-    return oracle
-
-
 @structure_for.register
-def _(inst: LowerBoundInstance) -> tuple:
-    """State (ok, last): whether the prefix is still a subsequence of the
-    hidden order, and the hidden position of its last agent.  With the acted
-    set, `ok` fixes every later value: the prefix holds fewer than c agents,
-    or it is a subsequence exactly while `ok` holds."""
+def _(inst: LowerBoundInstance) -> Structure:
+    """v_i(S) = 1 iff |S| < c or S is a subsequence of the hidden order.
+
+    State (ok, last, size): whether the prefix is still a subsequence of the
+    hidden order, the hidden position of its last agent, and its length.
+    With the acted set, `ok` fixes every later value: the prefix holds fewer
+    than c agents, or it is a subsequence exactly while `ok` holds."""
     pos = {agent: k for k, agent in enumerate(inst.hidden_pi)}
 
     def step(state: tuple, agent: int) -> tuple:
-        ok, last = state
-        return ok and pos[agent] > last, pos[agent]
+        ok, last, size = state
+        return ok and pos[agent] > last, pos[agent], size + 1
 
-    return (True, -1), step, itemgetter(0)
+    def read(state: tuple, agent: int) -> int:
+        ok, _, size = state
+        return 1 if size < inst.c or ok else 0
+
+    return Structure((True, -1, 0), step, itemgetter(0), read, 1, True)
 
 
 def random_lower_bound_instance(n: int, c: int, seed: int) -> LowerBoundInstance:

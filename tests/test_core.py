@@ -219,9 +219,11 @@ def test_cached_arborescence_table_still_checks_the_cap():
 
 
 def test_every_oracle_kind_has_a_sequence_structure():
-    """A kind with an oracle but no (start, step, key) would crash posd."""
-    kinds = set(oracle_for.registry) - {object}
-    assert kinds and kinds <= set(structure_for.registry)
+    """`oracle_for` builds every kind's oracle from its `Structure`, so each
+    of the six kinds needs a `structure_for` entry."""
+    kinds = {osm.MatchingInstance, osa.ArborescenceInstance, oss.SatInstance,
+             auxstructs.OsiInstance, auxstructs.PathsInstance, seqopt.LowerBoundInstance}
+    assert kinds <= set(structure_for.registry)
 
 
 class TestMonotonicity:

@@ -8,6 +8,7 @@ import sys
 import threading
 from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
 from math import factorial
 
@@ -25,6 +26,7 @@ from seqdict.core import (
     is_subsequence,
     oracle_for,
     social_welfare,
+    structure_for,
     underlying_optimum,
 )
 
@@ -115,6 +117,11 @@ def paths_value(inst, agent, seq):
     return Fraction(0) if w is None else w
 
 
+def osi_value(inst, agent, seq):
+    nodes = list(seq) + [agent]
+    return Fraction(0 if any(inst.adj[a][b] for a, b in combinations(nodes, 2)) else 1)
+
+
 def lowerbound_value(inst, agent, seq):
     return Fraction(1 if len(seq) < inst.c or is_subsequence(seq, inst.hidden_pi) else 0)
 
@@ -124,6 +131,7 @@ REFERENCE_VALUE = {
     "osa": osa_value,
     "oss": oss_value,
     "paths": paths_value,
+    "osi": osi_value,
     "lowerbound": lowerbound_value,
 }
 
@@ -339,6 +347,25 @@ class TestDrawnInstances:
         assert best_sequence(inst) == brute_force_optimal_sequence(oracle_for(inst))
 
 
+class TestStructureKeys:
+    @drawn
+    @given(st.data())
+    def test_equal_keys_read_and_step_alike(self, data):
+        """Orders of one acted set whose states share a key give every
+        remaining agent the same read and the same key after her step."""
+        _, inst = draw_instance(data, ALL_KINDS)
+        start, step, key, read, *_ = structure_for(inst)
+        acted = data.draw(st.sets(st.integers(0, inst.n - 1), max_size=5), label="acted")
+        rest = [a for a in range(inst.n) if a not in acted]
+        first = {}  # key -> the state of the first order reaching it
+        for order in permutations(sorted(acted)):
+            state = reduce(step, order, start)
+            seen = first.setdefault(key(state), state)
+            for agent in rest:
+                assert read(state, agent) == read(seen, agent), (order, agent)
+                assert key(step(state, agent)) == key(step(seen, agent)), (order, agent)
+
+
 # --- the prefix walk: checks and ledger keys --------------------------------------
 
 WALK_KINDS = ALL_KINDS + ("opaque",)
@@ -378,6 +405,14 @@ class TestPrefixWalkChecks:
         assert value_error(lambda: oracle.value(0, seq)) == message
         assert oracle.ledger.total_calls == 1
         assert oracle.value(0, (1, 2)) == want
+
+    @pytest.mark.parametrize("agent", [1.5, 1.0, Fraction(3, 2), None])
+    def test_non_int_queried_agent(self, kind, agent):
+        oracle = walk_oracle(kind, 4)
+        assert value_error(lambda: oracle.value(agent, (0,))) == f"agent {agent} out of range"
+        assert value_error(lambda: oracle.value_scaled(agent, (0,))) == \
+            f"agent {agent} out of range"
+        assert oracle.ledger.total_calls == 0
 
     def test_bool_agents_are_accepted(self, kind):
         oracle = walk_oracle(kind, 4)
@@ -541,7 +576,7 @@ def draw_scaled_instance(data):
 
 def fraction_copy(oracle):
     """The same valuations behind an opaque oracle: no scale, Fraction sums."""
-    return ValuationOracle(oracle.n, oracle._fn, oracle.monotone_claimed)
+    return ValuationOracle(oracle.n, oracle.fresh().value, oracle.monotone_claimed)
 
 
 def prefix_total(value, order):

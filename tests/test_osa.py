@@ -1,15 +1,15 @@
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations, product
 
 import pytest
 
 from seqdict import osa, suites
 from seqdict.core import (
-    PrefixStates,
     brute_force_optimal_sequence,
     check_monotone_exhaustive,
     social_welfare,
+    structure_for,
     underlying_optimum,
 )
 from seqdict.mechanisms import counterexample_digraph_instance
@@ -258,11 +258,11 @@ class TestNoneTargets:
     def test_context_matches_filtered_best_target(self):
         for n in range(1, 6):
             inst = random_digraph_instance(n, seed=n)
-            states = PrefixStates(inst)
+            start, step, *_ = structure_for(inst)
             collections = set()
             for seq in permutations(range(n)):
                 for k in range(n + 1):
-                    acts = states.after(seq[:k])
+                    acts = reduce(step, seq[:k], start)
                     collections.add(tuple(sorted(acts.items())))
                     # an agent yet to act recorded as drawing nothing
                     for i in set(range(n)) - set(acts):
