@@ -30,7 +30,13 @@ from .core import (
     structure_for,
     underlying_optimum,
 )
-from .osa import check_digraph_row, digraph_rows, has_cycle, random_digraph_weights, reaches
+from .osa import (
+    check_digraph_row,
+    digraph_prefs,
+    digraph_rows,
+    has_cycle,
+    random_digraph_weights,
+)
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,7 @@ def osi_learn_and_solve(oracle: ValuationOracle,
     nbr = [0] * n
     for i in range(n):
         for j in range(n):
-            if i != j and oracle.value(i, (j,)) == 0:
+            if i != j and oracle.value_scaled(i, (j,)) == 0:
                 nbr[i] |= 1 << j
     mask = _mis_from_masks(n, nbr)
     members = [i for i in range(n) if mask >> i & 1]
@@ -165,31 +171,30 @@ class PathsInstance(ScaledWeights):
         return cls(len(weights), digraph_rows(weights))
 
 
-def _best_addable(inst: PathsInstance, agent: int, out: dict, has_in: frozenset):
+def _best_addable(targets: tuple, agent: int, end: tuple) -> Optional[int]:
     """Target j of the heaviest edge agent->j keeping a union of paths, or
     None if there is none; ties pick the smallest j.
 
-    Addable means: j has no incoming edge yet and j's path does not already
-    lead back to the agent (which would close a cycle).
+    Addable means: no edge enters j yet (end[j] is None) and the walk from
+    j does not end at the agent, which has not acted and so ends her own
+    path (that edge would close a cycle).
     """
-    best = None
-    best_w = None
-    row = inst.scaled[1][agent]
-    for j in range(inst.n):
-        if j == agent or j in has_in or reaches(out, j, agent):
-            continue
-        w = row[j]
-        if best_w is None or w > best_w:
-            best, best_w = j, w
-    return best
+    for j in targets[agent]:
+        e = end[j]
+        if e is not None and e != agent:
+            return j
+    return None
 
 
-def _step(inst: PathsInstance, state: tuple, agent: int) -> tuple:
-    out, has_in = state
-    target = _best_addable(inst, agent, out, has_in)
+def _step(targets: tuple, state: tuple, agent: int) -> tuple:
+    out, end = state
+    target = _best_addable(targets, agent, end)
     if target is None:
         return state
-    return {**out, agent: target}, has_in | {target}
+    tail = end[target]
+    end = [tail if e == agent else e for e in end]
+    end[target] = None
+    return {**out, agent: target}, tuple(end)
 
 
 @structure_for.register
@@ -201,17 +206,20 @@ def _(inst: PathsInstance) -> Structure:
     an agent's target node (in-degree competition), rerouting that agent's
     edge and thereby unblocking an edge that the shorter prefix forbade.
     They are monotone for n <= 3, where no such rerouting is possible.
-    Later draws depend only on the drawn edges: each agent's target, None
-    where the agent drew no edge or has not acted.
+
+    The state is (out, end): the drawn edges, and for each node j, None if
+    an edge enters j, else the last node of the walk from j.  An edge i->j
+    is addable iff end[j] is neither None nor i, so `end` is the key.
     """
     scale, rows = inst.scaled
+    targets = digraph_prefs(rows)
 
     def read(state: tuple, agent: int) -> int:
-        target = _best_addable(inst, agent, *state)
+        target = _best_addable(targets, agent, state[1])
         return 0 if target is None else rows[agent][target]
 
-    return Structure(({}, frozenset()), partial(_step, inst),
-                     lambda state: tuple(map(state[0].get, range(inst.n))), read, scale, False)
+    return Structure(({}, tuple(range(inst.n))), partial(_step, targets),
+                     lambda state: state[1], read, scale, False)
 
 
 def paths_edges_from_sequence(inst: PathsInstance, seq) -> dict:
@@ -270,38 +278,28 @@ def max_disjoint_paths_weight(inst: PathsInstance,
 
     Dynamic program over (used-node set, open-path endpoint): either extend
     the open path with a fresh node or close it and start a new path.  Every
-    disjoint-path union is built exactly this way, path by path.
+    disjoint-path union is built exactly this way, path by path.  Weights
+    are added as ints over the instance's common denominator, and -1 marks
+    an endpoint outside the set.  Starting a new path adds nothing, so the
+    best union over the full set is the best over any set.
     """
     n = inst.n
     (caps or DEFAULT_CAPS).check_subset(n)
-    size = 1 << n
-    open_best = [[None] * n for _ in range(size)]
-    best = Fraction(0)
-    closed = [None] * size
-    closed[0] = Fraction(0)
-    for mask in range(size):
-        c = closed[mask]
-        for last in range(n):
-            v = open_best[mask][last]
-            if v is not None and (c is None or v > c):
-                c = v
-        if c is None:
-            continue
-        closed[mask] = c
-        if c > best:
-            best = c
+    scale, weights = inst.scaled
+    open_best = [[-1] * n for _ in range(1 << n)]
+    for mask in range(1 << n):
+        ends = open_best[mask]
+        closed = max(ends) if mask else 0
+        open_paths = [(weights[last], v) for last, v in enumerate(ends) if v >= 0]
         for j in range(n):
             if mask >> j & 1:
                 continue
-            nm = mask | 1 << j
-            row = open_best[nm]
-            if row[j] is None or c > row[j]:
-                row[j] = c  # close everything, start a new path at j
-            for last in range(n):
-                v = open_best[mask][last]
-                if v is None:
-                    continue
-                cand = v + inst.weights[last][j]
-                if row[j] is None or cand > row[j]:
-                    row[j] = cand
-    return best
+            cand = closed  # close everything, start a new path at j
+            for row, v in open_paths:
+                v += row[j]
+                if v > cand:
+                    cand = v
+            grown = open_best[mask | 1 << j]
+            if cand > grown[j]:
+                grown[j] = cand
+    return Fraction(max(open_best[-1]), scale)

@@ -450,6 +450,7 @@ def best_sequence(instance, caps: Optional[Caps] = None) -> tuple[ActionSeq, Val
         return best
 
     seq, welfare = completion((), 0, start)
+    completion = None  # it refers to itself: free the memo now, not at the next gc cycle
     return seq, Fraction(welfare, oracle.scale or 1)
 
 

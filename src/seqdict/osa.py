@@ -42,6 +42,14 @@ def digraph_rows(weights: Sequence[Sequence]) -> tuple:
     )
 
 
+def digraph_prefs(rows: Sequence[Sequence]) -> tuple:
+    """Each node's n-1 edge targets, heaviest first; equal weights put the
+    lower target first."""
+    n = len(rows)
+    return tuple(tuple(sorted((j for j in range(n) if j != i), key=lambda j: (-rows[i][j], j)))
+                 for i in range(n))
+
+
 def check_digraph_row(row, i: int, n: int) -> None:
     """Row i of a digraph weight matrix: None at i, non-negative rationals elsewhere."""
     if len(row) != n or row[i] is not None:
@@ -78,14 +86,8 @@ class ArborescenceInstance(ScaledWeights):
     @classmethod
     def from_weights(cls, weights: Sequence[Sequence]) -> "ArborescenceInstance":
         """Derive preferences; equal weights rank the lower target first."""
-        n = len(weights)
         rows = digraph_rows(weights)
-        prefs = tuple(
-            tuple(sorted((j for j in range(n) if j != i),
-                         key=lambda j: (-rows[i][j], j)))
-            for i in range(n)
-        )
-        return cls(n, rows, prefs)
+        return cls(len(rows), rows, digraph_prefs(rows))
 
 
 def reaches(out: dict, start: int, goal: int) -> bool:
@@ -155,14 +157,14 @@ def greedy_osa(oracle: ValuationOracle) -> ActionSeq:
     prefix: list = []
     reserve: list = []
     for i in range(n):
-        v_now = oracle.value(i, tuple(prefix))
-        v_top = oracle.value(i, ())
+        v_now = oracle.value_scaled(i, tuple(prefix))
+        v_top = oracle.value_scaled(i, ())
         if v_now == v_top:
             prefix.append(i)
             continue
         cycle = [i] + [j for j in prefix
-                       if oracle.value(i, tuple(x for x in prefix if x != j)) == v_top]
-        loser = min(cycle, key=lambda t: (oracle.value(t, ()), t))
+                       if oracle.value_scaled(i, tuple(x for x in prefix if x != j)) == v_top]
+        loser = min(cycle, key=lambda t: (oracle.value_scaled(t, ()), t))
         prefix.append(i)
         prefix.remove(loser)
         reserve.append(loser)
@@ -269,23 +271,23 @@ def random_digraph_instance(n: int, seed: int,
 def _(inst: ArborescenceInstance, caps: Optional[Caps] = None) -> Value:
     """Max-weight arborescence by a dynamic program over node sets.
 
-    best[mask] is the heaviest in-tree spanning the nodes in mask.  A tree on
-    two or more nodes has a node no edge enters, and removing it leaves a
-    tree, so every tree grows one node at a time, each new node drawing its
-    heaviest edge into the set.  O(n^2 * 2^n).
+    best[mask] is the heaviest in-tree spanning the nodes in mask, as an int
+    over the instance's common denominator.  A tree on two or more nodes has
+    a node no edge enters, and removing it leaves a tree, so every tree
+    grows one node at a time, each new node drawing its heaviest edge into
+    the set.  O(n^2 * 2^n).
     """
     n = inst.n
     (caps or DEFAULT_CAPS).check_subset(n)
-    best = [None] * (1 << n)
-    for v in range(n):
-        best[1 << v] = Fraction(0)
+    scale, weights = inst.scaled
+    best = [0] * (1 << n)  # weights are non-negative and every mask is filled
     for mask in range(1, (1 << n) - 1):  # every submask of a mask comes first
         members = [u for u in range(n) if mask >> u & 1]
+        base = best[mask]
         for v in range(n):
             if not mask >> v & 1:
-                row = inst.weights[v]
-                cand = best[mask] + max(row[u] for u in members)
+                cand = base + max(map(weights[v].__getitem__, members))
                 grown = mask | 1 << v
-                if best[grown] is None or cand > best[grown]:
+                if cand > best[grown]:
                     best[grown] = cand
-    return best[-1]
+    return Fraction(best[-1], scale)

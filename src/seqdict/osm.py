@@ -104,7 +104,7 @@ def greedy_osm(oracle: ValuationOracle) -> ActionSeq:
         best_agent = None
         best_val = None
         for i in remaining:
-            v = oracle.value(i, tuple(order))
+            v = oracle.value_scaled(i, tuple(order))
             if best_val is None or v > best_val:
                 best_agent, best_val = i, v
         order.append(best_agent)
@@ -152,18 +152,20 @@ def _(inst: MatchingInstance, caps: Optional[Caps] = None) -> Value:
     """Max-weight perfect matching by a dynamic program over taken items.
 
     best[mask] is the heaviest assignment of agents 0..|mask|-1 to the items
-    in mask; the next agent then takes any free item.  O(n * 2^n).
+    in mask, as an int over the instance's common denominator; the next
+    agent then takes any free item.  O(n * 2^n).
     """
     n = inst.n
     (caps or DEFAULT_CAPS).check_subset(n)
-    best = [None] * (1 << n)
-    best[0] = Fraction(0)
+    scale, weights = inst.scaled
+    best = [0] * (1 << n)  # weights are non-negative and every mask is filled
     for mask in range((1 << n) - 1):  # every submask of a mask comes first
-        row = inst.weights[bin(mask).count("1")]
+        row = weights[bin(mask).count("1")]
+        base = best[mask]
         for j in range(n):
             if not mask >> j & 1:
-                cand = best[mask] + row[j]
+                cand = base + row[j]
                 grown = mask | 1 << j
-                if best[grown] is None or cand > best[grown]:
+                if cand > best[grown]:
                     best[grown] = cand
-    return best[-1]
+    return Fraction(best[-1], scale)

@@ -3,13 +3,14 @@ prefix-state oracles and the subset-DP optima, each checked against a plain
 reference: the n! sequence loop, the prefix-tree search, from-scratch
 simulations of every domain, and enumeration of the optima."""
 
+import gc
 import random
 import sys
 import threading
 from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -238,6 +239,10 @@ class TestMemoSearchMatchesTreeSearch:
                      auxstructs.nonmonotone_paths_instance()):
             self.check(inst, search_oracles)
 
+    def test_paths_at_eight_agents(self, search_oracles):
+        # weight denominator 1: many ties, so many orders share a key
+        self.check(make_instance("paths", 8, 8012, 1), search_oracles)
+
     @pytest.mark.parametrize("name", sorted(NAMED_INSTANCES))
     def test_named_instances(self, name, search_oracles):
         # the CLI's defaults; x3c's "no" variant has 9 agents, where the tree
@@ -253,6 +258,31 @@ class TestMemoSearchMatchesTreeSearch:
         assert str(memo.value) == str(tree.value) == \
             "enumeration cap exceeded: n=5 > factorial cap 4"
         assert search_oracles[-1].ledger.total_calls == 0
+
+
+class TestPathsKeyQueries:
+    @pytest.mark.parametrize("seed, queries", [(0, 4627), (1, 3655), (2, 4675)])
+    def test_search_queries_at_eight_agents(self, seed, queries, search_oracles):
+        """The paths key (None where an edge enters a node, else the end of
+        its walk) merges orders the drawn edges tell apart: keyed on the
+        edges, the same searches make 9,760, 5,629 and 9,571 queries."""
+        best_sequence(auxstructs.random_paths_instance(8, seed, 1))
+        assert search_oracles[-1].ledger.total_calls == queries
+
+
+class TestSearchFreesItsMemo:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_no_garbage_cycles_left(self, kind):
+        """The search's memo is freed when it returns, not left in a
+        reference cycle for the garbage collector to find."""
+        inst = make_instance(kind, 6, 1)
+        gc.collect()
+        gc.disable()
+        try:
+            best_sequence(inst)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 # --- prefix-state oracles ------------------------------------------------------------
@@ -486,6 +516,34 @@ def arborescence_by_enumeration(inst):
                for p in osa.all_arborescences(inst.n))
 
 
+def path_unions(n):
+    """Every union of vertex-disjoint paths on n nodes, as an out-edge map."""
+    for choice in product(*[[None] + [j for j in range(n) if j != i] for i in range(n)]):
+        out = {i: j for i, j in enumerate(choice) if j is not None}
+        if (len(set(out.values())) == len(out)
+                and not any(_walks_to(out, j, i) for i, j in out.items())):
+            yield out
+
+
+def paths_by_enumeration(inst):
+    return max(sum((inst.weights[i][j] for i, j in out.items()), Fraction(0))
+               for out in path_unions(inst.n))
+
+
+#: kind -> (brute-force optimum adding Fractions, the largest n it runs at)
+OPTIMUM_REFERENCES = {
+    "osm": (matching_by_enumeration, 6),
+    "osa": (arborescence_by_enumeration, 5),
+    "paths": (paths_by_enumeration, 5),
+}
+
+FROM_WEIGHTS = {
+    "osm": osm.MatchingInstance.from_weights,
+    "osa": osa.ArborescenceInstance.from_weights,
+    "paths": auxstructs.PathsInstance.from_weights,
+}
+
+
 def max_sat_by_fraction_sums(inst):
     """The best satisfied weight over all 2^n assignments, adding Fractions."""
     def satisfied(bits):
@@ -529,6 +587,32 @@ class TestSubsetOptima:
         inst = mixed_instance("oss", weights)
         assert underlying_optimum(inst) == max_sat_by_fraction_sums(inst)
 
+    @pytest.mark.parametrize("kind", sorted(OPTIMUM_REFERENCES))
+    def test_thirds_and_sevenths(self, kind):
+        """The DPs add ints over the common denominator (a divisor of 21
+        here) and return the Fraction the enumeration adds up."""
+        reference, top = OPTIMUM_REFERENCES[kind]
+        for n in range(1, top + 1):
+            for seed in range(3):
+                rng = random.Random(43 * n + seed)
+                rows = [[Fraction(rng.randint(0, 6), rng.choice((3, 7))) for _ in range(n)]
+                        for _ in range(n)]
+                inst = FROM_WEIGHTS[kind](rows)
+                got = underlying_optimum(inst)
+                assert type(got) is Fraction and got == reference(inst), (kind, n, seed)
+
+    @drawn
+    @given(st.data())
+    def test_optima_equal_enumeration_on_loaded_files(self, data):
+        kind = data.draw(st.sampled_from(sorted(OPTIMUM_REFERENCES)), label="kind")
+        reference, top = OPTIMUM_REFERENCES[kind]
+        n = data.draw(st.integers(1, top), label="n")
+        weights = data.draw(st.lists(st.sampled_from(MIXED_POOL), min_size=n * n,
+                                     max_size=n * n), label="weights")
+        inst = mixed_instance(kind, weights)
+        got = underlying_optimum(inst)
+        assert type(got) is Fraction and got == reference(inst)
+
     @pytest.mark.parametrize("make", (osm.random_matching_instance,
                                       osa.random_digraph_instance))
     def test_subset_cap(self, make):
@@ -546,12 +630,8 @@ def mixed_instance(kind, weights):
     through the file loader."""
     n = int(len(weights) ** 0.5)
     rows = [[weights[n * i + j] for j in range(n)] for i in range(n)]
-    if kind == "osm":
-        inst = osm.MatchingInstance.from_weights(rows)
-    elif kind == "osa":
-        inst = osa.ArborescenceInstance.from_weights(rows)
-    elif kind == "paths":
-        inst = auxstructs.PathsInstance.from_weights(rows)
+    if kind in FROM_WEIGHTS:
+        inst = FROM_WEIGHTS[kind](rows)
     else:
         inst = oss.sat_instance(n, [([i + 1, -(j + 1)] if i != j else [i + 1], rows[i][j])
                                     for i in range(n) for j in range(n)])
