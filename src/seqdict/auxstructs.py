@@ -24,16 +24,18 @@ from .core import (
     Structure,
     Value,
     ValuationOracle,
-    final_state,
+    actions,
     oracle_for as osi_oracle,
     oracle_for as paths_oracle,
     structure_for,
     underlying_optimum,
 )
 from .osa import (
+    best_addable,
     check_digraph_row,
     digraph_prefs,
     digraph_rows,
+    draw,
     has_cycle,
     random_digraph_weights,
 )
@@ -78,8 +80,8 @@ def _(inst: OsiInstance) -> Structure:
     """v_i(S) = 1 iff the nodes of S plus i form an independent set.
 
     The state is the neighbours of the acted set as a bitmask, with every
-    bit set once the acted set stops being independent.  Values depend only
-    on the set of agents that acted, so the key is None.
+    bit set once the acted set stops being independent, so it depends only
+    on the set of agents that acted.  An agent's act is her value.
     """
     nbr = _neighbour_masks(inst)
     dependent = (1 << inst.n) - 1
@@ -90,7 +92,7 @@ def _(inst: OsiInstance) -> Structure:
     def read(mask: int, agent: int) -> int:
         return 0 if mask >> agent & 1 else 1
 
-    return Structure(0, step, lambda mask: None, read, 1, True)
+    return Structure(0, step, read, read, 1, True)
 
 
 def _mis_from_masks(n: int, nbr: list) -> int:
@@ -171,32 +173,6 @@ class PathsInstance(ScaledWeights):
         return cls(len(weights), digraph_rows(weights))
 
 
-def _best_addable(targets: tuple, agent: int, end: tuple) -> Optional[int]:
-    """Target j of the heaviest edge agent->j keeping a union of paths, or
-    None if there is none; ties pick the smallest j.
-
-    Addable means: no edge enters j yet (end[j] is None) and the walk from
-    j does not end at the agent, which has not acted and so ends her own
-    path (that edge would close a cycle).
-    """
-    for j in targets[agent]:
-        e = end[j]
-        if e is not None and e != agent:
-            return j
-    return None
-
-
-def _step(targets: tuple, state: tuple, agent: int) -> tuple:
-    out, end = state
-    target = _best_addable(targets, agent, end)
-    if target is None:
-        return state
-    tail = end[target]
-    end = [tail if e == agent else e for e in end]
-    end[target] = None
-    return {**out, agent: target}, tuple(end)
-
-
 @structure_for.register
 def _(inst: PathsInstance) -> Structure:
     """v_i(S) = weight of i's heaviest still-addable edge after simulating S.
@@ -207,24 +183,23 @@ def _(inst: PathsInstance) -> Structure:
     edge and thereby unblocking an edge that the shorter prefix forbade.
     They are monotone for n <= 3, where no such rerouting is possible.
 
-    The state is (out, end): the drawn edges, and for each node j, None if
-    an edge enters j, else the last node of the walk from j.  An edge i->j
-    is addable iff end[j] is neither None nor i, so `end` is the key.
+    The state is the walk ends of `osa.draw`, with end[j] None once an edge
+    enters j: an edge i->j is addable iff end[j] is neither None nor i.
     """
     scale, rows = inst.scaled
     targets = digraph_prefs(rows)
 
-    def read(state: tuple, agent: int) -> int:
-        target = _best_addable(targets, agent, state[1])
+    def read(end: tuple, agent: int) -> int:
+        target = best_addable(targets, end, agent)
         return 0 if target is None else rows[agent][target]
 
-    return Structure(({}, tuple(range(inst.n))), partial(_step, targets),
-                     lambda state: state[1], read, scale, False)
+    return Structure(tuple(range(inst.n)), partial(draw, targets, True),
+                     partial(best_addable, targets), read, scale, False)
 
 
 def paths_edges_from_sequence(inst: PathsInstance, seq) -> dict:
     """Out-edge map drawn by a full sequence (used for structural checks)."""
-    return final_state(inst, seq)[0]
+    return {i: j for i, j in enumerate(actions(inst, seq)) if j is not None}
 
 
 def check_path_union(out: dict, n: int) -> None:

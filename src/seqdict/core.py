@@ -15,7 +15,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce, singledispatch
+from functools import cached_property, singledispatch
 from itertools import chain, permutations
 from operator import is_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -372,7 +372,7 @@ class Structure(NamedTuple):
 
     start: object
     step: Callable
-    key: Callable
+    act: Callable
     read: Callable
     scale: int
     monotone_claimed: bool
@@ -384,11 +384,12 @@ def structure_for(instance) -> Structure:
 
     `start` is the structure's state before anyone acts and `step(state,
     agent)` the new state after `agent` acts, neither changing the state it
-    is given.  `key(state)` is the part of a state that, with the set of
-    agents that acted, fixes every later agent's value and every later step.
-    `read(state, agent)` is the value of an agent acting in `state` as an int
-    over `scale`, a positive common denominator of every value, and
-    `monotone_claimed` says whether the kind promises monotone valuations.
+    is given.  A state is hashable and holds only what, with the set of
+    agents that acted, fixes every later value and step, so it is its own
+    memo key.  `act(state, agent)` is what the agent does in `state` and
+    `read(state, agent)` her value there as an int over `scale`, a positive
+    common denominator of every value; `monotone_claimed` says whether the
+    kind promises monotone valuations.
     """
     raise TypeError(f"no sequence structure registered for {type(instance).__name__}")
 
@@ -403,19 +404,24 @@ def oracle_for(instance) -> ValuationOracle:
     return oracle
 
 
-def final_state(instance, seq: Sequence[int]):
-    """The structure state a full sequence leaves: its `structure_for` fold."""
+def actions(instance, seq: Sequence[int]) -> tuple:
+    """What each agent does when a full sequence plays out, indexed by
+    agent: the `act` of each agent at the state her prefix leaves."""
     seq = tuple(seq)
     check_action_seq(seq, instance.n, full=True)
-    start, step, *_ = structure_for(instance)
-    return reduce(step, seq, start)
+    state, step, act, *_ = structure_for(instance)
+    done = [None] * instance.n
+    for agent in seq:
+        done[agent] = act(state, agent)
+        state = step(state, agent)
+    return tuple(done)
 
 
 def best_sequence(instance, caps: Optional[Caps] = None) -> tuple[ActionSeq, Value]:
     """The (sequence, welfare) of `brute_force_optimal_sequence` on the
     instance's oracle, by a prefix-tree search that memoises completions.
 
-    Two prefixes over the same acted set whose states share a key have the
+    Two prefixes over the same acted set that reach equal states have the
     same best completion, so the search expands the first of them and reuses
     its result for the rest.  Each expanded prefix reads every next agent's
     value through one counted query on a fresh `oracle_for(instance)`, so no
@@ -429,13 +435,13 @@ def best_sequence(instance, caps: Optional[Caps] = None) -> tuple[ActionSeq, Val
     oracle = oracle_for(instance)
     n = oracle.n
     (caps or DEFAULT_CAPS).check_sequences(n)
-    start, step, key, *_ = structure_for(instance)
-    memo: dict = {}  # (acted set as a bitmask, key) -> (completion, its welfare)
+    start, step, *_ = structure_for(instance)
+    memo: dict = {}  # (acted set as a bitmask, state) -> (completion, its welfare)
 
     def completion(prefix: ActionSeq, acted: int, state) -> tuple[ActionSeq, int]:
         if len(prefix) == n:
             return (), 0
-        at = (acted, key(state))
+        at = (acted, state)
         best = memo.get(at)
         if best is None:
             for agent in range(n):

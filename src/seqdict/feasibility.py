@@ -1,25 +1,29 @@
 """Decide whether a full collection of actions can be produced by some
-action sequence, given each agent's action as a function of what was taken
-before her.
+action sequence of a structured instance, each agent doing her `act` in the
+state her prefix leaves.
 
-A collection of actions maps each agent to an action token (a tuple or dict
+A collection of actions maps each agent to an action token (a tuple
 indexed by agent); the token type is opaque to this module.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
+
+from .core import structure_for
 
 
-def producing_sequence(n: int, start, step: Callable, act: Callable, target,
-                       *, commit_first: bool) -> Optional[tuple]:
+def producing_sequence(instance, target, *, commit_first: bool) -> Optional[tuple]:
     """The lexicographically smallest sequence producing `target`, or None.
 
-    Agent i may go next when act(i, state) == target[i]; the state becomes
-    step(state, i).  Choices are final, so acted sets (bitmasks) that lead
-    nowhere are remembered and skipped.  `commit_first` stops at the first
-    dead end, exact when committing never hurts (downward-closed constraints).
+    Agent i may go next when act(state, i) == target[i] in the instance's
+    `Structure`; the state becomes step(state, i).  Choices are final, so
+    acted sets (bitmasks) that lead nowhere are remembered and skipped.
+    `commit_first` stops at the first dead end, exact when committing never
+    hurts (downward-closed constraints).
     """
+    n = instance.n
+    start, step, act, *_ = structure_for(instance)
     full = (1 << n) - 1
     dead: set = set()
     path = [[0, start, 0]]  # per depth: acted set, state, next agent to try
@@ -28,7 +32,7 @@ def producing_sequence(n: int, start, step: Callable, act: Callable, target,
         if acted == full:
             return tuple(frame[2] - 1 for frame in path[:-1])
         while i < n and (acted >> i & 1 or (acted | 1 << i) in dead
-                         or act(i, state) != target[i]):
+                         or act(state, i) != target[i]):
             i += 1
         if i == n:
             if commit_first:
@@ -41,19 +45,18 @@ def producing_sequence(n: int, start, step: Callable, act: Callable, target,
     return None
 
 
-def sequence_for_collection(n: int, act: Callable, target) -> Optional[tuple]:
+def sequence_for_collection(instance, target) -> Optional[tuple]:
     """A sequence producing `target`, or None when no such sequence exists.
 
-    act(i, acts) is agent i's best response to the collection `acts` taken
-    so far, under a downward-closed constraint (every sub-collection of a
-    feasible collection is feasible).  Committing greedily is then exact:
-    once agent i's best response is target[i], it stays so while the others
-    take their target actions, since her options only shrink and target[i]
-    stays among them.  So the first dead end is final.  The caller checks
-    that `target` is a full feasible collection.
+    Each agent's act is her best response to what was taken before her,
+    under a downward-closed constraint (every sub-collection of a feasible
+    collection is feasible).  Committing greedily is then exact: once agent
+    i's best response is target[i], it stays so while the others take their
+    target actions, since her options only shrink and target[i] stays among
+    them.  So the first dead end is final.  The caller checks that `target`
+    is a full feasible collection.
     """
-    return producing_sequence(n, {}, lambda acts, i: {**acts, i: target[i]},
-                              act, target, commit_first=True)
+    return producing_sequence(instance, target, commit_first=True)
 
 
 def ranks(inst, collection) -> tuple:

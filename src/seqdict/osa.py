@@ -25,7 +25,7 @@ from .core import (
     Structure,
     Value,
     ValuationOracle,
-    final_state,
+    actions,
     oracle_for as osa_oracle,
     structure_for,
     underlying_optimum,
@@ -107,22 +107,38 @@ def reaches(out: dict, start: int, goal: int) -> bool:
     return node == goal
 
 
-def _best_target(inst: ArborescenceInstance, agent: int, out: dict) -> Optional[int]:
-    """Best-ranked target whose edge closes no cycle with `out`; None if all do."""
-    for j in inst.prefs[agent]:
-        if not reaches(out, j, agent):
-            return j
-    return None
-
-
 def has_cycle(out: dict) -> bool:
     """True iff the out-edges close a directed cycle; None targets draw no edge."""
     return any(reaches(out, j, i) for i, j in out.items())
 
 
-def _step(inst: ArborescenceInstance, acts: dict, agent: int) -> dict:
-    """The action collection after `agent` draws her best edge (None if none)."""
-    return {**acts, agent: _best_target(inst, agent, acts)}
+def best_addable(targets: tuple, end: tuple, agent: int) -> Optional[int]:
+    """The agent's first target j in `targets[agent]` (her preference order)
+    whose edge agent->j may be drawn, or None if there is none.
+
+    end[j] is the last node of the walk from j along the drawn edges, or
+    None once j may take no further incoming edge.  The agent has not acted,
+    so she ends her own path: agent->j closes a cycle exactly when end[j]
+    is the agent.
+    """
+    for j in targets[agent]:
+        e = end[j]
+        if e is not None and e != agent:
+            return j
+    return None
+
+
+def draw(targets: tuple, in_degree_one: bool, end: tuple, agent: int) -> tuple:
+    """The walk ends after the agent draws her `best_addable` edge (none if
+    there is none); with `in_degree_one`, its target takes no further edge."""
+    target = best_addable(targets, end, agent)
+    if target is None:
+        return end
+    tail = end[target]
+    end = [tail if e == agent else e for e in end]
+    if in_degree_one:
+        end[target] = None
+    return tuple(end)
 
 
 @structure_for.register
@@ -130,18 +146,19 @@ def _(inst: ArborescenceInstance) -> Structure:
     """v_i(S) = weight of i's best non-forbidden edge after simulating S.
 
     An edge i->j is forbidden when j already reaches i through drawn edges;
-    if every edge is forbidden the value is 0.  Later draws depend on the
-    whole action collection: each agent's target, None where the agent drew
-    no edge or has not acted.
+    if every edge is forbidden the value is 0.  The state is the walk ends
+    of `draw`: the end of the walk from each node, which an agent's draw
+    passes on to every node whose walk ended at her.
     """
     scale, rows = inst.scaled
+    targets = inst.prefs
 
-    def read(acts: dict, agent: int) -> int:
-        target = _best_target(inst, agent, acts)
+    def read(end: tuple, agent: int) -> int:
+        target = best_addable(targets, end, agent)
         return 0 if target is None else rows[agent][target]
 
-    return Structure({}, partial(_step, inst), lambda acts: tuple(map(acts.get, range(inst.n))),
-                     read, scale, True)
+    return Structure(tuple(range(inst.n)), partial(draw, targets, False),
+                     partial(best_addable, targets), read, scale, True)
 
 
 def greedy_osa(oracle: ValuationOracle) -> ActionSeq:
@@ -183,7 +200,7 @@ def bit(n: int, coin: bool) -> ActionSeq:
 
 def arborescence_from_sequence(inst: ArborescenceInstance, seq) -> tuple:
     """Arborescence produced by a full sequence: parent[i] = target or None."""
-    return tuple(map(final_state(inst, seq).get, range(inst.n)))
+    return actions(inst, seq)
 
 
 def check_arborescence(parent, n: int) -> None:
@@ -249,7 +266,7 @@ def sequence_for_arborescence(inst: ArborescenceInstance,
                               parent) -> Optional[tuple]:
     """A sequence producing the arborescence, or None when none exists."""
     check_arborescence(parent, inst.n)
-    return sequence_for_collection(inst.n, partial(_best_target, inst), tuple(parent))
+    return sequence_for_collection(inst, tuple(parent))
 
 
 def random_digraph_weights(n: int, seed: int, weight_denominator: int = 100) -> list:

@@ -23,7 +23,7 @@ from .core import (
     Structure,
     Value,
     ValuationOracle,
-    final_state,
+    actions,
     oracle_for as osm_oracle,
     structure_for,
     underlying_optimum,
@@ -66,29 +66,26 @@ class MatchingInstance(ScaledWeights):
         return cls(n, rows, prefs)
 
 
-def _pick(inst: MatchingInstance, agent: int, taken) -> int:
-    """The agent's best-ranked item not held in `taken` ({agent: item})."""
-    gone = taken.values()
+def _pick(inst: MatchingInstance, taken: int, agent: int) -> int:
+    """The agent's best-ranked item not in `taken` (a bitmask of items)."""
     for j in inst.prefs[agent]:
-        if j not in gone:
+        if not taken >> j & 1:
             return j
-
-
-def _step(inst: MatchingInstance, taken: dict, agent: int) -> dict:
-    return {**taken, agent: _pick(inst, agent, taken)}
 
 
 @structure_for.register
 def _(inst: MatchingInstance) -> Structure:
     """v_i(S) = weight of i's best-ranked item left after S picked theirs.
-    Later picks depend only on which items are taken."""
+    The state is the taken items, as a bitmask."""
     scale, rows = inst.scaled
 
-    def read(taken: dict, agent: int) -> int:
-        return rows[agent][_pick(inst, agent, taken)]
+    def step(taken: int, agent: int) -> int:
+        return taken | 1 << _pick(inst, taken, agent)
 
-    return Structure({}, partial(_step, inst), lambda taken: frozenset(taken.values()),
-                     read, scale, True)
+    def read(taken: int, agent: int) -> int:
+        return rows[agent][_pick(inst, taken, agent)]
+
+    return Structure(0, step, partial(_pick, inst), read, scale, True)
 
 
 def greedy_osm(oracle: ValuationOracle) -> ActionSeq:
@@ -114,7 +111,7 @@ def greedy_osm(oracle: ValuationOracle) -> ActionSeq:
 
 def matching_from_sequence(inst: MatchingInstance, seq) -> tuple:
     """Perfect matching produced by a full sequence: assignment[i] = item."""
-    return tuple(map(final_state(inst, seq).get, range(inst.n)))
+    return actions(inst, seq)
 
 
 def check_perfect_matching(assignment, n: int) -> None:
@@ -135,7 +132,7 @@ def is_pareto_optimal_matching(inst: MatchingInstance, matching,
 def sequence_for_matching(inst: MatchingInstance, matching) -> Optional[tuple]:
     """A sequence producing the matching, or None when none exists."""
     check_perfect_matching(matching, inst.n)
-    return sequence_for_collection(inst.n, partial(_pick, inst), tuple(matching))
+    return sequence_for_collection(inst, tuple(matching))
 
 
 def random_matching_instance(n: int, seed: int,

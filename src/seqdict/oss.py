@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -21,10 +20,10 @@ from .core import (
     DEFAULT_CAPS,
     Structure,
     Value,
+    actions,
     common_denominator,
     decode_rational,
     encode_rational,
-    final_state,
     oracle_for as oss_oracle,
     structure_for,
     underlying_optimum,
@@ -98,35 +97,32 @@ def _tally(inst: SatInstance, agent: int, unsat) -> tuple[int, int]:
     return pos, neg
 
 
-def _choice(inst: SatInstance, agent: int, state: tuple) -> bool:
-    """The value the agent sets x_agent to in `state`, given its open clauses."""
-    pos, neg = _tally(inst, agent, state[1])
+def _choice(inst: SatInstance, unsat: frozenset, agent: int) -> bool:
+    """The value the agent sets x_agent to, given the open clauses `unsat`."""
+    pos, neg = _tally(inst, agent, unsat)
     return pos > neg or (pos == neg and inst.tie_default[agent])
 
 
-def _step(inst: SatInstance, state: tuple, agent: int) -> tuple:
-    assign, unsat = state
-    value = _choice(inst, agent, state)
-    hit = (agent + 1) if value else -(agent + 1)
-    return ({**assign, agent: value},
-            frozenset(idx for idx in unsat if hit not in inst.clauses[idx][0]))
+def _step(inst: SatInstance, unsat: frozenset, agent: int) -> frozenset:
+    hit = (agent + 1) if _choice(inst, unsat, agent) else -(agent + 1)
+    return frozenset(idx for idx in unsat if hit not in inst.clauses[idx][0])
 
 
 @structure_for.register
 def _(inst: SatInstance) -> Structure:
     """v_i(S) = larger of the unsatisfied weights on x_i's two sides after S.
-    Later choices depend only on the clauses still open."""
+    The state is the set of clauses still open, which fixes later choices."""
 
-    def read(state: tuple, agent: int) -> int:
-        return max(_tally(inst, agent, state[1]))
+    def read(unsat: frozenset, agent: int) -> int:
+        return max(_tally(inst, agent, unsat))
 
-    return Structure(({}, frozenset(range(len(inst.clauses)))), partial(_step, inst),
-                     itemgetter(1), read, inst.scale, False)
+    return Structure(frozenset(range(len(inst.clauses))), partial(_step, inst),
+                     partial(_choice, inst), read, inst.scale, False)
 
 
 def assignment_from_sequence(inst: SatInstance, seq) -> tuple:
     """The Boolean assignment produced by simulating a full sequence."""
-    return tuple(map(final_state(inst, seq)[0].get, range(inst.n)))
+    return actions(inst, seq)
 
 
 def sat_as_decide(inst: SatInstance, target,
@@ -141,9 +137,7 @@ def sat_as_decide(inst: SatInstance, target,
     target = tuple(bool(b) for b in target)
     if len(target) != n:
         raise ValueError("target assignment has wrong length")
-    start, step, *_ = structure_for(inst)
-    return producing_sequence(n, start, step, partial(_choice, inst), target,
-                              commit_first=False)
+    return producing_sequence(inst, target, commit_first=False)
 
 
 def x3c_reduce(universe_size: int, sets: Sequence) -> SatInstance:

@@ -11,7 +11,6 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import factorial, perm
-from operator import itemgetter
 from typing import Callable, Optional
 
 from .core import (
@@ -143,20 +142,23 @@ def _(inst: LowerBoundInstance) -> Structure:
     """v_i(S) = 1 iff |S| < c or S is a subsequence of the hidden order.
 
     State (ok, last, size): whether the prefix is still a subsequence of the
-    hidden order, the hidden position of its last agent, and its length.
-    With the acted set, `ok` fixes every later value: the prefix holds fewer
-    than c agents, or it is a subsequence exactly while `ok` holds."""
+    hidden order, the hidden position of its last agent while it is (None
+    once it is not), and its length.  With the acted set, `ok` fixes the
+    state, since a subsequence of the hidden order ends at its agent that
+    comes last there.  An agent's act is her value."""
     pos = {agent: k for k, agent in enumerate(inst.hidden_pi)}
 
     def step(state: tuple, agent: int) -> tuple:
         ok, last, size = state
-        return ok and pos[agent] > last, pos[agent], size + 1
+        if ok and pos[agent] > last:
+            return True, pos[agent], size + 1
+        return False, None, size + 1
 
     def read(state: tuple, agent: int) -> int:
         ok, _, size = state
         return 1 if size < inst.c or ok else 0
 
-    return Structure((True, -1, 0), step, itemgetter(0), read, 1, True)
+    return Structure((True, -1, 0), step, read, read, 1, True)
 
 
 def random_lower_bound_instance(n: int, c: int, seed: int) -> LowerBoundInstance:

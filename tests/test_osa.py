@@ -1,5 +1,5 @@
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import permutations, product
 
 import pytest
@@ -9,13 +9,11 @@ from seqdict.core import (
     brute_force_optimal_sequence,
     check_monotone_exhaustive,
     social_welfare,
-    structure_for,
     underlying_optimum,
 )
 from seqdict.mechanisms import counterexample_digraph_instance
 from seqdict.osa import (
     ArborescenceInstance,
-    _best_target,
     all_arborescences,
     arborescence_from_sequence,
     bit,
@@ -254,23 +252,3 @@ class TestNoneTargets:
         assert not has_cycle({0: 1, 1: None, 2: 1})
         assert has_cycle({0: 1, 1: 2, 2: 0, 3: None})
         assert has_cycle({0: 1, 1: 0, 2: None})
-
-    def test_context_matches_filtered_best_target(self):
-        for n in range(1, 6):
-            inst = random_digraph_instance(n, seed=n)
-            start, step, *_ = structure_for(inst)
-            collections = set()
-            for seq in permutations(range(n)):
-                for k in range(n + 1):
-                    acts = reduce(step, seq[:k], start)
-                    collections.add(tuple(sorted(acts.items())))
-                    # an agent yet to act recorded as drawing nothing
-                    for i in set(range(n)) - set(acts):
-                        collections.add(tuple(sorted({**acts, i: None}.items())))
-            for items in collections:
-                acts = dict(items)
-                drawn = {i: j for i, j in acts.items() if j is not None}
-                assert not has_cycle(acts)
-                for agent in range(n):
-                    assert (_best_target(inst, agent, acts)
-                            == _best_target(inst, agent, drawn))
