@@ -25,6 +25,7 @@ from .core import (
     Value,
     ValuationOracle,
     actions,
+    heaviest_first,
     oracle_for as osi_oracle,
     oracle_for as paths_oracle,
     structure_for,
@@ -33,7 +34,6 @@ from .core import (
 from .osa import (
     best_addable,
     check_digraph_row,
-    digraph_prefs,
     digraph_rows,
     draw,
     has_cycle,
@@ -187,7 +187,7 @@ def _(inst: PathsInstance) -> Structure:
     enters j: an edge i->j is addable iff end[j] is neither None nor i.
     """
     scale, rows = inst.scaled
-    targets = digraph_prefs(rows)
+    targets = heaviest_first(rows)
 
     def read(end: tuple, agent: int) -> int:
         target = best_addable(targets, end, agent)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, singledispatch
 from itertools import chain, permutations
-from operator import is_
+from operator import is_, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 ActionSeq = tuple  # tuple[int, ...]
@@ -55,7 +55,8 @@ class Caps:
         for part in raw.split(","):
             key, _, num = part.partition("=")
             key, num = key.strip(), num.strip()
-            if key not in ("factorial", "subset") or not num.isdigit():
+            if key not in ("factorial", "subset") or key in values \
+                    or not re.fullmatch(r"[0-9]+", num):
                 raise ValueError(f"cannot parse SEQDICT_CAPS={raw!r}")
             values[key] = int(num)
         return cls(**values)
@@ -257,16 +258,42 @@ def common_denominator(values: Iterable) -> int:
     return math.lcm(*(v.denominator for v in values if v is not None))
 
 
+def scaled_rows(rows: Sequence[Sequence]) -> tuple:
+    """(D, the rows as ints over D) for rows of Fractions (None entries
+    kept), where D is their `common_denominator`."""
+    scale = common_denominator(chain.from_iterable(rows))
+    return scale, tuple(tuple(None if w is None else w.numerator * (scale // w.denominator)
+                              for w in row) for row in rows)
+
+
+def as_fraction(w) -> Fraction:
+    """`w` itself if it is a Fraction (not copied), else Fraction(w)."""
+    return w if isinstance(w, Fraction) else Fraction(w)
+
+
+def heaviest_first(rows: Sequence[Sequence]) -> tuple:
+    """Each row's indices of non-None entries, heaviest first; equal entries
+    put the lower index first (a reversed sort is stable)."""
+    return tuple(tuple(sorted((j for j, w in enumerate(row) if w is not None),
+                              key=row.__getitem__, reverse=True)) for row in rows)
+
+
 class ScaledWeights:
     """For instances with a `weights` matrix of Fractions (None entries
-    allowed): `scaled` is (D, the matrix as ints over D), where D is the
-    `common_denominator` of the weights, worked out once per instance."""
+    allowed): `scaled` is `scaled_rows` of the weights, worked out once per
+    instance."""
 
     @cached_property
     def scaled(self) -> tuple:
-        scale = common_denominator(chain.from_iterable(self.weights))
-        return scale, tuple(tuple(None if w is None else w.numerator * (scale // w.denominator)
-                                  for w in row) for row in self.weights)
+        return scaled_rows(self.weights)
+
+    def check_prefs(self) -> None:
+        """Raise unless each agent's `prefs` lists her weights heaviest first,
+        compared as the integers of `scaled`; call it once every row's types
+        and signs are checked."""
+        for row, pref in zip(self.scaled[1], self.prefs):
+            if any(row[a] < row[b] for a, b in zip(pref, pref[1:])):
+                raise ValueError("prefs inconsistent with weights")
 
 
 def social_welfare(oracle: ValuationOracle, seq: Sequence[int]) -> Value:
@@ -279,35 +306,40 @@ def social_welfare(oracle: ValuationOracle, seq: Sequence[int]) -> Value:
     return Fraction(total, oracle.scale or 1)
 
 
+def sequence_welfares(oracle: ValuationOracle,
+                      caps: Optional[Caps] = None) -> Iterator[tuple[ActionSeq, object]]:
+    """An iterator over (sequence, welfare) for all n! full sequences in
+    lexicographic order, by one depth-first pass over the prefix tree.
+
+    Each tree edge (prefix S, next agent i) is one query v_i(S), so the pass
+    makes sum_k n!/(n-k-1)! queries, each (agent, prefix) pair once, rather
+    than n * n!.  A welfare is the sum of `value_scaled` reads: an int over
+    `scale`, or a Fraction for an opaque oracle.  The caps are checked on the
+    call, before any query."""
+    (caps or DEFAULT_CAPS).check_sequences(oracle.n)
+    return _sequence_welfares(oracle)
+
+
+def _sequence_welfares(oracle: ValuationOracle) -> Iterator[tuple[ActionSeq, object]]:
+    n, read = oracle.n, oracle.value_scaled
+    sums = [0] * (n + 1)  # sums[k]: the welfare of the current sequence's first k agents
+    last = (None,) * n
+    for seq in permutations(range(n)):
+        k = 0
+        while seq[k] == last[k]:  # the edges it shares with the last sequence are read
+            k += 1
+        for j in range(k, n):
+            sums[j + 1] = sums[j] + read(seq[j], seq[:j])
+        last = seq
+        yield seq, sums[n]
+
+
 def brute_force_optimal_sequence(oracle: ValuationOracle,
                                  caps: Optional[Caps] = None) -> tuple[ActionSeq, Value]:
-    """Welfare-maximizing full sequence, by depth-first search of the prefix tree.
-
-    Each tree edge (prefix S, next agent i) is one query v_i(S), and the
-    welfare of a prefix is carried down to its children, so the search makes
-    sum_k n!/(n-k-1)! queries, each (agent, prefix) pair once, rather than
-    n * n!.  Leaves are reached in lexicographic order and only a strictly
-    better one replaces the best, so ties break to the lexicographically
-    smallest sequence.
-    """
-    (caps or DEFAULT_CAPS).check_sequences(oracle.n)
-    seq, welfare = _best_completion(oracle, (), tuple(range(oracle.n)), 0)
+    """Welfare-maximizing full sequence: the first maximum of `sequence_welfares`,
+    so ties break to the lexicographically smallest sequence."""
+    seq, welfare = max(sequence_welfares(oracle, caps), key=itemgetter(1))
     return seq, Fraction(welfare, oracle.scale or 1)
-
-
-def _best_completion(oracle: ValuationOracle, prefix: ActionSeq, rest: tuple,
-                     welfare) -> tuple:
-    """Best (sequence, welfare) below `prefix`, whose welfare is `welfare`,
-    all welfare read through `value_scaled`."""
-    if not rest:
-        return prefix, welfare
-    best = None
-    for k, agent in enumerate(rest):
-        cand = _best_completion(oracle, prefix + (agent,), rest[:k] + rest[k + 1:],
-                                welfare + oracle.value_scaled(agent, prefix))
-        if best is None or cand[1] > best[1]:
-            best = cand
-    return best
 
 
 def ordered_subsequences(pool: Sequence[int]) -> Iterator[tuple]:
@@ -331,9 +363,12 @@ MONOTONICITY_MAX_N = 6
 def find_monotonicity_violation(oracle: ValuationOracle) -> Optional[MonotonicityViolation]:
     """First (agent, S' <= S) pair with v(S') < v(S), or None if monotone.
 
-    Exhausts all ordered-subset pairs, so it is limited to small n.  Values
-    are compared as the integers `value_scaled` reads (Fractions for an
-    opaque oracle); the witness carries them back as Fractions.
+    Reads every value, so it is limited to small n.  Values are compared as
+    the integers `value_scaled` reads (Fractions for an opaque oracle); the
+    witness carries them back as Fractions.  Only the first S with a
+    violating single deletion has its subsequences scanned: a violating
+    S' <= S is reached from S by single deletions, and a violating link
+    below S would be a violation at an earlier, shorter prefix.
     """
     if oracle.n > MONOTONICITY_MAX_N:
         raise CapExceededError(f"monotonicity check capped at n={MONOTONICITY_MAX_N}")
@@ -342,6 +377,8 @@ def find_monotonicity_violation(oracle: ValuationOracle) -> Optional[Monotonicit
         others = [j for j in range(oracle.n) if j != agent]
         vals = {s: oracle.value_scaled(agent, s) for s in ordered_subsequences(others)}
         for s, v_s in vals.items():
+            if all(vals[s[:i] + s[i + 1:]] >= v_s for i in range(len(s))):
+                continue  # then s has no violation either (see above)
             for mask in range(1 << len(s)):
                 sub = tuple(s[b] for b in range(len(s)) if mask >> b & 1)
                 if vals[sub] < v_s:

@@ -26,7 +26,10 @@ from .core import (
     Value,
     ValuationOracle,
     actions,
+    as_fraction,
+    heaviest_first,
     oracle_for as osa_oracle,
+    scaled_rows,
     structure_for,
     underlying_optimum,
 )
@@ -37,17 +40,9 @@ def digraph_rows(weights: Sequence[Sequence]) -> tuple:
     """Weight rows of a digraph as Fractions, with None on the diagonal."""
     n = len(weights)
     return tuple(
-        tuple(None if i == j else Fraction(weights[i][j]) for j in range(n))
+        tuple(None if i == j else as_fraction(weights[i][j]) for j in range(n))
         for i in range(n)
     )
-
-
-def digraph_prefs(rows: Sequence[Sequence]) -> tuple:
-    """Each node's n-1 edge targets, heaviest first; equal weights put the
-    lower target first."""
-    n = len(rows)
-    return tuple(tuple(sorted((j for j in range(n) if j != i), key=lambda j: (-rows[i][j], j)))
-                 for i in range(n))
 
 
 def check_digraph_row(row, i: int, n: int) -> None:
@@ -69,13 +64,10 @@ class ArborescenceInstance(ScaledWeights):
         if self.n < 1 or len(self.weights) != self.n or len(self.prefs) != self.n:
             raise ValueError("inconsistent instance dimensions")
         for i in range(self.n):
-            row = self.weights[i]
-            check_digraph_row(row, i, self.n)
+            check_digraph_row(self.weights[i], i, self.n)
             if sorted(self.prefs[i]) != [j for j in range(self.n) if j != i]:
                 raise ValueError("prefs must order the n-1 possible targets")
-            for a, b in zip(self.prefs[i], self.prefs[i][1:]):
-                if row[a] < row[b]:
-                    raise ValueError("prefs inconsistent with weights")
+        self.check_prefs()
 
     def rank(self, agent: int, target: Optional[int]) -> int:
         """Edge rank (0 = best); drawing no edge ranks below every edge."""
@@ -87,7 +79,7 @@ class ArborescenceInstance(ScaledWeights):
     def from_weights(cls, weights: Sequence[Sequence]) -> "ArborescenceInstance":
         """Derive preferences; equal weights rank the lower target first."""
         rows = digraph_rows(weights)
-        return cls(len(rows), rows, digraph_prefs(rows))
+        return cls(len(rows), rows, heaviest_first(scaled_rows(rows)[1]))
 
 
 def reaches(out: dict, start: int, goal: int) -> bool:

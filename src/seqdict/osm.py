@@ -24,7 +24,10 @@ from .core import (
     Value,
     ValuationOracle,
     actions,
+    as_fraction,
+    heaviest_first,
     oracle_for as osm_oracle,
+    scaled_rows,
     structure_for,
     underlying_optimum,
 )
@@ -46,9 +49,7 @@ class MatchingInstance(ScaledWeights):
                 raise ValueError("weights must be non-negative rationals")
             if sorted(self.prefs[i]) != list(range(self.n)):
                 raise ValueError("prefs must be a permutation of the items")
-            for a, b in zip(self.prefs[i], self.prefs[i][1:]):
-                if row[a] < row[b]:
-                    raise ValueError("prefs inconsistent with weights")
+        self.check_prefs()
 
     def rank(self, agent: int, item: int) -> int:
         """Position of `item` in the agent's preference order (0 = best)."""
@@ -57,13 +58,8 @@ class MatchingInstance(ScaledWeights):
     @classmethod
     def from_weights(cls, weights: Sequence[Sequence]) -> "MatchingInstance":
         """Derive preferences from weights; equal weights rank the lower item first."""
-        n = len(weights)
-        rows = tuple(tuple(Fraction(w) for w in row) for row in weights)
-        prefs = tuple(
-            tuple(sorted(range(n), key=lambda j: (-rows[i][j], j)))
-            for i in range(n)
-        )
-        return cls(n, rows, prefs)
+        rows = tuple(tuple(map(as_fraction, row)) for row in weights)
+        return cls(len(rows), rows, heaviest_first(scaled_rows(rows)[1]))
 
 
 def _pick(inst: MatchingInstance, taken: int, agent: int) -> int:

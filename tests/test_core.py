@@ -154,6 +154,14 @@ class TestCaps:
         with pytest.raises(ValueError):
             Caps.from_env()
 
+    @pytest.mark.parametrize("raw", ["factorial=\u00b2", "subset=\u0663",
+                                     "factorial=8,factorial=9", "subset=4,factorial=8,subset=4"])
+    def test_env_non_ascii_digits_and_repeated_keys(self, monkeypatch, raw):
+        monkeypatch.setenv("SEQDICT_CAPS", raw)
+        with pytest.raises(ValueError) as exc:
+            Caps.from_env()
+        assert str(exc.value) == f"cannot parse SEQDICT_CAPS={raw!r}"
+
 
 SMALL_CAPS = Caps(factorial=3, subset=3)
 SUBSET_MSG = "n=4 exceeds subset cap 3"

@@ -238,6 +238,37 @@ class TestSearchQueryCount:
         assert oracle.ledger.total_calls == 0
 
 
+class TestSequenceWelfares:
+    """`sequence_welfares` against the n! `social_welfare` loop."""
+
+    def check(self, oracle):
+        n, scale = oracle.n, oracle.scale or 1
+        got = list(core.sequence_welfares(oracle))
+        assert [seq for seq, _ in got] == list(permutations(range(n)))
+        for seq, welfare in got:
+            assert Fraction(welfare, scale) == social_welfare(oracle.fresh(), seq), seq
+        assert oracle.ledger.total_calls == oracle.ledger.distinct_calls == tree_edges(n)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_every_kind(self, kind):
+        for n in range(1, 7):
+            for wd in (1, 100):
+                self.check(oracle_for(make_instance(kind, n, 7 * n + wd, wd)))
+
+    def test_opaque_oracle(self):
+        for n in range(1, 6):
+            oracle = walk_oracle("opaque", n)
+            self.check(oracle)
+            assert all(type(w) is Fraction for _, w in core.sequence_welfares(oracle.fresh()))
+
+    def test_cap_raises_at_the_call(self):
+        oracle = oracle_for(make_instance("osm", 5, 0))
+        with pytest.raises(CapExceededError,
+                           match="^enumeration cap exceeded: n=5 > factorial cap 4$"):
+            core.sequence_welfares(oracle, Caps(factorial=4))  # never iterated
+        assert oracle.ledger.total_calls == 0
+
+
 # --- the memoised search ------------------------------------------------------------
 
 
@@ -928,3 +959,129 @@ class TestMonotonicityScan:
     ], ids=["sat", "paths-n4"])
     def test_known_witnesses(self, inst, text):
         assert repr(scan_both_ways(oracle_for(inst))) == text
+
+
+class TestSingleDeletionScan:
+    """The scan that mask-scans only the first prefix with a violating
+    single deletion gives the exhaustive scan's witness and ledger."""
+
+    def check(self, oracle):
+        reference = oracle.fresh()
+        got = core.find_monotonicity_violation(oracle)
+        want = monotonicity_violation_by_fractions(reference)
+        assert got == want
+        assert repr(got) == repr(want)
+        assert oracle.ledger.total_calls == reference.ledger.total_calls
+        assert oracle.ledger.distinct_calls == reference.ledger.distinct_calls
+        return got
+
+    def test_every_kind_up_to_five_agents(self):
+        witnesses = set()
+        for kind in ALL_KINDS:
+            for n in range(1, 6):
+                for seed in range(2 if n == 5 else 4):
+                    wd = (1, 3, 100)[seed % 3]
+                    if self.check(oracle_for(make_instance(kind, n, 60 * n + seed, wd))):
+                        witnesses.add(kind)
+        assert witnesses == {"oss", "paths"}
+
+    def test_violating_random_paths_at_four_agents(self):
+        found = [seed for seed in range(12) if self.check(
+            oracle_for(auxstructs.random_paths_instance(4, seed)))]
+        assert 1 in found  # acceptance criterion 4's witness
+
+    @pytest.mark.parametrize("inst, values", [
+        (oss.nonmonotone_sat_instance(), (1, 2)),
+        (auxstructs.nonmonotone_paths_instance(), (0, 1)),
+    ], ids=["sat", "paths-n4"])
+    def test_named_witnesses(self, inst, values):
+        assert self.check(oracle_for(inst)) == (2, (1,), (0, 1), *values)
+
+    def test_constant_and_opaque_oracles(self):
+        for n in range(1, 6):
+            assert self.check(ValuationOracle(n, lambda agent, seq: Fraction(2, 3))) is None
+        opaque = fraction_copy(oracle_for(auxstructs.nonmonotone_paths_instance()))
+        assert self.check(opaque) == (2, (1,), (0, 1), 0, 1)
+
+
+# --- preferences on integers ---------------------------------------------------------
+
+
+def prefs_by_fractions(rows):
+    """Each row's non-None indices sorted on (-weight, index) as Fractions:
+    the order the instances derived before they sorted integers."""
+    return tuple(tuple(sorted((j for j, w in enumerate(row) if w is not None),
+                              key=lambda j: (-row[j], j))) for row in rows)
+
+
+class TestPrefsOnIntegers:
+    @drawn
+    @given(st.data())
+    def test_from_weights_matches_the_fraction_sort(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        wd = data.draw(st.sampled_from((1, 2, 3, 100)), label="wd")
+        weights = [[Fraction(data.draw(st.integers(0, wd)), wd) for _ in range(n)]
+                   for _ in range(n)]
+        matching = osm.MatchingInstance.from_weights(weights)
+        assert matching.prefs == prefs_by_fractions(matching.weights)
+        arborescence = osa.ArborescenceInstance.from_weights(weights)
+        assert arborescence.prefs == prefs_by_fractions(arborescence.weights)
+        paths = auxstructs.PathsInstance.from_weights(weights)
+        assert core.heaviest_first(paths.scaled[1]) == prefs_by_fractions(paths.weights)
+
+    def test_mixed_denominators_and_input_types(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            weights = [[rng.choice(MIXED_POOL + (0, 1, 2, "1/2", "2/3")) for _ in range(n)]
+                       for _ in range(n)]
+            for make in (osm.MatchingInstance.from_weights,
+                         osa.ArborescenceInstance.from_weights):
+                inst = make(weights)
+                assert inst.prefs == prefs_by_fractions(inst.weights)
+
+    def test_fractions_are_kept_not_copied(self):
+        w = [[Fraction(1, 3), Fraction(1, 2)], [Fraction(2, 5), Fraction(0)]]
+        assert osm.MatchingInstance.from_weights(w).weights[0][1] is w[0][1]
+        assert osa.ArborescenceInstance.from_weights(w).weights[1][0] is w[1][0]
+        assert auxstructs.PathsInstance.from_weights(w).weights[0][1] is w[0][1]
+
+
+F = Fraction
+RATIONALS = "weights must be non-negative rationals"
+INCONSISTENT = "prefs inconsistent with weights"
+
+
+@pytest.mark.parametrize("make, message", [
+    # a non-Fraction weight in a later row, before the integers are worked out
+    (lambda: osm.MatchingInstance(2, ((F(1), F(0)), (0.5, F(1))), ((0, 1), (1, 0))),
+     RATIONALS),
+    (lambda: osm.MatchingInstance(2, ((F(1), F(0)), ("1", F(1))), ((0, 1), (1, 0))),
+     RATIONALS),
+    (lambda: osa.ArborescenceInstance(3, ((None, F(1), F(0)), (F(1), None, F(0)),
+                                          (0.5, F(1), None)), ((1, 2), (0, 2), (1, 0))),
+     RATIONALS),
+    # a negative weight
+    (lambda: osm.MatchingInstance(2, ((F(1), F(0)), (F(-1), F(1))), ((0, 1), (1, 0))),
+     RATIONALS),
+    (lambda: osa.ArborescenceInstance(2, ((None, F(1)), (F(-1), None)), ((1,), (0,))),
+     RATIONALS),
+    # prefs that disagree with the weights
+    (lambda: osm.MatchingInstance(2, ((F(1), F(2)), (F(1), F(1))), ((0, 1), (0, 1))),
+     INCONSISTENT),
+    (lambda: osm.MatchingInstance(2, ((F(1, 3), F(2, 7)), (F(0), F(1, 100))),
+                                  ((0, 1), (0, 1))),
+     INCONSISTENT),
+    (lambda: osa.ArborescenceInstance(3, ((None, F(1), F(2)), (F(1), None, F(0)),
+                                          (F(0), F(1), None)), ((1, 2), (0, 2), (1, 0))),
+     INCONSISTENT),
+    # a row of the wrong length
+    (lambda: osm.MatchingInstance(2, ((F(1), F(0)), (F(1),)), ((0, 1), (1, 0))),
+     RATIONALS),
+    (lambda: osa.ArborescenceInstance(2, ((None, F(1)), (F(1), None, F(0))), ((1,), (0,))),
+     "diagonal must be None (no self-edges)"),
+])
+def test_direct_constructor_messages(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
