@@ -79,11 +79,17 @@ NAMED_INSTANCES = {
 
 def _random_instance(kind: str, n: int, seed: int, c, args):
     wd = args.weight_denominator
+    if kind in ("osm", "osa", "oss", "paths") and wd < 1:
+        raise UsageError(f"--weight-denominator must be at least 1, got {wd}")
     if kind == "osm":
         return osm.random_matching_instance(n, seed, wd)
     if kind == "osa":
         return osa.random_digraph_instance(n, seed, wd)
     if kind == "oss":
+        if args.m is not None and args.m < 0:
+            raise UsageError(f"--m must be at least 0, got {args.m}")
+        if args.max_clause_len < 1:
+            raise UsageError(f"--max-clause-len must be at least 1, got {args.max_clause_len}")
         m = args.m if args.m is not None else 2 * n
         return oss.random_sat_instance(n, m, args.max_clause_len, seed, wd)
     if kind == "osi":

@@ -15,7 +15,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, singledispatch
+from functools import cached_property, partial, singledispatch
 from itertools import chain, permutations
 from operator import is_, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -348,6 +348,13 @@ def ordered_subsequences(pool: Sequence[int]) -> Iterator[tuple]:
         yield from permutations(pool, k)
 
 
+def prefix_table(n: int, agent: int, value_of: Callable[[tuple], Value]) -> dict:
+    """`value_of(s)` for every prefix `s` the agent can act after: every
+    `ordered_subsequences` of the other agents, in that order."""
+    return {s: value_of(s) for s in ordered_subsequences(
+        [j for j in range(n) if j != agent])}
+
+
 class MonotonicityViolation(NamedTuple):
     agent: int
     smaller: ActionSeq
@@ -374,8 +381,7 @@ def find_monotonicity_violation(oracle: ValuationOracle) -> Optional[Monotonicit
         raise CapExceededError(f"monotonicity check capped at n={MONOTONICITY_MAX_N}")
     scale = oracle.scale or 1
     for agent in range(oracle.n):
-        others = [j for j in range(oracle.n) if j != agent]
-        vals = {s: oracle.value_scaled(agent, s) for s in ordered_subsequences(others)}
+        vals = prefix_table(oracle.n, agent, partial(oracle.value_scaled, agent))
         for s, v_s in vals.items():
             if all(vals[s[:i] + s[i + 1:]] >= v_s for i in range(len(s))):
                 continue  # then s has no violation either (see above)

@@ -59,19 +59,18 @@ def sequence_for_collection(instance, target) -> Optional[tuple]:
     return producing_sequence(instance, target, commit_first=True)
 
 
-def ranks(inst, collection) -> tuple:
-    """Each agent's rank of her action in `collection`, by `inst.rank`."""
-    return tuple(inst.rank(i, collection[i]) for i in range(inst.n))
-
-
-def dominates(inst, a, b_ranks) -> bool:
-    """True iff collection `a` weakly rank-improves for every agent on the
-    collection whose `ranks` are `b_ranks`, and strictly for one."""
-    strict = False
-    for i, rb in enumerate(b_ranks):
-        ra = inst.rank(i, a[i])
-        if ra > rb:
-            return False
-        if ra < rb:
-            strict = True
-    return strict
+def is_pareto_optimal(inst, candidate, alternatives) -> bool:
+    """True iff no collection in `alternatives` dominates `candidate`: ranks
+    every agent's action at least as well (by `inst.rank`) and one better."""
+    ranked = [inst.rank(i, candidate[i]) for i in range(inst.n)]
+    for alt in alternatives:
+        strict = False
+        for i, rank in enumerate(ranked):
+            alt_rank = inst.rank(i, alt[i])
+            if alt_rank > rank:
+                break
+            strict = strict or alt_rank < rank
+        else:
+            if strict:
+                return False
+    return True

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import perm
 from typing import Callable, Mapping, Optional, Sequence
@@ -18,12 +19,13 @@ from .core import (
     DEFAULT_CAPS,
     Value,
     ValuationOracle,
-    ordered_subsequences,
+    oracle_for,
     prefix_of,
+    prefix_table,
 )
-from .osa import ArborescenceInstance, bit, greedy_osa, osa_oracle
-from .osm import MatchingInstance, greedy_osm, osm_oracle
-from .seqopt import det, det_plus, fill_ascending, max_welfare_ordering, rand
+from .osa import ArborescenceInstance, bit, greedy_osa
+from .osm import MatchingInstance, greedy_osm
+from .seqopt import det, det_plus, rand, subset_sequence
 
 
 @dataclass(frozen=True)
@@ -39,9 +41,7 @@ class ValuationProfile:
         self.n = len(tables)
         self.tables = tuple(dict(t) for t in tables)
         for i, table in enumerate(self.tables):
-            others = [j for j in range(self.n) if j != i]
-            expected = set(ordered_subsequences(others))
-            if set(table) != expected:
+            if prefix_table(self.n, i, table.get) != table:  # a key missing or extra
                 raise ValueError(f"table for agent {i} must cover every prefix")
             for v in table.values():
                 if not isinstance(v, Fraction) or v < 0:
@@ -54,7 +54,7 @@ class ValuationProfile:
         n = oracle.n
         DEFAULT_CAPS.check_work(n * sum(perm(n - 1, k) for k in range(n)),
                                 f"n={n} valuation tables")
-        return cls([_agent_table(oracle, i) for i in range(oracle.n)])
+        return cls([prefix_table(n, i, partial(oracle.value, i)) for i in range(n)])
 
     def value(self, agent: int, prefix: tuple) -> Value:
         return self.tables[agent][tuple(prefix)]
@@ -71,12 +71,6 @@ class ValuationProfile:
     def zeroed(self, agent: int) -> "ValuationProfile":
         zero = Fraction(0)
         return self.with_table(agent, {s: zero for s in self.tables[agent]})
-
-
-def _subset_sequence(profile: ValuationProfile, subset) -> tuple:
-    """The sequence the prefix search would output for this drawn subset."""
-    order, _ = max_welfare_ordering(profile.value, subset)
-    return fill_ascending(order, profile.n)
 
 
 def _externality_payments(profile: ValuationProfile, payers, sequence: tuple,
@@ -97,9 +91,9 @@ def _vcg_rand_outcome(profile: ValuationProfile, subset,
     draw, because agent i reported a non-zero valuation."""
     subset = frozenset(subset)
     if sequence is None:
-        sequence = _subset_sequence(profile, subset)
+        sequence = subset_sequence(profile.value, subset, profile.n)
     return MechanismOutcome(sequence, _externality_payments(
-        profile, subset, sequence, lambda p: _subset_sequence(p, subset)))
+        profile, subset, sequence, lambda p: subset_sequence(p.value, subset, p.n)))
 
 
 def vcg_rand(profile: ValuationProfile, c: int, seed: int) -> MechanismOutcome:
@@ -210,13 +204,12 @@ class SpotcheckReport:
         return not self.violations
 
 
-def _expected_utility(mechanism, reported: ValuationProfile, agent: int,
-                      true_table: Mapping) -> Value:
-    total = Fraction(0)
-    for p, outcome in mechanism.distribution(reported):
-        pre = prefix_of(outcome.sequence, agent)
-        total += p * (true_table[pre] - outcome.payments[agent])
-    return total
+def expected_utility(distribution, agent: int, true_table: Mapping) -> Value:
+    """The agent's expected utility over (probability, outcome) pairs: her
+    value in `true_table` after her prefix, minus her payment."""
+    return sum((p * (true_table[prefix_of(outcome.sequence, agent)]
+                     - outcome.payments[agent]) for p, outcome in distribution),
+               Fraction(0))
 
 
 def truthfulness_spotcheck(mechanism, profile: ValuationProfile,
@@ -228,10 +221,11 @@ def truthfulness_spotcheck(mechanism, profile: ValuationProfile,
     """
     entries = []
     for agent in sorted(misreports):
-        truth = _expected_utility(mechanism, profile, agent, profile.tables[agent])
+        true_table = profile.tables[agent]
+        truth = expected_utility(mechanism.distribution(profile), agent, true_table)
         for k, table in enumerate(misreports[agent]):
-            mis = _expected_utility(mechanism, profile.with_table(agent, table),
-                                    agent, profile.tables[agent])
+            mis = expected_utility(mechanism.distribution(profile.with_table(agent, table)),
+                                   agent, true_table)
             entries.append(SpotcheckEntry(agent, k, truth, mis))
     return SpotcheckReport(tuple(entries))
 
@@ -277,31 +271,20 @@ def _counterexample_digraph_alt(eps) -> ArborescenceInstance:
     return ArborescenceInstance.from_weights(w)
 
 
-def _agent_table(oracle: ValuationOracle, agent: int) -> dict:
-    others = [j for j in range(oracle.n) if j != agent]
-    return {s: oracle.value(agent, s) for s in ordered_subsequences(others)}
-
-
 def det_family_profile(n: int, c: int) -> ValuationProfile:
     """Monotone family: agents 0..c-1 value early slots at 10 (8 after the
     first c positions fill); everyone else is a constant 9."""
-    tables = []
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        if i < c:
-            tab = {s: Fraction(10) if len(s) < c else Fraction(8)
-                   for s in ordered_subsequences(others)}
-        else:
-            tab = {s: Fraction(9) for s in ordered_subsequences(others)}
-        tables.append(tab)
-    return ValuationProfile(tables)
+    def value(i: int, s: tuple) -> Value:
+        if i >= c:
+            return Fraction(9)
+        return Fraction(10) if len(s) < c else Fraction(8)
+
+    return ValuationProfile([prefix_table(n, i, partial(value, i)) for i in range(n)])
 
 
 def det_family_misreport(n: int, c: int, agent: int = 0) -> dict:
     """The deflating misreport for an agent in the favored group."""
-    others = [j for j in range(n) if j != agent]
-    return {s: Fraction(8) if len(s) < c else Fraction(0)
-            for s in ordered_subsequences(others)}
+    return prefix_table(n, agent, lambda s: Fraction(8) if len(s) < c else Fraction(0))
 
 
 def counterexample_profiles(eps=Fraction(1, 10)) -> tuple:
@@ -309,20 +292,13 @@ def counterexample_profiles(eps=Fraction(1, 10)) -> tuple:
     fail the two-point truthfulness condition; the prefix-search pair is the
     det family at n=5, c=2."""
     eps = Fraction(eps)
-    osm_profile = ValuationProfile.from_oracle(
-        osm_oracle(counterexample_matching_instance(eps)))
-    osm_alt = _agent_table(osm_oracle(_counterexample_matching_alt(eps)), 0)
-
-    osa_profile = ValuationProfile.from_oracle(
-        osa_oracle(counterexample_digraph_instance(eps)))
-    osa_alt = _agent_table(osa_oracle(_counterexample_digraph_alt(eps)), 0)
-
-    det_profile = det_family_profile(5, 2)
-    det_alt = det_family_misreport(5, 2)
-
-    return (
-        Counterexample("greedy-matching", osm_profile, 0, osm_alt, greedy_osm),
-        Counterexample("greedy-arborescence", osa_profile, 0, osa_alt, greedy_osa),
-        Counterexample("prefix-search", det_profile, 0, det_alt,
-                       lambda oracle: det(oracle, 2)),
-    )
+    greedy = [
+        Counterexample(name, ValuationProfile.from_oracle(oracle_for(truth)), 0,
+                       prefix_table(alt.n, 0, partial(oracle_for(alt).value, 0)), run)
+        for name, truth, alt, run in [
+            ("greedy-matching", counterexample_matching_instance(eps),
+             _counterexample_matching_alt(eps), greedy_osm),
+            ("greedy-arborescence", counterexample_digraph_instance(eps),
+             _counterexample_digraph_alt(eps), greedy_osa)]]
+    return (*greedy, Counterexample("prefix-search", det_family_profile(5, 2), 0,
+                                    det_family_misreport(5, 2), lambda oracle: det(oracle, 2)))

@@ -33,7 +33,7 @@ from .core import (
     structure_for,
     underlying_optimum,
 )
-from .feasibility import dominates, ranks, sequence_for_collection
+from .feasibility import is_pareto_optimal, sequence_for_collection
 
 
 def digraph_rows(weights: Sequence[Sequence]) -> tuple:
@@ -249,9 +249,7 @@ def is_pareto_optimal_arborescence(inst: ArborescenceInstance, parent,
     table before any candidate is compared, even where an early one
     dominates; later calls at the same size reuse it."""
     check_arborescence(parent, inst.n)
-    ranked = ranks(inst, parent)
-    return not any(dominates(inst, alt, ranked)
-                   for alt in all_arborescences(inst.n, caps))
+    return is_pareto_optimal(inst, parent, all_arborescences(inst.n, caps))
 
 
 def sequence_for_arborescence(inst: ArborescenceInstance,

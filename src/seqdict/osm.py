@@ -31,7 +31,7 @@ from .core import (
     structure_for,
     underlying_optimum,
 )
-from .feasibility import dominates, ranks, sequence_for_collection
+from .feasibility import is_pareto_optimal, sequence_for_collection
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,7 @@ def is_pareto_optimal_matching(inst: MatchingInstance, matching,
     """Brute-force Pareto check against all n! perfect matchings."""
     (caps or DEFAULT_CAPS).check_sequences(inst.n)
     check_perfect_matching(matching, inst.n)
-    ranked = ranks(inst, matching)
-    return not any(dominates(inst, alt, ranked)
-                   for alt in permutations(range(inst.n)))
+    return is_pareto_optimal(inst, matching, permutations(range(inst.n)))
 
 
 def sequence_for_matching(inst: MatchingInstance, matching) -> Optional[tuple]:

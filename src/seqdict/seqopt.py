@@ -53,6 +53,13 @@ def fill_ascending(prefix: tuple, n: int) -> tuple:
     return prefix + tuple(i for i in range(n) if i not in chosen)
 
 
+def subset_sequence(value_fn: Callable[[int, tuple], Value], agents, n: int) -> ActionSeq:
+    """The `max_welfare_ordering` of the drawn `agents`, then the rest of the
+    n agents ascending: the prefix search's output for one drawn subset."""
+    order, _ = max_welfare_ordering(value_fn, agents)
+    return fill_ascending(order, n)
+
+
 def det(oracle: ValuationOracle, c: int,
         caps: Optional[Caps] = None) -> ActionSeq:
     """Exhaustive prefix search over every ordering of every c-subset.
@@ -91,8 +98,7 @@ def rand(oracle: ValuationOracle, c: int, seed: int,
     for k in range(c):
         j = rng.randrange(k, n)
         pool[k], pool[j] = pool[j], pool[k]
-    order, _ = max_welfare_ordering(oracle.value_scaled, pool[:c])
-    return fill_ascending(order, n)
+    return subset_sequence(oracle.value_scaled, pool[:c], n)
 
 
 def det_plus(oracle: ValuationOracle, c: int,

@@ -19,7 +19,6 @@ from .core import (
     find_monotonicity_violation,
     is_subsequence,
     oracle_for,
-    prefix_of,
     sequence_welfares,
     social_welfare,
 )
@@ -139,10 +138,8 @@ def suite_truthful(seed: int = 0) -> list:
                         ("rand", mechanisms.VcgRandMechanism(2))]:
         dist = mech.distribution(profile)
         nonneg = all(p >= 0 for _, out in dist for p in out.payments)
-        rational = all(
-            sum(pr * (profile.value(i, prefix_of(out.sequence, i)) - out.payments[i])
-                for pr, out in dist) >= 0
-            for i in range(4))
+        rational = all(mechanisms.expected_utility(dist, i, profile.tables[i]) >= 0
+                       for i in range(4))
         report = mechanisms.truthfulness_spotcheck(mech, profile, misreports)
         rows.append(_row(f"vcg {label} payments sane", nonneg and rational))
         rows.append(_row(f"vcg {label} no profitable misreport", report.ok))

@@ -535,3 +535,37 @@ class TestWcnfIntegers:
         assert (code, out) == (2, "")
         assert err == (f"error: malformed oss instance: {field} must be an integer, "
                        f"got {token!r}\n")
+
+
+class TestBadDrawingFlags:
+    """A bad instance-drawing flag is refused with one line, before any draw."""
+
+    @pytest.mark.parametrize("kind,flags,message", [
+        ("osm", ("--weight-denominator", "0"), "--weight-denominator must be at least 1, got 0"),
+        ("osa", ("--weight-denominator", "-3"), "--weight-denominator must be at least 1, got -3"),
+        ("paths", ("--weight-denominator", "0"), "--weight-denominator must be at least 1, got 0"),
+        ("oss", ("--weight-denominator", "-1"), "--weight-denominator must be at least 1, got -1"),
+        ("oss", ("--m", "-2"), "--m must be at least 0, got -2"),
+        ("oss", ("--max-clause-len", "0"), "--max-clause-len must be at least 1, got 0"),
+    ], ids=["osm-wd-zero", "osa-wd-negative", "paths-wd-zero", "oss-wd-negative",
+            "oss-m-negative", "oss-clause-len-zero"])
+    @pytest.mark.parametrize("command", [
+        ("gen", "{kind}", "--n", "3"),
+        ("bench", "--kind", "{kind}", "--algorithm", "det", "--n", "3", "--c", "1",
+         "--trials", "2"),
+    ], ids=["gen", "bench"])
+    def test_is_usage_error(self, capsys, command, kind, flags, message):
+        argv = [arg.format(kind=kind) for arg in command] + list(flags)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("kind", ["osi", "lowerbound"])
+    def test_unweighted_kinds_ignore_the_denominator(self, capsys, kind):
+        code, out, _ = run_cli(capsys, "gen", kind, "--n", "3", "--weight-denominator", "0")
+        assert (code, out) == (0, run_cli(capsys, "gen", kind, "--n", "3")[1])
+
+    def test_zero_clauses_still_drawn(self, capsys):
+        code, out, _ = run_cli(capsys, "gen", "oss", "--n", "3", "--m", "0")
+        assert code == 0
+        assert json.loads(out)["clauses"] == []

@@ -221,3 +221,17 @@ class TestVcgPaymentFormula:
                 if i in subset else Fraction(0)
                 for i in range(profile.n))
             assert out.payments == expected
+
+
+class TestVcgRandMatchesItsDistribution:
+    """One seeded `vcg_rand` run is the distribution's outcome for the set it drew."""
+
+    @pytest.mark.parametrize("name,profile", PINNED_PROFILES,
+                             ids=[name for name, _ in PINNED_PROFILES])
+    def test_seeds_and_every_c(self, name, profile):
+        for c in range(1, profile.n + 1):
+            by_draw = {frozenset(out.sequence[:c]): out
+                       for _, out in VcgRandMechanism(c).distribution(profile)}
+            for seed in range(20):
+                out = vcg_rand(profile, c, seed)
+                assert out == by_draw[frozenset(out.sequence[:c])], (c, seed)

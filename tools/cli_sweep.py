@@ -1,0 +1,112 @@
+"""Byte sweep of the `seqdict` command line, for comparing two checkouts.
+
+Runs `seqdict.cli.main` in process over a fixed set of commands and prints
+one sha256 per command family over every command's argv, exit code, stdout
+and stderr.  Two checkouts whose CLI behaves the same print the same lines.
+
+    python3 tools/cli_sweep.py            # the checkout this file sits in
+
+Families:
+  gen    random instances of all six kinds at n = 1..8, weight denominators
+         1, 2, 3 and 100, seeds 0 and 1 (the files the next two families read)
+  posd   `posd` on each of those files, plain and with --json
+  run    `run --json` of every algorithm on each file (c = 1..3 for the
+         prefix searches; runs that the CLI refuses are recorded too)
+  named  every named instance (`gen --paper`), and `posd` and
+         `posd --json` on it
+  verify every `verify` suite at seeds 0..3, plain and with --json
+
+Instance files go to a temporary directory, whose path is replaced by a fixed
+token before hashing.  SEQDICT_CAPS is unset, so the default caps apply.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from seqdict.cli import ALGORITHMS, NAMED_INSTANCES, main  # noqa: E402
+from seqdict.fileio import KINDS  # noqa: E402
+from seqdict.suites import SUITES  # noqa: E402
+
+NS = range(1, 9)
+DENOMINATORS = (1, 2, 3, 100)
+SEEDS = (0, 1)
+PREFIX_CS = (1, 2, 3)
+VERIFY_SEEDS = range(4)
+
+
+def call(argv: list, workdir: str) -> tuple:
+    """One command's record (argv, exit code, stdout and stderr) and its stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception as exc:  # a traceback is a finding too: record and report it
+            code = f"raised {type(exc).__name__}: {exc}"
+    if not isinstance(code, int):
+        print(f"{' '.join(argv)}: {code}", file=sys.stderr)
+    record = "\0".join([" ".join(argv), str(code), out.getvalue(), err.getvalue()])
+    return record.replace(workdir, "<dir>").encode() + b"\1", out.getvalue()
+
+
+def sweep(workdir: str) -> dict:
+    families = {name: hashlib.sha256() for name in ("gen", "posd", "run", "named", "verify")}
+    counts = dict.fromkeys(families, 0)
+
+    def record(family: str, argv: list, path=None) -> None:
+        """Run and hash one command; with `path`, also save its stdout there."""
+        data, out = call(argv, workdir)
+        families[family].update(data)
+        counts[family] += 1
+        if path is not None:
+            Path(path).write_text(out, encoding="utf-8")
+
+    files = []
+    for kind in KINDS:
+        for n in NS:
+            for wd in DENOMINATORS:
+                for seed in SEEDS:
+                    path = os.path.join(workdir, f"{kind}-{n}-{wd}-{seed}.json")
+                    record("gen", ["gen", kind, "--n", str(n), "--seed", str(seed),
+                                   "--weight-denominator", str(wd)], path)
+                    files.append((path, seed))
+    for path, _ in files:
+        record("posd", ["posd", path])
+        record("posd", ["posd", path, "--json"])
+    for path, seed in files:
+        for algorithm, (_, needs_c, _) in ALGORITHMS.items():
+            for c in PREFIX_CS if needs_c else (None,):
+                argv = ["run", path, "--json", "--algorithm", algorithm, "--seed", str(seed)]
+                record("run", argv + ([] if c is None else ["--c", str(c)]))
+    for name in NAMED_INSTANCES:
+        for variant in ("yes", "no") if name == "x3c" else ("yes",):
+            path = os.path.join(workdir, f"{name}-{variant}.json")
+            record("named", ["gen", "--paper", name, "--x3c-variant", variant], path)
+            record("named", ["posd", path])
+            record("named", ["posd", path, "--json"])
+    for suite in SUITES:
+        for seed in VERIFY_SEEDS:
+            record("verify", ["verify", suite, "--seed", str(seed)])
+            record("verify", ["verify", suite, "--seed", str(seed), "--json"])
+    return {name: (counts[name], h.hexdigest()) for name, h in families.items()}
+
+
+def main_sweep() -> int:
+    os.environ.pop("SEQDICT_CAPS", None)
+    with tempfile.TemporaryDirectory(prefix="cli-sweep-") as workdir:
+        for name, (count, digest) in sweep(workdir).items():
+            print(f"{name:<7} {count:>5} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_sweep())
