@@ -77,19 +77,28 @@ NAMED_INSTANCES = {
 }
 
 
-def _random_instance(kind: str, n: int, seed: int, c, args):
+def _check_drawing_flags(kind: str, ns, args) -> None:
+    """Refuse a bad instance-drawing flag of `gen` or `bench` for `kind`,
+    once per command and before anything is drawn."""
+    if min(ns) < 1:
+        raise UsageError(f"--n must be at least 1, got {min(ns)}")
     wd = args.weight_denominator
     if kind in ("osm", "osa", "oss", "paths") and wd < 1:
         raise UsageError(f"--weight-denominator must be at least 1, got {wd}")
-    if kind == "osm":
-        return osm.random_matching_instance(n, seed, wd)
-    if kind == "osa":
-        return osa.random_digraph_instance(n, seed, wd)
     if kind == "oss":
         if args.m is not None and args.m < 0:
             raise UsageError(f"--m must be at least 0, got {args.m}")
         if args.max_clause_len < 1:
             raise UsageError(f"--max-clause-len must be at least 1, got {args.max_clause_len}")
+
+
+def _random_instance(kind: str, n: int, seed: int, c, args):
+    wd = args.weight_denominator
+    if kind == "osm":
+        return osm.random_matching_instance(n, seed, wd)
+    if kind == "osa":
+        return osa.random_digraph_instance(n, seed, wd)
+    if kind == "oss":
         m = args.m if args.m is not None else 2 * n
         return oss.random_sat_instance(n, m, args.max_clause_len, seed, wd)
     if kind == "osi":
@@ -101,6 +110,25 @@ def _random_instance(kind: str, n: int, seed: int, c, args):
     raise UsageError(f"unknown instance kind {kind!r}")
 
 
+def _write_output(text: str, path) -> None:
+    """Write `text` to the file at `path` (as is), or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _print_json(doc: dict) -> None:
+    print(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def _report_head(kind: str, n: int, caps: Caps) -> dict:
+    """The fields that open every `run` and `posd` JSON report."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, "n": n,
+            "caps": {"factorial": caps.factorial, "subset": caps.subset}}
+
+
 def _cmd_gen(args) -> int:
     if args.paper:
         inst = NAMED_INSTANCES[args.paper](_parse_eps(args.eps), args.x3c_variant)
@@ -109,6 +137,7 @@ def _cmd_gen(args) -> int:
             raise UsageError("gen needs an instance kind or --paper")
         if args.n is None:
             raise UsageError("gen needs --n for random instances")
+        _check_drawing_flags(args.kind, [args.n], args)
         inst = _random_instance(args.kind, args.n, args.seed, args.c, args)
     if args.wcnf:
         if not isinstance(inst, oss.SatInstance):
@@ -116,11 +145,7 @@ def _cmd_gen(args) -> int:
         text = oss.to_wcnf(inst)
     else:
         text = serialize_instance(inst)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(text, args.output)
     return 0
 
 
@@ -145,45 +170,40 @@ ALGORITHMS = {
 }
 
 
-def _run_algorithm(args, inst, kind, oracle, caps):
-    algo = args.algorithm
-    wanted, needs_c, runner = ALGORITHMS[algo]
+def _score(args, inst, kind, caps, optimum: bool) -> tuple:
+    """(sequence, queries, welfare, best-sequence welfare, ratio, seconds) of
+    the algorithm on its own oracle of `inst`.  The best welfare and the ratio
+    are None without `optimum` or when that search is over the cap."""
+    oracle = oracle_for(inst)
+    wanted, needs_c, runner = ALGORITHMS[args.algorithm]
     if wanted is not None and kind != wanted:
-        raise UsageError(f"algorithm {algo} runs on {wanted} instances, not {kind}")
+        raise UsageError(f"algorithm {args.algorithm} runs on {wanted} instances, not {kind}")
     if needs_c and args.c is None:
-        raise UsageError(f"algorithm {algo} needs --c")
-    return runner(args, inst, oracle, caps)
-
-
-def _best_welfare(inst, caps):
-    """Welfare of the best sequence, or None when its search is over the cap."""
-    try:
-        _, best = best_sequence(inst, caps)
-    except CapExceededError:
-        return None
-    return best
+        raise UsageError(f"algorithm {args.algorithm} needs --c")
+    t0 = time.perf_counter()
+    seq = runner(args, inst, oracle, caps)
+    seconds = time.perf_counter() - t0
+    queries = oracle.ledger.total_calls
+    welfare = social_welfare(oracle.fresh(), seq)
+    opt = ratio = None
+    if optimum:
+        try:
+            opt = best_sequence(inst, caps)[1]
+            ratio = welfare_ratio(opt, welfare)
+        except CapExceededError:
+            pass
+    return seq, queries, welfare, opt, ratio, seconds
 
 
 def _cmd_run(args) -> int:
     caps = Caps.from_env()
     inst = load_instance(args.instance)
     kind = instance_kind(inst)
-    oracle = oracle_for(inst)
-    seq = _run_algorithm(args, inst, kind, oracle, caps)
-    queries = oracle.ledger.total_calls
-    welfare = social_welfare(oracle.fresh(), seq)
-
-    opt = ratio = None
-    if not args.skip_optimum:
-        opt = _best_welfare(inst, caps)
-        if opt is not None:
-            ratio = welfare_ratio(opt, welfare)
-
+    seq, queries, welfare, opt, ratio, _ = _score(args, inst, kind, caps,
+                                                  optimum=not args.skip_optimum)
     if args.json:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": kind,
-            "n": inst.n,
+        _print_json({
+            **_report_head(kind, inst.n, caps),
             "algorithm": args.algorithm,
             "c": args.c,
             "seed": args.seed,
@@ -193,9 +213,7 @@ def _cmd_run(args) -> int:
             "queries": queries,
             "optimal_sequence_welfare": None if opt is None else _fmt_q(opt),
             "ratio": None if ratio is None else _fmt_q(ratio),
-            "caps": {"factorial": caps.factorial, "subset": caps.subset},
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        })
     else:
         print(f"kind: {kind}  n: {inst.n}  algorithm: {args.algorithm}")
         print("sequence:", " ".join(map(str, seq)))
@@ -221,18 +239,14 @@ def _cmd_posd(args) -> int:
     seq, best = best_sequence(inst, caps)
     posd = welfare_ratio(opt, best)
     if args.json:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": kind,
-            "n": inst.n,
+        _print_json({
+            **_report_head(kind, inst.n, caps),
             "underlying_optimum": _fmt_q(opt),
             "best_sequence_welfare": _fmt_q(best),
             "best_sequence": list(seq),
             "posd": _fmt_q(posd),
             "posd_decimal": float(posd) if posd != INFINITE_POSD else None,
-            "caps": {"factorial": caps.factorial, "subset": caps.subset},
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        })
     else:
         print(f"kind: {kind}  n: {inst.n}")
         print(f"underlying optimum: {_fmt_q(opt)}")
@@ -247,13 +261,12 @@ def _cmd_verify(args) -> int:
     rows = SUITES[args.suite](args.seed)
     failures = [r for r in rows if not r[1]]
     if args.json:
-        doc = {
+        _print_json({
             "schema_version": SCHEMA_VERSION,
             "suite": args.suite,
             "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in rows],
             "ok": not failures,
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        })
     else:
         for name, ok, detail in rows:
             mark = "ok  " if ok else "FAIL"
@@ -278,6 +291,7 @@ def _cmd_bench(args) -> int:
     kind = "lowerbound" if args.kind == "general" else args.kind
     ns = _parse_range(args.n)
     cs = _parse_range(args.c) if args.c else [None]
+    _check_drawing_flags(kind, ns, args)
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["kind", "algorithm", "n", "c", "trials", "seed",
@@ -286,36 +300,25 @@ def _cmd_bench(args) -> int:
         for c in cs:
             if args.trials < 1:
                 continue  # header-only output
-            ratios, queries, runtimes = [], [], []
+            scores = []
             for trial in range(args.trials):
                 tseed = _trial_seed(args.seed, n, c, trial)
                 # without --c, or at c=0 (det-plus only), draw the c=min(2, n) family
                 inst = _random_instance(kind, n, tseed, c or min(2, n), args)
-                oracle = oracle_for(inst)
                 run_args = argparse.Namespace(algorithm=args.algorithm, c=c,
                                               seed=tseed, coin=None)
-                t0 = time.perf_counter()
-                seq = _run_algorithm(run_args, inst, kind, oracle, caps)
-                runtimes.append((time.perf_counter() - t0) * 1000)
-                queries.append(oracle.ledger.total_calls)
-                welfare = social_welfare(oracle.fresh(), seq)
-                opt = _best_welfare(inst, caps)
-                if opt is not None:
-                    ratios.append(welfare_ratio(opt, welfare))
+                scores.append(_score(run_args, inst, kind, caps, optimum=True))
+            _, queries, _, _, ratios, seconds = zip(*scores)
+            ratios = [r for r in ratios if r is not None]
             writer.writerow([
                 args.kind, args.algorithm, n, "" if c is None else c,
                 args.trials, args.seed,
                 f"{float(sum(ratios) / len(ratios)):.6f}" if ratios else "",
                 f"{float(max(ratios)):.6f}" if ratios else "",
-                f"{sum(queries) / len(queries):.2f}" if queries else "",
-                f"{sum(runtimes) / len(runtimes):.3f}" if runtimes else "",
+                f"{sum(queries) / len(queries):.2f}",
+                f"{sum(seconds) * 1000 / len(seconds):.3f}",
             ])
-    text = out.getvalue()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(out.getvalue(), args.output)
     return 0
 
 

@@ -34,6 +34,16 @@ class MechanismOutcome:
     payments: tuple  # per-agent charges, non-negative for the schemes here
 
 
+def _check_table(n: int, agent: int, table: dict) -> None:
+    """Refuse a table that misses or adds a prefix, or has a value that is not
+    a non-negative Fraction."""
+    if prefix_table(n, agent, table.get) != table:  # a key missing or extra
+        raise ValueError(f"table for agent {agent} must cover every prefix")
+    for v in table.values():
+        if not isinstance(v, Fraction) or v < 0:
+            raise ValueError("table values must be non-negative rationals")
+
+
 class ValuationProfile:
     """Explicit valuation tables, one entry per (agent, prefix) pair."""
 
@@ -41,11 +51,7 @@ class ValuationProfile:
         self.n = len(tables)
         self.tables = tuple(dict(t) for t in tables)
         for i, table in enumerate(self.tables):
-            if prefix_table(self.n, i, table.get) != table:  # a key missing or extra
-                raise ValueError(f"table for agent {i} must cover every prefix")
-            for v in table.values():
-                if not isinstance(v, Fraction) or v < 0:
-                    raise ValueError("table values must be non-negative rationals")
+            _check_table(self.n, i, table)
 
     @classmethod
     def from_oracle(cls, oracle: ValuationOracle) -> "ValuationProfile":
@@ -64,25 +70,31 @@ class ValuationProfile:
         return ValuationOracle(self.n, lambda i, s: tables[i][s], monotone_claimed)
 
     def with_table(self, agent: int, table: Mapping) -> "ValuationProfile":
-        replaced = list(self.tables)
-        replaced[agent] = dict(table)
-        return ValuationProfile(replaced)
+        """A copy with `agent`'s table replaced; only the new table is checked."""
+        tables = list(self.tables)
+        tables[agent] = dict(table)
+        _check_table(self.n, agent, tables[agent])
+        copy = object.__new__(ValuationProfile)
+        copy.n, copy.tables = self.n, tuple(tables)
+        return copy
 
     def zeroed(self, agent: int) -> "ValuationProfile":
         zero = Fraction(0)
         return self.with_table(agent, {s: zero for s in self.tables[agent]})
 
 
-def _externality_payments(profile: ValuationProfile, payers, sequence: tuple,
-                          run: Callable[[ValuationProfile], tuple]) -> tuple:
-    """Each payer's charge: the other payers' value in `run` on the profile
-    with her report zeroed, minus their value in `sequence`.  Non-payers pay 0."""
+def _paid_outcome(profile: ValuationProfile, payers, sequence: tuple,
+                  run: Callable[[ValuationProfile], tuple]) -> MechanismOutcome:
+    """`sequence` with each payer charged the other payers' value in `run` on
+    the profile with the payer's report zeroed, minus theirs in `sequence`;
+    non-payers pay 0."""
     def others_value(seq: tuple, i: int) -> Value:
         return sum((profile.value(k, prefix_of(seq, k)) for k in payers if k != i),
                    Fraction(0))
 
-    return tuple(others_value(run(profile.zeroed(i)), i) - others_value(sequence, i)
-                 if i in payers else Fraction(0) for i in range(profile.n))
+    return MechanismOutcome(sequence, tuple(
+        others_value(run(profile.zeroed(i)), i) - others_value(sequence, i)
+        if i in payers else Fraction(0) for i in range(profile.n)))
 
 
 def _vcg_rand_outcome(profile: ValuationProfile, subset,
@@ -92,8 +104,8 @@ def _vcg_rand_outcome(profile: ValuationProfile, subset,
     subset = frozenset(subset)
     if sequence is None:
         sequence = subset_sequence(profile.value, subset, profile.n)
-    return MechanismOutcome(sequence, _externality_payments(
-        profile, subset, sequence, lambda p: subset_sequence(p.value, subset, p.n)))
+    return _paid_outcome(profile, subset, sequence,
+                         lambda p: subset_sequence(p.value, subset, p.n))
 
 
 def vcg_rand(profile: ValuationProfile, c: int, seed: int) -> MechanismOutcome:
@@ -109,8 +121,8 @@ def vcg_rand(profile: ValuationProfile, c: int, seed: int) -> MechanismOutcome:
 def vcg_det_plus(profile: ValuationProfile, c: int) -> MechanismOutcome:
     """Full-welfare prefix search plus externality payments over all agents."""
     sequence = det_plus(profile.oracle(), c)
-    return MechanismOutcome(sequence, _externality_payments(
-        profile, range(profile.n), sequence, lambda p: det_plus(p.oracle(), c)))
+    return _paid_outcome(profile, range(profile.n), sequence,
+                         lambda p: det_plus(p.oracle(), c))
 
 
 def cycle_mon_violation(run: Callable[[ValuationOracle], tuple],

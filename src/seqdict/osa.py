@@ -25,7 +25,7 @@ from .core import (
     Structure,
     Value,
     ValuationOracle,
-    actions,
+    actions as arborescence_from_sequence,  # parent[i] = target or None
     as_fraction,
     heaviest_first,
     oracle_for as osa_oracle,
@@ -188,11 +188,6 @@ def bit(n: int, coin: bool) -> ActionSeq:
     if n < 1:
         raise ValueError("need at least one agent")
     return tuple(range(n)) if coin else tuple(reversed(range(n)))
-
-
-def arborescence_from_sequence(inst: ArborescenceInstance, seq) -> tuple:
-    """Arborescence produced by a full sequence: parent[i] = target or None."""
-    return actions(inst, seq)
 
 
 def check_arborescence(parent, n: int) -> None:

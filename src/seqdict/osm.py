@@ -23,7 +23,7 @@ from .core import (
     Structure,
     Value,
     ValuationOracle,
-    actions,
+    actions as matching_from_sequence,  # the perfect matching: assignment[i] = item
     as_fraction,
     heaviest_first,
     oracle_for as osm_oracle,
@@ -103,11 +103,6 @@ def greedy_osm(oracle: ValuationOracle) -> ActionSeq:
         order.append(best_agent)
         remaining.remove(best_agent)
     return tuple(order)
-
-
-def matching_from_sequence(inst: MatchingInstance, seq) -> tuple:
-    """Perfect matching produced by a full sequence: assignment[i] = item."""
-    return actions(inst, seq)
 
 
 def check_perfect_matching(assignment, n: int) -> None:

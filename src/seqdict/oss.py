@@ -20,7 +20,7 @@ from .core import (
     DEFAULT_CAPS,
     Structure,
     Value,
-    actions,
+    actions as assignment_from_sequence,  # the Boolean assignment
     common_denominator,
     decode_rational,
     encode_rational,
@@ -118,11 +118,6 @@ def _(inst: SatInstance) -> Structure:
 
     return Structure(frozenset(range(len(inst.clauses))), partial(_step, inst),
                      partial(_choice, inst), read, inst.scale, False)
-
-
-def assignment_from_sequence(inst: SatInstance, seq) -> tuple:
-    """The Boolean assignment produced by simulating a full sequence."""
-    return actions(inst, seq)
 
 
 def sat_as_decide(inst: SatInstance, target,

@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from seqdict.cli import main
+from seqdict.fileio import KINDS
 from seqdict.suites import SUITES
 
 RATIONAL = {"type": "string", "pattern": r"^(-?\d+/\d+|inf)$"}
@@ -553,12 +554,32 @@ class TestBadDrawingFlags:
         ("gen", "{kind}", "--n", "3"),
         ("bench", "--kind", "{kind}", "--algorithm", "det", "--n", "3", "--c", "1",
          "--trials", "2"),
-    ], ids=["gen", "bench"])
+        ("bench", "--kind", "{kind}", "--algorithm", "det", "--n", "3", "--c", "1",
+         "--trials", "0"),
+    ], ids=["gen", "bench", "bench-no-trials"])
     def test_is_usage_error(self, capsys, command, kind, flags, message):
         argv = [arg.format(kind=kind) for arg in command] + list(flags)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("command", [
+        ("gen", "{kind}", "--n", "{n}"),
+        ("bench", "--kind", "{kind}", "--algorithm", "det", "--n", "{n}", "--c", "1",
+         "--trials", "2"),
+    ], ids=["gen", "bench"])
+    def test_n_below_one_is_usage_error(self, capsys, command, kind, n):
+        code, out, err = run_cli(capsys, *[arg.format(kind=kind, n=n) for arg in command])
+        assert (code, out) == (2, "")
+        assert err == f"error: --n must be at least 1, got {n}\n"
+
+    def test_bench_range_from_zero_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--kind", "osm", "--algorithm", "det",
+                                 "--n", "0..2", "--c", "1", "--trials", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: --n must be at least 1, got 0\n"
 
     @pytest.mark.parametrize("kind", ["osi", "lowerbound"])
     def test_unweighted_kinds_ignore_the_denominator(self, capsys, kind):

@@ -3,6 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from seqdict import mechanisms
 from seqdict.core import CapExceededError, ValuationOracle, ordered_subsequences, prefix_of
 from seqdict.mechanisms import (
     BitMechanism,
@@ -65,6 +66,34 @@ class TestValuationProfile:
         z = profile.zeroed(0)
         assert all(v == 0 for v in z.tables[0].values())
         assert z.tables[1] == profile.tables[1]
+
+    @pytest.mark.parametrize("copy", ["with_table", "zeroed"])
+    def test_copy_checks_only_the_replaced_table(self, monkeypatch, copy):
+        profile = det_family_profile(4, 2)
+        calls = []
+        check = mechanisms._check_table
+
+        def counted(n, agent, table):
+            calls.append(agent)
+            return check(n, agent, table)
+
+        monkeypatch.setattr(mechanisms, "_check_table", counted)
+        replaced = (profile.with_table(2, zero_table(4, 2)) if copy == "with_table"
+                    else profile.zeroed(2))
+        assert calls == [2]
+        assert replaced.tables[2] == zero_table(4, 2)
+        assert replaced.tables[:2] + replaced.tables[3:] == profile.tables[:2] + profile.tables[3:]
+        assert profile.tables[2] != zero_table(4, 2)
+
+    @pytest.mark.parametrize("table,message", [
+        ({(): Fraction(0)}, "table for agent 1 must cover every prefix"),
+        ({**zero_table(3, 1), (1,): Fraction(0)}, "table for agent 1 must cover every prefix"),
+        ({**zero_table(3, 1), (0,): Fraction(-1)}, "table values must be non-negative rationals"),
+        ({**zero_table(3, 1), (2,): 1}, "table values must be non-negative rationals"),
+    ], ids=["missing", "extra", "negative", "not-a-fraction"])
+    def test_bad_replacement_table_rejected(self, table, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            det_family_profile(3, 1).with_table(1, table)
 
 
 class TestVcgPayments:

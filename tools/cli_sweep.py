@@ -15,6 +15,10 @@ Families:
   named  every named instance (`gen --paper`), and `posd` and
          `posd --json` on it
   verify every `verify` suite at seeds 0..3, plain and with --json
+  bench  `bench` of every algorithm on every bench kind (the kinds it does
+         not run on are refused, and the refusals are recorded), n = 2..4,
+         c = 1..2 for the prefix searches, 2 trials, seeds 0 and 1; the
+         mean_runtime_ms column is blanked before hashing
 
 Instance files go to a temporary directory, whose path is replaced by a fixed
 token before hashing.  SEQDICT_CAPS is unset, so the default caps apply.
@@ -27,13 +31,14 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from seqdict.cli import ALGORITHMS, NAMED_INSTANCES, main  # noqa: E402
+from seqdict.cli import _BENCH_KINDS, ALGORITHMS, NAMED_INSTANCES, main  # noqa: E402
 from seqdict.fileio import KINDS  # noqa: E402
 from seqdict.suites import SUITES  # noqa: E402
 
@@ -42,6 +47,15 @@ DENOMINATORS = (1, 2, 3, 100)
 SEEDS = (0, 1)
 PREFIX_CS = (1, 2, 3)
 VERIFY_SEEDS = range(4)
+BENCH_NS = "2..4"
+BENCH_CS = "1..2"
+BENCH_TRIALS = "2"
+
+
+def without_runtimes(csv_text: str) -> str:
+    """Bench CSV with the last field, mean_runtime_ms, blanked on every data row."""
+    head, sep, rows = csv_text.partition("\n")
+    return head + sep + re.sub(r"[^,\r\n]*(?=\r?\n)", "", rows)
 
 
 def call(argv: list, workdir: str) -> tuple:
@@ -54,12 +68,14 @@ def call(argv: list, workdir: str) -> tuple:
             code = f"raised {type(exc).__name__}: {exc}"
     if not isinstance(code, int):
         print(f"{' '.join(argv)}: {code}", file=sys.stderr)
-    record = "\0".join([" ".join(argv), str(code), out.getvalue(), err.getvalue()])
+    stdout = without_runtimes(out.getvalue()) if argv[0] == "bench" else out.getvalue()
+    record = "\0".join([" ".join(argv), str(code), stdout, err.getvalue()])
     return record.replace(workdir, "<dir>").encode() + b"\1", out.getvalue()
 
 
 def sweep(workdir: str) -> dict:
-    families = {name: hashlib.sha256() for name in ("gen", "posd", "run", "named", "verify")}
+    families = {name: hashlib.sha256()
+                for name in ("gen", "posd", "run", "named", "verify", "bench")}
     counts = dict.fromkeys(families, 0)
 
     def record(family: str, argv: list, path=None) -> None:
@@ -97,6 +113,12 @@ def sweep(workdir: str) -> dict:
         for seed in VERIFY_SEEDS:
             record("verify", ["verify", suite, "--seed", str(seed)])
             record("verify", ["verify", suite, "--seed", str(seed), "--json"])
+    for algorithm, (_, needs_c, _) in ALGORITHMS.items():
+        for kind in _BENCH_KINDS:
+            for seed in SEEDS:
+                argv = ["bench", "--kind", kind, "--algorithm", algorithm, "--n", BENCH_NS,
+                        "--trials", BENCH_TRIALS, "--seed", str(seed)]
+                record("bench", argv + (["--c", BENCH_CS] if needs_c else []))
     return {name: (counts[name], h.hexdigest()) for name, h in families.items()}
 
 
