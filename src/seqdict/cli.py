@@ -48,6 +48,11 @@ def _fmt_q(v) -> str:
     return "inf" if v == INFINITE_POSD else encode_rational(v)
 
 
+def _fmt_exact(v) -> str:
+    """`v` as "p/q (= decimal)", or "inf" with no decimal."""
+    return _fmt_q(v) + ("" if v == INFINITE_POSD else f" (= {float(v):g})")
+
+
 def _parse_eps(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -55,14 +60,16 @@ def _parse_eps(text: str) -> Fraction:
         raise UsageError(f"cannot parse rational {text!r}") from None
 
 
-def _parse_range(text: str) -> list:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        lo, hi = int(lo), int(hi)
-        if lo > hi:
-            raise UsageError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+def _parse_range(flag: str, text: str) -> list:
+    """The integers of a `bench` range flag: "lo..hi" or one value."""
+    try:
+        lo, hi = map(int, text.split("..", 1) if ".." in text else (text, text))
+    except ValueError:
+        raise UsageError(f"{flag} must be an integer or a range like 1..3, "
+                         f"got {text!r}") from None
+    if lo > hi:
+        raise UsageError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 # name -> constructor(eps, x3c_variant)
@@ -77,9 +84,11 @@ NAMED_INSTANCES = {
 }
 
 
-def _check_drawing_flags(kind: str, ns, args) -> None:
+def _check_drawing_flags(kind: str, ns, cs, c_min: int, args) -> None:
     """Refuse a bad instance-drawing flag of `gen` or `bench` for `kind`,
-    once per command and before anything is drawn."""
+    once per command and before anything is drawn.  `cs` are the prefix
+    thresholds the command uses (none if it ignores --c); each must lie in
+    c_min..n for every n in `ns`."""
     if min(ns) < 1:
         raise UsageError(f"--n must be at least 1, got {min(ns)}")
     wd = args.weight_denominator
@@ -90,6 +99,10 @@ def _check_drawing_flags(kind: str, ns, args) -> None:
             raise UsageError(f"--m must be at least 0, got {args.m}")
         if args.max_clause_len < 1:
             raise UsageError(f"--max-clause-len must be at least 1, got {args.max_clause_len}")
+    if cs and min(cs) < c_min:
+        raise UsageError(f"--c must be at least {c_min}, got {min(cs)}")
+    if cs and max(cs) > min(ns):
+        raise UsageError(f"--c must be at most --n, got {max(cs)} > {min(ns)}")
 
 
 def _random_instance(kind: str, n: int, seed: int, c, args):
@@ -106,7 +119,8 @@ def _random_instance(kind: str, n: int, seed: int, c, args):
     if kind == "paths":
         return auxstructs.random_paths_instance(n, seed, wd)
     if kind == "lowerbound":
-        return seqopt.random_lower_bound_instance(n, min(2, n) if c is None else c, seed)
+        # without --c, or at c=0 (det-plus only), draw the c=min(2, n) family
+        return seqopt.random_lower_bound_instance(n, c or min(2, n), seed)
     raise UsageError(f"unknown instance kind {kind!r}")
 
 
@@ -137,7 +151,8 @@ def _cmd_gen(args) -> int:
             raise UsageError("gen needs an instance kind or --paper")
         if args.n is None:
             raise UsageError("gen needs --n for random instances")
-        _check_drawing_flags(args.kind, [args.n], args)
+        lowerbound_c = [args.c] if args.kind == "lowerbound" and args.c is not None else []
+        _check_drawing_flags(args.kind, [args.n], lowerbound_c, 1, args)
         inst = _random_instance(args.kind, args.n, args.seed, args.c, args)
     if args.wcnf:
         if not isinstance(inst, oss.SatInstance):
@@ -217,14 +232,13 @@ def _cmd_run(args) -> int:
     else:
         print(f"kind: {kind}  n: {inst.n}  algorithm: {args.algorithm}")
         print("sequence:", " ".join(map(str, seq)))
-        print(f"welfare: {_fmt_q(welfare)} (= {float(welfare):g})")
+        print(f"welfare: {_fmt_exact(welfare)}")
         print(f"queries: {queries}")
         if opt is None:
             print("optimal sequence welfare: skipped (enumeration cap)")
         else:
             print(f"optimal sequence welfare: {_fmt_q(opt)}")
-            print(f"ratio vs optimal sequence: {_fmt_q(ratio)}"
-                  + ("" if ratio == INFINITE_POSD else f" (= {float(ratio):g})"))
+            print(f"ratio vs optimal sequence: {_fmt_exact(ratio)}")
     return 0
 
 
@@ -252,8 +266,7 @@ def _cmd_posd(args) -> int:
         print(f"underlying optimum: {_fmt_q(opt)}")
         print(f"best sequence welfare: {_fmt_q(best)} (sequence "
               + " ".join(map(str, seq)) + ")")
-        suffix = "" if posd == INFINITE_POSD else f" (= {float(posd):g})"
-        print(f"price of serial dictatorship: {_fmt_q(posd)}{suffix}")
+        print(f"price of serial dictatorship: {_fmt_exact(posd)}")
     return 0
 
 
@@ -289,9 +302,13 @@ def _cmd_bench(args) -> int:
     if args.kind not in _BENCH_KINDS:
         raise UsageError(f"unknown bench kind {args.kind!r}")
     kind = "lowerbound" if args.kind == "general" else args.kind
-    ns = _parse_range(args.n)
-    cs = _parse_range(args.c) if args.c else [None]
-    _check_drawing_flags(kind, ns, args)
+    ns = _parse_range("--n", args.n)
+    cs = _parse_range("--c", args.c) if args.c else [None]
+    needs_c = ALGORITHMS[args.algorithm][1]
+    _check_drawing_flags(kind, ns, cs if needs_c and args.c else [],
+                         0 if args.algorithm == "det-plus" else 1, args)
+    if args.trials < 0:
+        raise UsageError(f"--trials must be at least 0, got {args.trials}")
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["kind", "algorithm", "n", "c", "trials", "seed",
@@ -303,8 +320,7 @@ def _cmd_bench(args) -> int:
             scores = []
             for trial in range(args.trials):
                 tseed = _trial_seed(args.seed, n, c, trial)
-                # without --c, or at c=0 (det-plus only), draw the c=min(2, n) family
-                inst = _random_instance(kind, n, tseed, c or min(2, n), args)
+                inst = _random_instance(kind, n, tseed, c, args)
                 run_args = argparse.Namespace(algorithm=args.algorithm, c=c,
                                               seed=tseed, coin=None)
                 scores.append(_score(run_args, inst, kind, caps, optimum=True))
@@ -328,22 +344,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Optimize over serial dictatorships: generate instances, "
                     "run sequence algorithms, and verify their guarantees.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the instance-drawing flags of `gen` and `bench`
+    drawing = argparse.ArgumentParser(add_help=False)
+    drawing.add_argument("--seed", type=int, default=0)
+    drawing.add_argument("--m", type=int, help="clause count for oss instances")
+    drawing.add_argument("--max-clause-len", type=int, default=3)
+    drawing.add_argument("--weight-denominator", type=int, default=100)
+    drawing.add_argument("-o", "--output")
 
-    p = sub.add_parser("gen", help="generate an instance file")
+    p = sub.add_parser("gen", parents=[drawing], help="generate an instance file")
     p.add_argument("kind", nargs="?", choices=KINDS)
     p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=int, help="clause count for oss instances")
-    p.add_argument("--max-clause-len", type=int, default=3)
     p.add_argument("--c", type=int, help="prefix threshold for lowerbound instances")
-    p.add_argument("--weight-denominator", type=int, default=100)
     p.add_argument("--paper", choices=NAMED_INSTANCES,
                    help="emit one of the named built-in instances")
     p.add_argument("--eps", default="1/10", help='rational "p/q" parameter')
     p.add_argument("--x3c-variant", choices=("yes", "no"), default="yes")
     p.add_argument("--wcnf", action="store_true",
                    help="write sat instances in weighted-CNF text")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("run", help="run an algorithm on an instance file")
@@ -367,17 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("bench", help="benchmark an algorithm, CSV output")
+    p = sub.add_parser("bench", parents=[drawing], help="benchmark an algorithm, CSV output")
     p.add_argument("--kind", required=True)
     p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     p.add_argument("--n", required=True, help="range like 3..6 or a single value")
     p.add_argument("--c", help="range like 1..3 (prefix-search algorithms)")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=int)
-    p.add_argument("--max-clause-len", type=int, default=3)
-    p.add_argument("--weight-denominator", type=int, default=100)
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_bench)
     return parser
 

@@ -287,6 +287,18 @@ class ScaledWeights:
     def scaled(self) -> tuple:
         return scaled_rows(self.weights)
 
+    @classmethod
+    def from_rows(cls, rows: tuple):
+        """The instance `cls(n, rows, prefs)` whose prefs list each row's
+        weights heaviest first (equal weights: the lower index first).  The
+        `scaled_rows` that sort them are put in its `scaled` cache before
+        `__init__` runs, so they are worked out once."""
+        scaled = scaled_rows(rows)
+        inst = object.__new__(cls)
+        inst.__dict__["scaled"] = scaled
+        inst.__init__(len(rows), rows, heaviest_first(scaled[1]))
+        return inst
+
     def check_prefs(self) -> None:
         """Raise unless each agent's `prefs` lists her weights heaviest first,
         compared as the integers of `scaled`; call it once every row's types

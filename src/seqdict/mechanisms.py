@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from math import perm
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import (
     DEFAULT_CAPS,
@@ -97,15 +97,12 @@ def _paid_outcome(profile: ValuationProfile, payers, sequence: tuple,
         if i in payers else Fraction(0) for i in range(profile.n)))
 
 
-def _vcg_rand_outcome(profile: ValuationProfile, subset,
-                      sequence: Optional[tuple] = None) -> MechanismOutcome:
-    """Payments for one drawn subset: what the others lose, under the same
-    draw, because agent i reported a non-zero valuation."""
+def _vcg_rand_outcome(profile: ValuationProfile, subset) -> MechanismOutcome:
+    """The drawn subset's sequence with payments: what the others lose, under
+    the same draw, because agent i reported a non-zero valuation."""
     subset = frozenset(subset)
-    if sequence is None:
-        sequence = subset_sequence(profile.value, subset, profile.n)
-    return _paid_outcome(profile, subset, sequence,
-                         lambda p: subset_sequence(p.value, subset, p.n))
+    run = lambda p: subset_sequence(p.value, subset, p.n)
+    return _paid_outcome(profile, subset, run(profile), run)
 
 
 def vcg_rand(profile: ValuationProfile, c: int, seed: int) -> MechanismOutcome:
@@ -114,8 +111,7 @@ def vcg_rand(profile: ValuationProfile, c: int, seed: int) -> MechanismOutcome:
     Agents outside the drawn subset pay nothing; the draw itself ignores the
     reports, so both terms of each payment share the same drawn subset.
     """
-    sequence = rand(profile.oracle(), c, seed)
-    return _vcg_rand_outcome(profile, frozenset(sequence[:c]), sequence)
+    return _vcg_rand_outcome(profile, rand(profile.oracle(), c, seed)[:c])
 
 
 def vcg_det_plus(profile: ValuationProfile, c: int) -> MechanismOutcome:
@@ -232,9 +228,10 @@ def truthfulness_spotcheck(mechanism, profile: ValuationProfile,
     Expectations are exact: randomized mechanisms enumerate their draws.
     """
     entries = []
+    truthful = mechanism.distribution(profile)
     for agent in sorted(misreports):
         true_table = profile.tables[agent]
-        truth = expected_utility(mechanism.distribution(profile), agent, true_table)
+        truth = expected_utility(truthful, agent, true_table)
         for k, table in enumerate(misreports[agent]):
             mis = expected_utility(mechanism.distribution(profile.with_table(agent, table)),
                                    agent, true_table)
@@ -263,24 +260,19 @@ def _counterexample_matching_alt(eps) -> MatchingInstance:
     return MatchingInstance.from_weights([[1 - eps, 0], [1, 1 - eps]])
 
 
+def _counterexample_digraph(eps: Fraction, w01, w03) -> ArborescenceInstance:
+    """The 4-node digraph of the arborescence pair; only agent 0's edges
+    0->1 and 0->3 (weights `w01` and `w03`) differ between its two sides."""
+    w = [[Fraction(0)] * 4 for _ in range(4)]
+    w[0][1], w[0][3] = w01, w03
+    w[1][0] = w[3][2] = Fraction(1)
+    w[2][3] = 1 - eps
+    return ArborescenceInstance.from_weights(w)
+
+
 def counterexample_digraph_instance(eps) -> ArborescenceInstance:
     eps = Fraction(eps)
-    w = [[Fraction(0)] * 4 for _ in range(4)]
-    w[0][1], w[0][3] = 1 - eps, eps
-    w[1][0] = Fraction(1)
-    w[2][3] = 1 - eps
-    w[3][2] = Fraction(1)
-    return ArborescenceInstance.from_weights(w)
-
-
-def _counterexample_digraph_alt(eps) -> ArborescenceInstance:
-    eps = Fraction(eps)
-    w = [[Fraction(0)] * 4 for _ in range(4)]
-    w[0][1], w[0][3] = 1 + eps, Fraction(1)
-    w[1][0] = Fraction(1)
-    w[2][3] = 1 - eps
-    w[3][2] = Fraction(1)
-    return ArborescenceInstance.from_weights(w)
+    return _counterexample_digraph(eps, 1 - eps, eps)
 
 
 def det_family_profile(n: int, c: int) -> ValuationProfile:
@@ -311,6 +303,6 @@ def counterexample_profiles(eps=Fraction(1, 10)) -> tuple:
             ("greedy-matching", counterexample_matching_instance(eps),
              _counterexample_matching_alt(eps), greedy_osm),
             ("greedy-arborescence", counterexample_digraph_instance(eps),
-             _counterexample_digraph_alt(eps), greedy_osa)]]
+             _counterexample_digraph(eps, 1 + eps, Fraction(1)), greedy_osa)]]
     return (*greedy, Counterexample("prefix-search", det_family_profile(5, 2), 0,
                                     det_family_misreport(5, 2), lambda oracle: det(oracle, 2)))

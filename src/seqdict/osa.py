@@ -27,9 +27,7 @@ from .core import (
     ValuationOracle,
     actions as arborescence_from_sequence,  # parent[i] = target or None
     as_fraction,
-    heaviest_first,
     oracle_for as osa_oracle,
-    scaled_rows,
     structure_for,
     underlying_optimum,
 )
@@ -78,8 +76,7 @@ class ArborescenceInstance(ScaledWeights):
     @classmethod
     def from_weights(cls, weights: Sequence[Sequence]) -> "ArborescenceInstance":
         """Derive preferences; equal weights rank the lower target first."""
-        rows = digraph_rows(weights)
-        return cls(len(rows), rows, heaviest_first(scaled_rows(rows)[1]))
+        return cls.from_rows(digraph_rows(weights))
 
 
 def reaches(out: dict, start: int, goal: int) -> bool:

@@ -25,9 +25,7 @@ from .core import (
     ValuationOracle,
     actions as matching_from_sequence,  # the perfect matching: assignment[i] = item
     as_fraction,
-    heaviest_first,
     oracle_for as osm_oracle,
-    scaled_rows,
     structure_for,
     underlying_optimum,
 )
@@ -58,8 +56,7 @@ class MatchingInstance(ScaledWeights):
     @classmethod
     def from_weights(cls, weights: Sequence[Sequence]) -> "MatchingInstance":
         """Derive preferences from weights; equal weights rank the lower item first."""
-        rows = tuple(tuple(map(as_fraction, row)) for row in weights)
-        return cls(len(rows), rows, heaviest_first(scaled_rows(rows)[1]))
+        return cls.from_rows(tuple(tuple(map(as_fraction, row)) for row in weights))
 
 
 def _pick(inst: MatchingInstance, taken: int, agent: int) -> int:

@@ -90,19 +90,24 @@ def suite_pareto(seed: int = 0) -> list:
     return rows
 
 
+def _within_factor_two(make, seed: int, welfare) -> bool:
+    """Whether twice `welfare(oracle)` is at least the best-sequence welfare
+    on each of 20 instances `make(3 + k % 3, seed + k)`."""
+    ok = True
+    for k in range(20):
+        inst = make(3 + k % 3, seed + k)
+        sw = welfare(oracle_for(inst))
+        ok = 2 * sw >= best_sequence(inst)[1] and ok
+    return ok
+
+
 def suite_approx(seed: int = 0) -> list:
     rows = []
 
     greedy_domains = [("matching", osm.random_matching_instance, osm.greedy_osm),
                       ("arborescence", osa.random_digraph_instance, osa.greedy_osa)]
     for name, make, greedy in greedy_domains:
-        ok = True
-        for k in range(20):
-            inst = make(3 + k % 3, seed + k)
-            oracle = oracle_for(inst)
-            sw = social_welfare(oracle.fresh(), greedy(oracle))
-            _, opt = best_sequence(inst)
-            ok = ok and 2 * sw >= opt
+        ok = _within_factor_two(make, seed, lambda o: social_welfare(o.fresh(), greedy(o)))
         rows.append(_row(f"greedy {name} within factor 2", ok))
 
     ok = True
@@ -144,15 +149,9 @@ def suite_truthful(seed: int = 0) -> list:
         rows.append(_row(f"vcg {label} payments sane", nonneg and rational))
         rows.append(_row(f"vcg {label} no profitable misreport", report.ok))
 
-    ok = True
-    for k in range(20):
-        inst = osa.random_digraph_instance(3 + k % 3, seed + 100 + k)
-        oracle = osa.osa_oracle(inst)
-        n = inst.n
-        expect = (social_welfare(oracle.fresh(), osa.bit(n, True))
-                  + social_welfare(oracle.fresh(), osa.bit(n, False))) / 2
-        _, opt = best_sequence(inst)
-        ok = ok and 2 * expect >= opt
+    expect = lambda o: sum(social_welfare(o.fresh(), osa.bit(o.n, coin))
+                           for coin in (True, False)) / 2
+    ok = _within_factor_two(osa.random_digraph_instance, seed + 100, expect)
     rows.append(_row("coin-flip sequence within factor 2 in expectation", ok))
     return rows
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from seqdict import cli
 from seqdict.cli import main
 from seqdict.fileio import KINDS
 from seqdict.suites import SUITES
@@ -590,3 +591,61 @@ class TestBadDrawingFlags:
         code, out, _ = run_cli(capsys, "gen", "oss", "--n", "3", "--m", "0")
         assert code == 0
         assert json.loads(out)["clauses"] == []
+
+
+class TestBadRangesAndCounts:
+    """A `bench` range that is not integers, a --c out of range and a negative
+    --trials are refused with one line naming the flag, before any draw."""
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--n", "x", "--c", "1"), "--n must be an integer or a range like 1..3, got 'x'"),
+        (("--n", "3..", "--c", "1"), "--n must be an integer or a range like 1..3, got '3..'"),
+        (("--n", "3", "--c", "1..x"), "--c must be an integer or a range like 1..3, got '1..x'"),
+    ], ids=["n-x", "n-open", "c-x"])
+    def test_range_not_integers(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "bench", "--kind", "osm", "--algorithm", "det",
+                                 *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("gen", "lowerbound", "--n", "3", "--c", "0"), "--c must be at least 1, got 0"),
+        (("gen", "lowerbound", "--n", "3", "--c", "5"), "--c must be at most --n, got 5 > 3"),
+        (("bench", "--kind", "osm", "--algorithm", "det", "--n", "3", "--c", "5",
+          "--trials", "1"), "--c must be at most --n, got 5 > 3"),
+        (("bench", "--kind", "osm", "--algorithm", "det", "--n", "3", "--c", "0"),
+         "--c must be at least 1, got 0"),
+        (("bench", "--kind", "general", "--algorithm", "rand", "--n", "3..5", "--c", "1..4"),
+         "--c must be at most --n, got 4 > 3"),
+        (("bench", "--kind", "osa", "--algorithm", "det-plus", "--n", "3", "--c", "-1"),
+         "--c must be at least 0, got -1"),
+        (("bench", "--kind", "osm", "--algorithm", "det-plus", "--n", "2..4", "--c", "0..3",
+          "--trials", "0"), "--c must be at most --n, got 3 > 2"),
+        (("bench", "--kind", "osm", "--algorithm", "det", "--n", "3", "--c", "1",
+          "--trials", "-2"), "--trials must be at least 0, got -2"),
+    ], ids=["gen-c-zero", "gen-c-over-n", "bench-c-over-n", "bench-c-zero",
+            "bench-rand-range", "bench-det-plus-negative", "bench-det-plus-no-trials",
+            "bench-trials-negative"])
+    def test_refused_before_any_draw(self, capsys, monkeypatch, argv, message):
+        def never(*args):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(cli, "_random_instance", never)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "lowerbound", "--n", "3", "--c", "1"),
+        ("gen", "lowerbound", "--n", "3", "--c", "3"),
+        ("gen", "osm", "--n", "3", "--c", "9"),
+        ("bench", "--kind", "osm", "--algorithm", "det-plus", "--n", "3", "--c", "0..3",
+         "--trials", "1"),
+        ("bench", "--kind", "general", "--algorithm", "det", "--n", "3..4", "--c", "1..3",
+         "--trials", "1"),
+        ("bench", "--kind", "osm", "--algorithm", "greedy-osm", "--n", "3", "--c", "9",
+         "--trials", "1"),
+    ], ids=["gen-c-one", "gen-c-n", "gen-osm-ignores-c", "bench-det-plus-zero",
+            "bench-det-every-cell", "bench-greedy-ignores-c"])
+    def test_bounds_are_accepted(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out

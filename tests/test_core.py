@@ -306,3 +306,23 @@ class TestUnderlyingOptimumAndPosd:
         for inst in instances:
             ratio = price_of_serial_dictatorship(inst)
             assert ratio == INFINITE_POSD or ratio >= 1
+
+
+class TestFromWeightsScalesOnce:
+    @pytest.mark.parametrize("cls", [osm.MatchingInstance, osa.ArborescenceInstance])
+    def test_one_scaled_rows_call(self, monkeypatch, cls):
+        from seqdict import core
+        real = core.scaled_rows
+        calls = []
+
+        def counting(rows):
+            calls.append(rows)
+            return real(rows)
+
+        for module in (core, osm, osa):
+            monkeypatch.setattr(module, "scaled_rows", counting, raising=False)
+        inst = cls.from_weights([[Fraction(0), Fraction(3, 10), Fraction(1, 4)],
+                                 [Fraction(1, 2), Fraction(0), Fraction(1, 2)],
+                                 [Fraction(1, 6), Fraction(2), Fraction(0)]])
+        assert inst.scaled == real(inst.weights)
+        assert len(calls) == 1

@@ -264,3 +264,21 @@ class TestVcgRandMatchesItsDistribution:
             for seed in range(20):
                 out = vcg_rand(profile, c, seed)
                 assert out == by_draw[frozenset(out.sequence[:c])], (c, seed)
+
+
+class TestSpotcheckBuildsTheTruthOnce:
+    def test_one_truthful_distribution_per_call(self):
+        profile = det_family_profile(4, 2)
+        misreports = {i: [det_family_misreport(4, 2, i), zero_table(4, i)]
+                      for i in range(4)}
+        asked = []
+
+        class Counting(VcgDetPlusMechanism):
+            def distribution(self, p):
+                asked.append(p)
+                return super().distribution(p)
+
+        report = truthfulness_spotcheck(Counting(2), profile, misreports)
+        assert report.ok and len(report.entries) == 8
+        assert sum(p is profile for p in asked) == 1
+        assert len(asked) == 1 + 8  # the truth, then one per misreport

@@ -19,6 +19,16 @@ Families:
          not run on are refused, and the refusals are recorded), n = 2..4,
          c = 1..2 for the prefix searches, 2 trials, seeds 0 and 1; the
          mean_runtime_ms column is blanked before hashing
+  refusals
+         every usage-error path of `gen` and `bench`: a missing kind or
+         --n, an unknown kind or --paper, a bad --eps, --wcnf off sat,
+         values argparse rejects, each bad drawing flag (--n,
+         --weight-denominator, --m, --max-clause-len) on every kind, ranges
+         that are empty or not integers, --c out of range (gen lowerbound;
+         bench det, rand and det-plus), a negative --trials, a missing --c,
+         and every algorithm on each kind it does not run on; bench commands
+         at --trials 2 and 0.  The values just inside each --c and --trials
+         rule are run too, as accepted neighbours of the refusals
 
 Instance files go to a temporary directory, whose path is replaced by a fixed
 token before hashing.  SEQDICT_CAPS is unset, so the default caps apply.
@@ -52,6 +62,39 @@ BENCH_CS = "1..2"
 BENCH_TRIALS = "2"
 
 
+def refusals() -> list:
+    """The argv lists of the `refusals` family."""
+    bad_flags = [["--n", "0"], ["--n", "-1"], ["--weight-denominator", "0"],
+                 ["--weight-denominator", "-3"], ["--m", "-1"], ["--max-clause-len", "0"]]
+    gen = [["gen"], ["gen", "osm"], ["gen", "nope", "--n", "3"], ["gen", "osm", "--n", "x"],
+           ["gen", "lowerbound", "--n", "3", "--c", "y"], ["gen", "--paper", "nope"],
+           ["gen", "--paper", "sat-posd", "--eps", "x"], ["gen", "osm", "--n", "3", "--wcnf"]]
+    gen += [["gen", kind, "--n", "3", *flags] for kind in KINDS for flags in bad_flags]
+    gen += [["gen", "lowerbound", "--n", "3", "--c", c] for c in ("-1", "0", "1", "3", "4")]
+    # bench commands, each run at --trials 2 and at --trials 0
+    cells = [["--n", "x", "--c", "1"], ["--n", "3..", "--c", "1"], ["--n", "4..2", "--c", "1"],
+             ["--n", "0..2", "--c", "1"], ["--n", "3", "--c", "1..x"], ["--n", "3", "--c", "x"],
+             ["--n", "3", "--c", "2..1"]]
+    cells += [["--n", "3", "--c", "1", *flags] for flags in bad_flags]
+    bench = [["bench", "--kind", kind, "--algorithm", "det", *cell]
+             for kind in ("osm", "oss") for cell in cells]
+    bench += [["bench", "--kind", "nope", "--algorithm", "det", "--n", "3", "--c", "1"],
+              ["bench", "--kind", "osm", "--n", "3"]]
+    for algorithm, (wanted, needs_c, _) in ALGORITHMS.items():
+        if needs_c:  # --c out of range and just inside it; a missing --c
+            low = 0 if algorithm == "det-plus" else 1
+            bench += [["bench", "--kind", kind, "--algorithm", algorithm, "--n", n, "--c", c]
+                      for kind in ("osm", "general") for n in ("3", "3..5")
+                      for c in (str(low - 1), str(low), "3", "4", f"{low}..4")]
+            bench += [["bench", "--kind", "osa", "--algorithm", algorithm, "--n", "3"]]
+        else:
+            bench += [["bench", "--kind", kind, "--algorithm", algorithm, "--n", "3"]
+                      for kind in _BENCH_KINDS if kind != wanted]
+    trials = [["bench", "--kind", "osm", "--algorithm", "det", "--n", "3", "--c", "1",
+               "--trials", t] for t in ("x", "-2", "-1", "0", "1")]
+    return gen + [argv + ["--trials", t] for argv in bench for t in ("2", "0")] + trials
+
+
 def without_runtimes(csv_text: str) -> str:
     """Bench CSV with the last field, mean_runtime_ms, blanked on every data row."""
     head, sep, rows = csv_text.partition("\n")
@@ -75,7 +118,7 @@ def call(argv: list, workdir: str) -> tuple:
 
 def sweep(workdir: str) -> dict:
     families = {name: hashlib.sha256()
-                for name in ("gen", "posd", "run", "named", "verify", "bench")}
+                for name in ("gen", "posd", "run", "named", "verify", "bench", "refusals")}
     counts = dict.fromkeys(families, 0)
 
     def record(family: str, argv: list, path=None) -> None:
@@ -119,6 +162,8 @@ def sweep(workdir: str) -> dict:
                 argv = ["bench", "--kind", kind, "--algorithm", algorithm, "--n", BENCH_NS,
                         "--trials", BENCH_TRIALS, "--seed", str(seed)]
                 record("bench", argv + (["--c", BENCH_CS] if needs_c else []))
+    for argv in refusals():
+        record("refusals", argv)
     return {name: (counts[name], h.hexdigest()) for name, h in families.items()}
 
 
