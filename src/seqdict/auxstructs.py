@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable, Optional
 
 from .core import (
@@ -28,7 +28,6 @@ from .core import (
     heaviest_first,
     oracle_for as osi_oracle,
     oracle_for as paths_oracle,
-    structure_for,
     underlying_optimum,
 )
 from .osa import (
@@ -69,30 +68,29 @@ class OsiInstance:
         return [(i, j) for i in range(self.n) for j in range(i + 1, self.n)
                 if self.adj[i][j]]
 
+    @cached_property
+    def structure(self) -> Structure:
+        """v_i(S) = 1 iff the nodes of S plus i form an independent set.
+
+        The state is the neighbours of the acted set as a bitmask, with every
+        bit set once the acted set stops being independent, so it depends only
+        on the set of agents that acted.  An agent's act is her value.
+        """
+        nbr = _neighbour_masks(self)
+        dependent = (1 << self.n) - 1
+
+        def step(mask: int, agent: int) -> int:
+            return dependent if mask >> agent & 1 else mask | nbr[agent]
+
+        def read(mask: int, agent: int) -> int:
+            return 0 if mask >> agent & 1 else 1
+
+        return Structure(0, step, read, read, 1, True)
+
 
 def _neighbour_masks(inst: OsiInstance) -> list:
     """Each node's neighbours as a bitmask."""
     return [sum(1 << j for j in range(inst.n) if inst.adj[i][j]) for i in range(inst.n)]
-
-
-@structure_for.register
-def _(inst: OsiInstance) -> Structure:
-    """v_i(S) = 1 iff the nodes of S plus i form an independent set.
-
-    The state is the neighbours of the acted set as a bitmask, with every
-    bit set once the acted set stops being independent, so it depends only
-    on the set of agents that acted.  An agent's act is her value.
-    """
-    nbr = _neighbour_masks(inst)
-    dependent = (1 << inst.n) - 1
-
-    def step(mask: int, agent: int) -> int:
-        return dependent if mask >> agent & 1 else mask | nbr[agent]
-
-    def read(mask: int, agent: int) -> int:
-        return 0 if mask >> agent & 1 else 1
-
-    return Structure(0, step, read, read, 1, True)
 
 
 def _mis_from_masks(n: int, nbr: list) -> int:
@@ -172,29 +170,28 @@ class PathsInstance(ScaledWeights):
     def from_weights(cls, weights) -> "PathsInstance":
         return cls(len(weights), digraph_rows(weights))
 
+    @cached_property
+    def structure(self) -> Structure:
+        """v_i(S) = weight of i's heaviest still-addable edge after simulating S.
 
-@structure_for.register
-def _(inst: PathsInstance) -> Structure:
-    """v_i(S) = weight of i's heaviest still-addable edge after simulating S.
+        These valuations are NOT monotone in general, despite the resemblance to
+        the arborescence structure: with 4+ nodes, an extra predecessor can grab
+        an agent's target node (in-degree competition), rerouting that agent's
+        edge and thereby unblocking an edge that the shorter prefix forbade.
+        They are monotone for n <= 3, where no such rerouting is possible.
 
-    These valuations are NOT monotone in general, despite the resemblance to
-    the arborescence structure: with 4+ nodes, an extra predecessor can grab
-    an agent's target node (in-degree competition), rerouting that agent's
-    edge and thereby unblocking an edge that the shorter prefix forbade.
-    They are monotone for n <= 3, where no such rerouting is possible.
+        The state is the walk ends of `osa.draw`, with end[j] None once an edge
+        enters j: an edge i->j is addable iff end[j] is neither None nor i.
+        """
+        scale, rows = self.scaled
+        targets = heaviest_first(rows)
 
-    The state is the walk ends of `osa.draw`, with end[j] None once an edge
-    enters j: an edge i->j is addable iff end[j] is neither None nor i.
-    """
-    scale, rows = inst.scaled
-    targets = heaviest_first(rows)
+        def read(end: tuple, agent: int) -> int:
+            target = best_addable(targets, end, agent)
+            return 0 if target is None else rows[agent][target]
 
-    def read(end: tuple, agent: int) -> int:
-        target = best_addable(targets, end, agent)
-        return 0 if target is None else rows[agent][target]
-
-    return Structure(tuple(range(inst.n)), partial(draw, targets, True),
-                     partial(best_addable, targets), read, scale, False)
+        return Structure(tuple(range(self.n)), partial(draw, targets, True),
+                         partial(best_addable, targets), read, scale, False)
 
 
 def paths_edges_from_sequence(inst: PathsInstance, seq) -> dict:

@@ -68,7 +68,7 @@ def _parse_range(flag: str, text: str) -> list:
         raise UsageError(f"{flag} must be an integer or a range like 1..3, "
                          f"got {text!r}") from None
     if lo > hi:
-        raise UsageError(f"empty range {text!r}")
+        raise UsageError(f"{flag} must be a non-empty range, got {text!r}")
     return list(range(lo, hi + 1))
 
 
@@ -185,16 +185,23 @@ ALGORITHMS = {
 }
 
 
-def _score(args, inst, kind, caps, optimum: bool) -> tuple:
-    """(sequence, queries, welfare, best-sequence welfare, ratio, seconds) of
-    the algorithm on its own oracle of `inst`.  The best welfare and the ratio
-    are None without `optimum` or when that search is over the cap."""
-    oracle = oracle_for(inst)
-    wanted, needs_c, runner = ALGORITHMS[args.algorithm]
+def _check_algorithm(algorithm: str, kind: str, c) -> None:
+    """Refuse an algorithm on a kind it does not run on, or without the --c
+    it needs, once per command, before any instance is drawn or oracle built."""
+    wanted, needs_c, _ = ALGORITHMS[algorithm]
     if wanted is not None and kind != wanted:
-        raise UsageError(f"algorithm {args.algorithm} runs on {wanted} instances, not {kind}")
-    if needs_c and args.c is None:
-        raise UsageError(f"algorithm {args.algorithm} needs --c")
+        raise UsageError(f"algorithm {algorithm} runs on {wanted} instances, not {kind}")
+    if needs_c and c is None:
+        raise UsageError(f"algorithm {algorithm} needs --c")
+
+
+def _score(args, inst, caps, optimum: bool) -> tuple:
+    """(sequence, queries, welfare, best-sequence welfare, ratio, seconds) of
+    the algorithm on its own oracle of `inst`, which `_check_algorithm` has
+    passed.  The best welfare and the ratio are None without `optimum` or
+    when that search is over the cap."""
+    oracle = oracle_for(inst)
+    runner = ALGORITHMS[args.algorithm][2]
     t0 = time.perf_counter()
     seq = runner(args, inst, oracle, caps)
     seconds = time.perf_counter() - t0
@@ -214,7 +221,8 @@ def _cmd_run(args) -> int:
     caps = Caps.from_env()
     inst = load_instance(args.instance)
     kind = instance_kind(inst)
-    seq, queries, welfare, opt, ratio, _ = _score(args, inst, kind, caps,
+    _check_algorithm(args.algorithm, kind, args.c)
+    seq, queries, welfare, opt, ratio, _ = _score(args, inst, caps,
                                                   optimum=not args.skip_optimum)
     if args.json:
         _print_json({
@@ -309,6 +317,7 @@ def _cmd_bench(args) -> int:
                          0 if args.algorithm == "det-plus" else 1, args)
     if args.trials < 0:
         raise UsageError(f"--trials must be at least 0, got {args.trials}")
+    _check_algorithm(args.algorithm, kind, cs[0])  # cs is [None] without --c
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["kind", "algorithm", "n", "c", "trials", "seed",
@@ -323,7 +332,7 @@ def _cmd_bench(args) -> int:
                 inst = _random_instance(kind, n, tseed, c, args)
                 run_args = argparse.Namespace(algorithm=args.algorithm, c=c,
                                               seed=tseed, coin=None)
-                scores.append(_score(run_args, inst, kind, caps, optimum=True))
+                scores.append(_score(run_args, inst, caps, optimum=True))
             _, queries, _, _, ratios, seconds = zip(*scores)
             ratios = [r for r in ratios if r is not None]
             writer.writerow([

@@ -423,19 +423,9 @@ def underlying_optimum(instance, caps: Optional[Caps] = None) -> Value:
 
 
 class Structure(NamedTuple):
-    """How a structured instance plays out as agents act (see `structure_for`)."""
-
-    start: object
-    step: Callable
-    act: Callable
-    read: Callable
-    scale: int
-    monotone_claimed: bool
-
-
-@singledispatch
-def structure_for(instance) -> Structure:
-    """The `Structure` of a structured instance (dispatch per type).
+    """How a structured instance plays out as agents act.  Each kind's
+    instance class builds it once per instance, as the cached property
+    `structure`.
 
     `start` is the structure's state before anyone acts and `step(state,
     agent)` the new state after `agent` acts, neither changing the state it
@@ -446,13 +436,19 @@ def structure_for(instance) -> Structure:
     common denominator of every value; `monotone_claimed` says whether the
     kind promises monotone valuations.
     """
-    raise TypeError(f"no sequence structure registered for {type(instance).__name__}")
+
+    start: object
+    step: Callable
+    act: Callable
+    read: Callable
+    scale: int
+    monotone_claimed: bool
 
 
 def oracle_for(instance) -> ValuationOracle:
     """A fresh counted oracle for a structured instance: each query reads its
     `Structure`'s `read` at the state the query's prefix leaves."""
-    structure = structure_for(instance)
+    structure = instance.structure
     oracle = ValuationOracle(instance.n, structure.read, structure.monotone_claimed)
     oracle.scale = structure.scale
     oracle.prefixes = PrefixStates(instance.n, structure.start, structure.step)
@@ -464,7 +460,7 @@ def actions(instance, seq: Sequence[int]) -> tuple:
     agent: the `act` of each agent at the state her prefix leaves."""
     seq = tuple(seq)
     check_action_seq(seq, instance.n, full=True)
-    state, step, act, *_ = structure_for(instance)
+    state, step, act, *_ = instance.structure
     done = [None] * instance.n
     for agent in seq:
         done[agent] = act(state, agent)
@@ -490,7 +486,7 @@ def best_sequence(instance, caps: Optional[Caps] = None) -> tuple[ActionSeq, Val
     oracle = oracle_for(instance)
     n = oracle.n
     (caps or DEFAULT_CAPS).check_sequences(n)
-    start, step, *_ = structure_for(instance)
+    start, step, *_ = instance.structure
     memo: dict = {}  # (acted set as a bitmask, state) -> (completion, its welfare)
 
     def completion(prefix: ActionSeq, acted: int, state) -> tuple[ActionSeq, int]:
@@ -512,7 +508,7 @@ def best_sequence(instance, caps: Optional[Caps] = None) -> tuple[ActionSeq, Val
 
     seq, welfare = completion((), 0, start)
     completion = None  # it refers to itself: free the memo now, not at the next gc cycle
-    return seq, Fraction(welfare, oracle.scale or 1)
+    return seq, Fraction(welfare, oracle.scale)
 
 
 def welfare_ratio(optimum: Value, welfare: Value):

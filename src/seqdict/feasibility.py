@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import structure_for
-
 
 def producing_sequence(instance, target, *, commit_first: bool) -> Optional[tuple]:
     """The lexicographically smallest sequence producing `target`, or None.
@@ -23,7 +21,7 @@ def producing_sequence(instance, target, *, commit_first: bool) -> Optional[tupl
     hurts (downward-closed constraints).
     """
     n = instance.n
-    start, step, act, *_ = structure_for(instance)
+    start, step, act, *_ = instance.structure
     full = (1 << n) - 1
     dead: set = set()
     path = [[0, start, 0]]  # per depth: acted set, state, next agent to try

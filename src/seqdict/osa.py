@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
@@ -28,7 +28,6 @@ from .core import (
     actions as arborescence_from_sequence,  # parent[i] = target or None
     as_fraction,
     oracle_for as osa_oracle,
-    structure_for,
     underlying_optimum,
 )
 from .feasibility import is_pareto_optimal, sequence_for_collection
@@ -72,6 +71,25 @@ class ArborescenceInstance(ScaledWeights):
         if target is None:
             return self.n - 1
         return self.prefs[agent].index(target)
+
+    @cached_property
+    def structure(self) -> Structure:
+        """v_i(S) = weight of i's best non-forbidden edge after simulating S.
+
+        An edge i->j is forbidden when j already reaches i through drawn edges;
+        if every edge is forbidden the value is 0.  The state is the walk ends
+        of `draw`: the end of the walk from each node, which an agent's draw
+        passes on to every node whose walk ended at her.
+        """
+        scale, rows = self.scaled
+        targets = self.prefs
+
+        def read(end: tuple, agent: int) -> int:
+            target = best_addable(targets, end, agent)
+            return 0 if target is None else rows[agent][target]
+
+        return Structure(tuple(range(self.n)), partial(draw, targets, False),
+                         partial(best_addable, targets), read, scale, True)
 
     @classmethod
     def from_weights(cls, weights: Sequence[Sequence]) -> "ArborescenceInstance":
@@ -128,26 +146,6 @@ def draw(targets: tuple, in_degree_one: bool, end: tuple, agent: int) -> tuple:
     if in_degree_one:
         end[target] = None
     return tuple(end)
-
-
-@structure_for.register
-def _(inst: ArborescenceInstance) -> Structure:
-    """v_i(S) = weight of i's best non-forbidden edge after simulating S.
-
-    An edge i->j is forbidden when j already reaches i through drawn edges;
-    if every edge is forbidden the value is 0.  The state is the walk ends
-    of `draw`: the end of the walk from each node, which an agent's draw
-    passes on to every node whose walk ended at her.
-    """
-    scale, rows = inst.scaled
-    targets = inst.prefs
-
-    def read(end: tuple, agent: int) -> int:
-        target = best_addable(targets, end, agent)
-        return 0 if target is None else rows[agent][target]
-
-    return Structure(tuple(range(inst.n)), partial(draw, targets, False),
-                     partial(best_addable, targets), read, scale, True)
 
 
 def greedy_osa(oracle: ValuationOracle) -> ActionSeq:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import permutations
 from typing import Optional, Sequence
 
@@ -26,7 +26,6 @@ from .core import (
     actions as matching_from_sequence,  # the perfect matching: assignment[i] = item
     as_fraction,
     oracle_for as osm_oracle,
-    structure_for,
     underlying_optimum,
 )
 from .feasibility import is_pareto_optimal, sequence_for_collection
@@ -53,6 +52,20 @@ class MatchingInstance(ScaledWeights):
         """Position of `item` in the agent's preference order (0 = best)."""
         return self.prefs[agent].index(item)
 
+    @cached_property
+    def structure(self) -> Structure:
+        """v_i(S) = weight of i's best-ranked item left after S picked theirs.
+        The state is the taken items, as a bitmask."""
+        scale, rows = self.scaled
+
+        def step(taken: int, agent: int) -> int:
+            return taken | 1 << _pick(self, taken, agent)
+
+        def read(taken: int, agent: int) -> int:
+            return rows[agent][_pick(self, taken, agent)]
+
+        return Structure(0, step, partial(_pick, self), read, scale, True)
+
     @classmethod
     def from_weights(cls, weights: Sequence[Sequence]) -> "MatchingInstance":
         """Derive preferences from weights; equal weights rank the lower item first."""
@@ -64,21 +77,6 @@ def _pick(inst: MatchingInstance, taken: int, agent: int) -> int:
     for j in inst.prefs[agent]:
         if not taken >> j & 1:
             return j
-
-
-@structure_for.register
-def _(inst: MatchingInstance) -> Structure:
-    """v_i(S) = weight of i's best-ranked item left after S picked theirs.
-    The state is the taken items, as a bitmask."""
-    scale, rows = inst.scaled
-
-    def step(taken: int, agent: int) -> int:
-        return taken | 1 << _pick(inst, taken, agent)
-
-    def read(taken: int, agent: int) -> int:
-        return rows[agent][_pick(inst, taken, agent)]
-
-    return Structure(0, step, partial(_pick, inst), read, scale, True)
 
 
 def greedy_osm(oracle: ValuationOracle) -> ActionSeq:

@@ -25,7 +25,6 @@ from .core import (
     decode_rational,
     encode_rational,
     oracle_for as oss_oracle,
-    structure_for,
     underlying_optimum,
 )
 from .feasibility import producing_sequence
@@ -67,6 +66,17 @@ class SatInstance:
         """`clauses` with each weight w as the int w * `scale`."""
         return tuple((lits, int(w * self.scale)) for lits, w in self.clauses)
 
+    @cached_property
+    def structure(self) -> Structure:
+        """v_i(S) = larger of the unsatisfied weights on x_i's two sides after S.
+        The state is the set of clauses still open, which fixes later choices."""
+
+        def read(unsat: frozenset, agent: int) -> int:
+            return max(_tally(self, agent, unsat))
+
+        return Structure(frozenset(range(len(self.clauses))), partial(_step, self),
+                         partial(_choice, self), read, self.scale, False)
+
 
 def sat_instance(n: int, clauses: Iterable, tie_default=None) -> SatInstance:
     """Convenience constructor from (literal list, weight) pairs.
@@ -106,18 +116,6 @@ def _choice(inst: SatInstance, unsat: frozenset, agent: int) -> bool:
 def _step(inst: SatInstance, unsat: frozenset, agent: int) -> frozenset:
     hit = (agent + 1) if _choice(inst, unsat, agent) else -(agent + 1)
     return frozenset(idx for idx in unsat if hit not in inst.clauses[idx][0])
-
-
-@structure_for.register
-def _(inst: SatInstance) -> Structure:
-    """v_i(S) = larger of the unsatisfied weights on x_i's two sides after S.
-    The state is the set of clauses still open, which fixes later choices."""
-
-    def read(unsat: frozenset, agent: int) -> int:
-        return max(_tally(inst, agent, unsat))
-
-    return Structure(frozenset(range(len(inst.clauses))), partial(_step, inst),
-                     partial(_choice, inst), read, inst.scale, False)
 
 
 def sat_as_decide(inst: SatInstance, target,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 from math import factorial, perm
 from typing import Callable, Optional
@@ -23,7 +24,6 @@ from .core import (
     check_action_seq,
     oracle_for as make_lower_bound_oracle,
     social_welfare,
-    structure_for,
 )
 
 
@@ -142,29 +142,28 @@ class LowerBoundInstance:
             raise ValueError("c out of range")
         check_action_seq(self.hidden_pi, self.n, full=True)
 
+    @cached_property
+    def structure(self) -> Structure:
+        """v_i(S) = 1 iff |S| < c or S is a subsequence of the hidden order.
 
-@structure_for.register
-def _(inst: LowerBoundInstance) -> Structure:
-    """v_i(S) = 1 iff |S| < c or S is a subsequence of the hidden order.
+        State (ok, last, size): whether the prefix is still a subsequence of the
+        hidden order, the hidden position of its last agent while it is (None
+        once it is not), and its length.  With the acted set, `ok` fixes the
+        state, since a subsequence of the hidden order ends at its agent that
+        comes last there.  An agent's act is her value."""
+        pos = {agent: k for k, agent in enumerate(self.hidden_pi)}
 
-    State (ok, last, size): whether the prefix is still a subsequence of the
-    hidden order, the hidden position of its last agent while it is (None
-    once it is not), and its length.  With the acted set, `ok` fixes the
-    state, since a subsequence of the hidden order ends at its agent that
-    comes last there.  An agent's act is her value."""
-    pos = {agent: k for k, agent in enumerate(inst.hidden_pi)}
+        def step(state: tuple, agent: int) -> tuple:
+            ok, last, size = state
+            if ok and pos[agent] > last:
+                return True, pos[agent], size + 1
+            return False, None, size + 1
 
-    def step(state: tuple, agent: int) -> tuple:
-        ok, last, size = state
-        if ok and pos[agent] > last:
-            return True, pos[agent], size + 1
-        return False, None, size + 1
+        def read(state: tuple, agent: int) -> int:
+            ok, _, size = state
+            return 1 if size < self.c or ok else 0
 
-    def read(state: tuple, agent: int) -> int:
-        ok, _, size = state
-        return 1 if size < inst.c or ok else 0
-
-    return Structure((True, -1, 0), step, read, read, 1, True)
+        return Structure((True, -1, 0), step, read, read, 1, True)
 
 
 def random_lower_bound_instance(n: int, c: int, seed: int) -> LowerBoundInstance:

@@ -539,6 +539,51 @@ class TestWcnfIntegers:
                        f"got {token!r}\n")
 
 
+def instance_doc(kind: str, n: int, **fields) -> str:
+    return json.dumps({"schema_version": 1, "kind": kind, "n": n, **fields})
+
+
+# Instance files each kind's constructor refuses, with the line `posd` prints.
+MALFORMED_FILES = {
+    "oss-n-zero.json": (instance_doc("oss", 0, clauses=[]), "need at least one variable"),
+    "oss-short-tie-default.json": (
+        instance_doc("oss", 2, clauses=[{"literals": [1], "weight": "1"}], tie_default=[True]),
+        "tie_default must cover every agent"),
+    "oss-empty-clause.json": (instance_doc("oss", 2, clauses=[{"literals": [], "weight": "1"}]),
+                              "empty clause"),
+    "oss-literal-over-n.json": (
+        instance_doc("oss", 2, clauses=[{"literals": [3], "weight": "1"}]),
+        "literal 3 out of range"),
+    "clause-before-header.wcnf": ("c x\n1 1 0\np wcnf 1 1\n", "clause before header"),
+    "clause-without-zero.wcnf": ("p wcnf 2 1\n1 1 2\n", "clause line must end in 0: '1 1 2'"),
+    "no-header.wcnf": ("c x\n", "missing wcnf header"),
+    "osm-one-row.json": (instance_doc("osm", 2, weights=[["1", "0"]], prefs=[[0, 1]]),
+                         "inconsistent instance dimensions"),
+    "osm-repeated-pref.json": (
+        instance_doc("osm", 2, weights=[["1", "0"], ["1", "0"]], prefs=[[0, 0], [0, 1]]),
+        "prefs must be a permutation of the items"),
+    "osa-repeated-target.json": (
+        instance_doc("osa", 3, weights=[[None, "1", "0"], ["1", None, "0"], ["1", "0", None]],
+                     prefs=[[1, 1], [0, 2], [0, 1]]),
+        "prefs must order the n-1 possible targets"),
+    "paths-two-rows.json": (instance_doc("paths", 3, weights=[[None, "1", "0"], ["1", None, "0"]]),
+                            "bad weight matrix"),
+}
+
+
+class TestMalformedInstanceFiles:
+    """Each refusal of an instance constructor reaches `posd` as exit 2 and
+    one `error:` line, with nothing on stdout."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+    def test_is_input_error(self, capsys, tmp_path, name):
+        text, message = MALFORMED_FILES[name]
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "posd", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestBadDrawingFlags:
     """A bad instance-drawing flag is refused with one line, before any draw."""
 
@@ -594,8 +639,10 @@ class TestBadDrawingFlags:
 
 
 class TestBadRangesAndCounts:
-    """A `bench` range that is not integers, a --c out of range and a negative
-    --trials are refused with one line naming the flag, before any draw."""
+    """A `bench` range that is empty or not integers, a --c out of range and a
+    negative --trials are refused with one line naming the flag, before any
+    draw; an algorithm on a kind it does not run on, or without the --c it
+    needs, is refused before any draw (`bench`) or oracle (`run`)."""
 
     @pytest.mark.parametrize("flags,message", [
         (("--n", "x", "--c", "1"), "--n must be an integer or a range like 1..3, got 'x'"),
@@ -603,6 +650,15 @@ class TestBadRangesAndCounts:
         (("--n", "3", "--c", "1..x"), "--c must be an integer or a range like 1..3, got '1..x'"),
     ], ids=["n-x", "n-open", "c-x"])
     def test_range_not_integers(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "bench", "--kind", "osm", "--algorithm", "det",
+                                 *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--n", "4..2", "--c", "1"), "--n must be a non-empty range, got '4..2'"),
+        (("--n", "3", "--c", "2..1"), "--c must be a non-empty range, got '2..1'"),
+    ], ids=["n", "c"])
+    def test_empty_range_names_its_flag(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "bench", "--kind", "osm", "--algorithm", "det",
                                  *flags)
         assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -631,6 +687,38 @@ class TestBadRangesAndCounts:
 
         monkeypatch.setattr(cli, "_random_instance", never)
         code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("trials", ["2", "0"])
+    @pytest.mark.parametrize("argv,message", [
+        (("--kind", "osa", "--algorithm", "greedy-osm", "--n", "3"),
+         "algorithm greedy-osm runs on osm instances, not osa"),
+        (("--kind", "osa", "--algorithm", "det", "--n", "3"), "algorithm det needs --c"),
+        (("--kind", "general", "--algorithm", "bit", "--n", "3", "--c", "5"),
+         "algorithm bit runs on osa instances, not lowerbound"),
+    ], ids=["kind-mismatch", "missing-c", "kind-mismatch-before-c"])
+    def test_bench_algorithm_refused_before_any_draw(self, capsys, monkeypatch, argv,
+                                                     message, trials):
+        def never(*args):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(cli, "_random_instance", never)
+        code, out, err = run_cli(capsys, "bench", *argv, "--trials", trials)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--algorithm", "greedy-osa"), "algorithm greedy-osa runs on osa instances, not osm"),
+        (("--algorithm", "rand"), "algorithm rand needs --c"),
+    ], ids=["kind-mismatch", "missing-c"])
+    def test_run_algorithm_refused_before_the_oracle(self, capsys, tmp_path, monkeypatch,
+                                                     argv, message):
+        def never(*args):
+            raise AssertionError("an oracle was built")
+
+        path = str(tmp_path / "inst.json")
+        run_cli(capsys, "gen", "osm", "--n", "3", "-o", path)
+        monkeypatch.setattr(cli, "oracle_for", never)
+        code, out, err = run_cli(capsys, "run", path, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", [

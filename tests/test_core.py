@@ -9,6 +9,7 @@ from seqdict.core import (
     Caps,
     INFINITE_POSD,
     ValuationOracle,
+    actions,
     brute_force_optimal_sequence,
     check_monotone_exhaustive,
     find_monotonicity_violation,
@@ -18,10 +19,10 @@ from seqdict.core import (
     prefix_of,
     price_of_serial_dictatorship,
     social_welfare,
-    structure_for,
     underlying_optimum,
     welfare_ratio,
 )
+from seqdict.feasibility import producing_sequence
 
 EPS = Fraction(1, 10)
 
@@ -228,10 +229,44 @@ def test_cached_arborescence_table_still_checks_the_cap():
 
 def test_every_oracle_kind_has_a_sequence_structure():
     """`oracle_for` builds every kind's oracle from its `Structure`, so each
-    of the six kinds needs a `structure_for` entry."""
+    of the six kinds needs a `structure` attribute."""
     kinds = {osm.MatchingInstance, osa.ArborescenceInstance, oss.SatInstance,
              auxstructs.OsiInstance, auxstructs.PathsInstance, seqopt.LowerBoundInstance}
-    assert kinds <= set(structure_for.registry)
+    assert all(hasattr(kind, "structure") for kind in kinds)
+
+
+STRUCTURED_KINDS = {
+    "osm": lambda: osm.random_matching_instance(4, 0),
+    "osa": lambda: osa.random_digraph_instance(4, 0),
+    "oss": lambda: oss.random_sat_instance(4, 8, 3, 0),
+    "osi": lambda: auxstructs.random_osi_instance(4, 0),
+    "paths": lambda: auxstructs.random_paths_instance(4, 0),
+    "lowerbound": lambda: seqopt.random_lower_bound_instance(4, 2, 0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STRUCTURED_KINDS))
+def test_each_instance_builds_its_structure_once(kind):
+    """The `Structure` is built on first use and then shared: every oracle
+    reads through its one `read`, and `actions` and `producing_sequence`
+    play the very Structure the instance holds."""
+    inst = STRUCTURED_KINDS[kind]()
+    structure = inst.structure
+    assert inst.structure is structure
+    assert oracle_for(inst)._fn is oracle_for(inst)._fn is structure.read
+    acted = []
+
+    def act(state, agent):
+        acted.append(agent)
+        return structure.act(state, agent)
+
+    inst.__dict__["structure"] = structure._replace(act=act)  # the instance's cache
+    seq = (2, 0, 3, 1)
+    target = actions(inst, seq)
+    assert acted == list(seq)
+    acted.clear()
+    producing_sequence(inst, target, commit_first=False)
+    assert acted
 
 
 class TestMonotonicity:

@@ -26,7 +26,6 @@ from seqdict.core import (
     is_subsequence,
     oracle_for,
     social_welfare,
-    structure_for,
     underlying_optimum,
 )
 
@@ -473,7 +472,7 @@ class TestStructureStates:
     def test_every_state_reached_is_hashable(self, data):
         """The search memoises on (acted set, state), so states are keys."""
         _, inst = draw_instance(data, ALL_KINDS)
-        start, step, *_ = structure_for(inst)
+        start, step, *_ = inst.structure
         state = start
         hash(state)
         for agent in data.draw(st.permutations(range(inst.n)), label="seq"):
@@ -487,14 +486,14 @@ class TestMonotoneClaims:
         for n in range(1, 6):
             for seed in range(10):
                 inst = make_instance(kind, n, seed, (1, 2, 3, 100)[seed % 4])
-                assert structure_for(inst).monotone_claimed
+                assert inst.structure.monotone_claimed
                 assert core.find_monotonicity_violation(oracle_for(inst)) is None, (n, seed)
 
     @pytest.mark.parametrize("witness", (oss.nonmonotone_sat_instance,
                                          auxstructs.nonmonotone_paths_instance))
     def test_unclaimed_kinds_have_witnesses(self, witness):
         inst = witness()
-        assert not structure_for(inst).monotone_claimed
+        assert not inst.structure.monotone_claimed
         assert core.find_monotonicity_violation(oracle_for(inst)) is not None
 
 

@@ -29,6 +29,13 @@ Families:
          and every algorithm on each kind it does not run on; bench commands
          at --trials 2 and 0.  The values just inside each --c and --trials
          rule are run too, as accepted neighbours of the refusals
+  malformed
+         `posd` on instance files that a kind's constructor refuses: an oss
+         file with n 0, a short tie_default, an empty clause or a literal
+         past n; WCNF text with a clause before the header, a clause line
+         not ending in 0, or no header; an osm file with one row at n 2 or
+         a repeated item in prefs; an osa file whose prefs repeat a target;
+         a paths file with two rows at n 3
 
 Instance files go to a temporary directory, whose path is replaced by a fixed
 token before hashing.  SEQDICT_CAPS is unset, so the default caps apply.
@@ -40,6 +47,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import re
 import sys
@@ -95,6 +103,30 @@ def refusals() -> list:
     return gen + [argv + ["--trials", t] for argv in bench for t in ("2", "0")] + trials
 
 
+def _doc(kind: str, n: int, **fields) -> str:
+    return json.dumps({"schema_version": 1, "kind": kind, "n": n, **fields})
+
+
+#: file name -> text of the `malformed` family
+MALFORMED = {
+    "oss-n-zero.json": _doc("oss", 0, clauses=[]),
+    "oss-short-tie-default.json": _doc("oss", 2, clauses=[{"literals": [1], "weight": "1"}],
+                                       tie_default=[True]),
+    "oss-empty-clause.json": _doc("oss", 2, clauses=[{"literals": [], "weight": "1"}]),
+    "oss-literal-over-n.json": _doc("oss", 2, clauses=[{"literals": [3], "weight": "1"}]),
+    "clause-before-header.wcnf": "c x\n1 1 0\np wcnf 1 1\n",
+    "clause-without-zero.wcnf": "p wcnf 2 1\n1 1 2\n",
+    "no-header.wcnf": "c x\n",
+    "osm-one-row.json": _doc("osm", 2, weights=[["1", "0"]], prefs=[[0, 1]]),
+    "osm-repeated-pref.json": _doc("osm", 2, weights=[["1", "0"], ["1", "0"]],
+                                   prefs=[[0, 0], [0, 1]]),
+    "osa-repeated-target.json": _doc("osa", 3, weights=[[None, "1", "0"], ["1", None, "0"],
+                                                        ["1", "0", None]],
+                                     prefs=[[1, 1], [0, 2], [0, 1]]),
+    "paths-two-rows.json": _doc("paths", 3, weights=[[None, "1", "0"], ["1", None, "0"]]),
+}
+
+
 def without_runtimes(csv_text: str) -> str:
     """Bench CSV with the last field, mean_runtime_ms, blanked on every data row."""
     head, sep, rows = csv_text.partition("\n")
@@ -118,7 +150,8 @@ def call(argv: list, workdir: str) -> tuple:
 
 def sweep(workdir: str) -> dict:
     families = {name: hashlib.sha256()
-                for name in ("gen", "posd", "run", "named", "verify", "bench", "refusals")}
+                for name in ("gen", "posd", "run", "named", "verify", "bench", "refusals",
+                             "malformed")}
     counts = dict.fromkeys(families, 0)
 
     def record(family: str, argv: list, path=None) -> None:
@@ -164,6 +197,10 @@ def sweep(workdir: str) -> dict:
                 record("bench", argv + (["--c", BENCH_CS] if needs_c else []))
     for argv in refusals():
         record("refusals", argv)
+    for name, text in MALFORMED.items():
+        path = os.path.join(workdir, name)
+        Path(path).write_text(text, encoding="utf-8")
+        record("malformed", ["posd", path])
     return {name: (counts[name], h.hexdigest()) for name, h in families.items()}
 
 
