@@ -487,23 +487,26 @@ def best_sequence(instance, caps: Optional[Caps] = None) -> tuple[ActionSeq, Val
     n = oracle.n
     (caps or DEFAULT_CAPS).check_sequences(n)
     start, step, *_ = instance.structure
+    full = (1 << n) - 1
     memo: dict = {}  # (acted set as a bitmask, state) -> (completion, its welfare)
 
     def completion(prefix: ActionSeq, acted: int, state) -> tuple[ActionSeq, int]:
-        if len(prefix) == n:
-            return (), 0
-        at = (acted, state)
-        best = memo.get(at)
-        if best is None:
-            for agent in range(n):
-                if not acted >> agent & 1:
-                    value = oracle.value_scaled(agent, prefix)
-                    rest, welfare = completion(prefix + (agent,), acted | 1 << agent,
-                                               step(state, agent))
-                    welfare += value
-                    if best is None or welfare > best[1]:
-                        best = ((agent,) + rest, welfare)
-            memo[at] = best
+        best = None
+        for agent in range(n):
+            if not acted >> agent & 1:
+                value = oracle.value_scaled(agent, prefix)
+                grown = acted | 1 << agent
+                if grown == full:  # the last agent: her state is never read
+                    rest, welfare = (), 0
+                else:
+                    at = (grown, step(state, agent))
+                    found = memo.get(at)
+                    if found is None:
+                        found = memo[at] = completion(prefix + (agent,), *at)
+                    rest, welfare = found
+                welfare += value
+                if best is None or welfare > best[1]:
+                    best = ((agent,) + rest, welfare)
         return best
 
     seq, welfare = completion((), 0, start)

@@ -16,9 +16,10 @@ def producing_sequence(instance, target, *, commit_first: bool) -> Optional[tupl
 
     Agent i may go next when act(state, i) == target[i] in the instance's
     `Structure`; the state becomes step(state, i).  Choices are final, so
-    acted sets (bitmasks) that lead nowhere are remembered and skipped.
-    `commit_first` stops at the first dead end, exact when committing never
-    hurts (downward-closed constraints).
+    nodes (acted set as a bitmask, state) that lead nowhere are remembered
+    and skipped; by the `Structure` contract a node fixes every later act
+    and step.  `commit_first` stops at the first dead end, exact when
+    committing never hurts (downward-closed constraints).
     """
     n = instance.n
     start, step, act, *_ = instance.structure
@@ -29,17 +30,20 @@ def producing_sequence(instance, target, *, commit_first: bool) -> Optional[tupl
         acted, state, i = path[-1]
         if acted == full:
             return tuple(frame[2] - 1 for frame in path[:-1])
-        while i < n and (acted >> i & 1 or (acted | 1 << i) in dead
-                         or act(state, i) != target[i]):
+        while i < n:
+            if not acted >> i & 1 and act(state, i) == target[i]:
+                child = (acted | 1 << i, step(state, i))
+                if child not in dead:
+                    break
             i += 1
         if i == n:
             if commit_first:
                 return None
-            dead.add(acted)
+            dead.add((acted, state))
             path.pop()
         else:
             path[-1][2] = i + 1
-            path.append([acted | 1 << i, step(state, i), 0])
+            path.append([*child, 0])
     return None
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import permutations
 from typing import Optional, Sequence
 
@@ -57,14 +57,18 @@ class MatchingInstance(ScaledWeights):
         """v_i(S) = weight of i's best-ranked item left after S picked theirs.
         The state is the taken items, as a bitmask."""
         scale, rows = self.scaled
+        prefs = self.prefs
 
         def step(taken: int, agent: int) -> int:
-            return taken | 1 << _pick(self, taken, agent)
+            return taken | 1 << _pick(prefs, taken, agent)
+
+        def act(taken: int, agent: int) -> int:
+            return _pick(prefs, taken, agent)
 
         def read(taken: int, agent: int) -> int:
-            return rows[agent][_pick(self, taken, agent)]
+            return rows[agent][_pick(prefs, taken, agent)]
 
-        return Structure(0, step, partial(_pick, self), read, scale, True)
+        return Structure(0, step, act, read, scale, True)
 
     @classmethod
     def from_weights(cls, weights: Sequence[Sequence]) -> "MatchingInstance":
@@ -72,9 +76,10 @@ class MatchingInstance(ScaledWeights):
         return cls.from_rows(tuple(tuple(map(as_fraction, row)) for row in weights))
 
 
-def _pick(inst: MatchingInstance, taken: int, agent: int) -> int:
-    """The agent's best-ranked item not in `taken` (a bitmask of items)."""
-    for j in inst.prefs[agent]:
+def _pick(prefs: tuple, taken: int, agent: int) -> int:
+    """The agent's best-ranked item in `prefs` not in `taken` (a bitmask of
+    items)."""
+    for j in prefs[agent]:
         if not taken >> j & 1:
             return j
 

@@ -12,7 +12,8 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
+from operator import getitem
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -62,20 +63,68 @@ class SatInstance:
         return common_denominator(w for _, w in self.clauses)
 
     @cached_property
-    def scaled_clauses(self) -> tuple:
-        """`clauses` with each weight w as the int w * `scale`."""
-        return tuple((lits, int(w * self.scale)) for lits, w in self.clauses)
+    def clause_masks(self) -> tuple:
+        """Per variable, (the bitmask of the clause indices that setting it
+        True satisfies, the one that setting it False satisfies)."""
+        sides = [[0, 0] for _ in range(self.n)]
+        for k, (lits, _) in enumerate(self.clauses):
+            for lit in lits:
+                sides[abs(lit) - 1][lit < 0] |= 1 << k
+        return tuple(map(tuple, sides))
+
+    @cached_property
+    def scaled_weights(self) -> tuple:
+        """The clause weights as ints over `scale`."""
+        return tuple(int(w * self.scale) for _, w in self.clauses)
 
     @cached_property
     def structure(self) -> Structure:
         """v_i(S) = larger of the unsatisfied weights on x_i's two sides after S.
-        The state is the set of clauses still open, which fixes later choices."""
+        The state is the bitmask of the clauses still open, which fixes later
+        choices.  An agent's turn depends only on her own open clauses, so
+        each agent's turns are kept per such sub-mask in her `_Turns`."""
+        own = tuple(pos | neg for pos, neg in self.clause_masks)
+        turns = tuple(_Turns(pos, neg, self.scaled_weights, tie)
+                      for (pos, neg), tie in zip(self.clause_masks, self.tie_default))
 
-        def read(unsat: frozenset, agent: int) -> int:
-            return max(_tally(self, agent, unsat))
+        def step(unsat: int, agent: int) -> int:
+            return unsat & turns[agent][unsat & own[agent]][2]
 
-        return Structure(frozenset(range(len(self.clauses))), partial(_step, self),
-                         partial(_choice, self), read, self.scale, False)
+        def act(unsat: int, agent: int) -> bool:
+            return turns[agent][unsat & own[agent]][1]
+
+        def read(unsat: int, agent: int) -> int:
+            return turns[agent][unsat & own[agent]][0]
+
+        return Structure((1 << len(self.clauses)) - 1, step, act, read, self.scale, False)
+
+
+class _Turns(dict):
+    """One agent's turn per set of her own open clauses (a bitmask): (her
+    value, the value she sets her variable to, the mask of the clauses that
+    stay open), worked out on first use.  It holds at most 2^(her clause
+    count) entries, and never more than the states it was asked about."""
+
+    def __init__(self, pos: int, neg: int, weights: tuple, tie):
+        super().__init__()
+        self.pos, self.neg, self.weights, self.tie = pos, neg, weights, tie
+
+    def __missing__(self, own: int) -> tuple:
+        w_true = _weight(own & self.pos, self.weights)
+        w_false = _weight(own & self.neg, self.weights)
+        up = w_true > w_false or (w_true == w_false and self.tie)
+        turn = self[own] = (max(w_true, w_false), up, ~(self.pos if up else self.neg))
+        return turn
+
+
+def _weight(mask: int, weights: tuple) -> int:
+    """The total of `weights[k]` over the bits k set in `mask`."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += weights[low.bit_length() - 1]
+        mask ^= low
+    return total
 
 
 def sat_instance(n: int, clauses: Iterable, tie_default=None) -> SatInstance:
@@ -90,32 +139,6 @@ def sat_instance(n: int, clauses: Iterable, tie_default=None) -> SatInstance:
     else:
         tie = tuple(bool(b) for b in tie_default)
     return SatInstance(n, built, tie)
-
-
-def _tally(inst: SatInstance, agent: int, unsat) -> tuple[int, int]:
-    """Weights of the clauses in `unsat` that x_agent or its negation
-    satisfies, as ints over `inst.scale`."""
-    pos = neg = 0
-    lit = agent + 1
-    clauses = inst.scaled_clauses
-    for idx in unsat:
-        lits, w = clauses[idx]
-        if lit in lits:
-            pos += w
-        elif -lit in lits:  # a clause never holds both
-            neg += w
-    return pos, neg
-
-
-def _choice(inst: SatInstance, unsat: frozenset, agent: int) -> bool:
-    """The value the agent sets x_agent to, given the open clauses `unsat`."""
-    pos, neg = _tally(inst, agent, unsat)
-    return pos > neg or (pos == neg and inst.tie_default[agent])
-
-
-def _step(inst: SatInstance, unsat: frozenset, agent: int) -> frozenset:
-    hit = (agent + 1) if _choice(inst, unsat, agent) else -(agent + 1)
-    return frozenset(idx for idx in unsat if hit not in inst.clauses[idx][0])
 
 
 def sat_as_decide(inst: SatInstance, target,
@@ -229,24 +252,44 @@ def random_sat_instance(n: int, m: int, max_clause_len: int, seed: int,
     return sat_instance(n, clauses)
 
 
-def _satisfied_weight(inst: SatInstance, bits: int) -> int:
-    """The weight of the clauses that assignment `bits` satisfies, as an int
-    over `inst.scale`."""
-    total = 0
-    for lits, w in inst.scaled_clauses:
-        for lit in lits:
-            if (bits >> (abs(lit) - 1) & 1) == (lit > 0):
-                total += w
-                break
-    return total
+def _open_after(masks: Sequence, every: int) -> list:
+    """The open clauses after each assignment of the variables whose clause
+    masks are `masks`: entry a sets the k-th of them True iff bit k of a is
+    set."""
+    out = [every]
+    for pos, neg in masks:
+        out = [u & ~neg for u in out] + [u & ~pos for u in out]
+    return out
+
+
+def _byte_sums(weights: tuple) -> list:
+    """Per byte k of a clause mask, the weight of the clauses 8k..8k+7 that
+    each value of that byte picks."""
+    sums = []
+    for base in range(0, len(weights), 8):
+        table = [0]
+        for w in weights[base:base + 8]:
+            table += [t + w for t in table]
+        sums.append(table)
+    return sums
 
 
 @underlying_optimum.register
 def _(inst: SatInstance, caps: Optional[Caps] = None) -> Value:
-    """MAX-SAT by scanning all 2^n assignments."""
-    (caps or DEFAULT_CAPS).check_subset(inst.n)
-    best = max(_satisfied_weight(inst, bits) for bits in range(1 << inst.n))
-    return Fraction(best, inst.scale)
+    """MAX-SAT: the total weight less the least weight that one of the 2^n
+    assignments leaves open.  An assignment leaves open the clauses that
+    both its first n//2 variables and its others leave open, so each half's
+    open-clause masks are built once (2^(n/2) of them) and ANDed in pairs."""
+    n = inst.n
+    (caps or DEFAULT_CAPS).check_subset(n)
+    masks, weights = inst.clause_masks, inst.scaled_weights
+    every = (1 << len(weights)) - 1
+    low, high = _open_after(masks[:n // 2], every), _open_after(masks[n // 2:], every)
+    sums = _byte_sums(weights)
+    width = len(sums)
+    least = min(sum(map(getitem, sums, (u & v).to_bytes(width, "little")))
+                for u in low for v in high)
+    return Fraction(sum(weights) - least, inst.scale)
 
 
 # --- weighted-CNF text format ------------------------------------------------

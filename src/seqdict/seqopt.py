@@ -152,6 +152,7 @@ class LowerBoundInstance:
         state, since a subsequence of the hidden order ends at its agent that
         comes last there.  An agent's act is her value."""
         pos = {agent: k for k, agent in enumerate(self.hidden_pi)}
+        c = self.c
 
         def step(state: tuple, agent: int) -> tuple:
             ok, last, size = state
@@ -161,7 +162,7 @@ class LowerBoundInstance:
 
         def read(state: tuple, agent: int) -> int:
             ok, _, size = state
-            return 1 if size < self.c or ok else 0
+            return 1 if size < c or ok else 0
 
         return Structure((True, -1, 0), step, read, read, 1, True)
 

@@ -124,7 +124,7 @@ def suite_approx(seed: int = 0) -> list:
     for k in range(10):
         inst = oss.random_sat_instance(4, 8, 3, seed + k)
         oracle = oss.oss_oracle(inst)
-        bound = sum(w for _, w in inst.scaled_clauses)  # the total weight over the scale
+        bound = sum(inst.scaled_weights)  # the total weight over the scale
         ok = ok and all(2 * sw >= bound for _, sw in sequence_welfares(oracle))
     rows.append(_row("sat any-sequence within factor 2", ok))
     return rows

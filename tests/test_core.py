@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -243,6 +245,25 @@ STRUCTURED_KINDS = {
     "paths": lambda: auxstructs.random_paths_instance(4, 0),
     "lowerbound": lambda: seqopt.random_lower_bound_instance(4, 2, 0),
 }
+
+
+@pytest.mark.parametrize("kind", sorted(STRUCTURED_KINDS))
+def test_instance_is_freed_without_the_cycle_collector(kind):
+    """A `structure` captures fields, not the instance, so an instance whose
+    structure and oracle live on dies as soon as its last reference goes."""
+    inst = STRUCTURED_KINDS[kind]()
+    structure = inst.structure
+    oracle = oracle_for(inst)
+    oracle.value(0, (1, 2))
+    gc.disable()
+    try:
+        ref = weakref.ref(inst)
+        del inst
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert oracle.value(3, (1,)) == Fraction(structure.read(structure.step(structure.start, 1), 3),
+                                             structure.scale)
 
 
 @pytest.mark.parametrize("kind", sorted(STRUCTURED_KINDS))

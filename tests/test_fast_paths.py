@@ -7,6 +7,7 @@ import gc
 import random
 import sys
 import threading
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from seqdict import auxstructs, core, fileio, osa, osm, oss, seqopt
 from seqdict.cli import NAMED_INSTANCES
+from seqdict.suites import uncoverable_x3c
 from seqdict.core import (
     CapExceededError,
     Caps,
@@ -347,6 +349,50 @@ class TestOsaKeyQueries:
         make 1,696, 1,216 and 1,554 queries."""
         best_sequence(osa.random_digraph_instance(8, seed, 1))
         assert search_oracles[-1].ledger.total_calls == queries
+
+
+class TestSearchReads:
+    @staticmethod
+    def plain_search_reads(inst):
+        """The reads of a memoised search in order: the first prefix to reach
+        each (acted set, state) reads every next agent, then descends."""
+        n, (start, step, *_) = inst.n, inst.structure
+        expanded, reads = set(), []
+
+        def expand(prefix, acted, state):
+            if len(prefix) == n or (acted, state) in expanded:
+                return
+            expanded.add((acted, state))
+            for agent in range(n):
+                if not acted >> agent & 1:
+                    reads.append((agent, prefix))
+                    expand(prefix + (agent,), acted | 1 << agent, step(state, agent))
+
+        expand((), 0, start)
+        return reads
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_reads_in_order(self, kind, monkeypatch):
+        reads = []
+
+        def recording(instance):
+            oracle = oracle_for(instance)
+            value = oracle.value
+
+            def recorded(agent, seq=(), scaled=False):
+                reads.append((agent, tuple(seq)))
+                return value(agent, seq, scaled)
+
+            oracle.value = recorded
+            return oracle
+
+        monkeypatch.setattr(core, "oracle_for", recording)
+        for n in range(1, 7):
+            for wd in (1, 100):
+                inst = make_instance(kind, n, 3 * n + wd, wd)
+                reads.clear()
+                best_sequence(inst)
+                assert reads == self.plain_search_reads(inst), (n, wd)
 
 
 class TestSearchFreesItsMemo:
@@ -719,6 +765,80 @@ class TestSubsetOptima:
     def test_subset_cap(self, make):
         with pytest.raises(CapExceededError):
             underlying_optimum(make(5, 0), Caps(subset=4))
+
+
+# --- sat on clause bitmasks ------------------------------------------------------------
+
+
+def x3c_reductions():
+    """Coverable and uncoverable universes; each variable sits in many clauses."""
+    return [oss.x3c_reduce(3, [(0, 1, 2)]),
+            oss.x3c_reduce(6, [(0, 1, 2), (3, 4, 5)]),
+            oss.x3c_reduce(6, [(0, 1, 2), (2, 3, 4)]),
+            oss.x3c_reduce(6, [(0, 1, 2), (2, 3, 4), (3, 4, 5)]),
+            uncoverable_x3c(1)]
+
+
+def wide_sat_instances():
+    """80 clauses: masks wider than a machine word."""
+    return [oss.random_sat_instance(n, 80, 3, 10 * n + seed, wd)
+            for n in (1, 4, 7) for seed, wd in ((0, 1), (1, 100))]
+
+
+class TestSatBitmasks:
+    @pytest.mark.parametrize("family", (wide_sat_instances, x3c_reductions))
+    def test_values_acts_and_optimum_equal_reference(self, family):
+        for inst in family():
+            n = inst.n
+            oracle = oracle_for(inst)
+            for agent, seq in query_stream(n, n):
+                assert oracle.value(agent, seq) == oss_value(inst, agent, seq)
+            rng = random.Random(n)
+            for _ in range(20):
+                seq = tuple(rng.sample(range(n), n))
+                acts = oss_actions(inst, seq)
+                assert core.actions(inst, seq) == tuple(acts[i] for i in range(n))
+            assert underlying_optimum(inst) == max_sat_by_fraction_sums(inst)
+
+    def test_wide_search_equals_tree_search(self):
+        for inst in wide_sat_instances():
+            if inst.n <= 5:
+                assert best_sequence(inst) == brute_force_optimal_sequence(oracle_for(inst))
+
+    def test_sat_as_decide_on_x3c_reductions(self):
+        """All-True is producible iff the universe has an exact cover; every
+        answer found produces its target under the reference simulation."""
+        covers = [True, True, False, True, False]
+        for inst, cover in zip(x3c_reductions(), covers):
+            seq = oss.sat_as_decide(inst, (True,) * inst.n)
+            assert (seq is not None) == cover
+            if cover:
+                assert all(oss_actions(inst, seq).values())
+        inst = x3c_reductions()[0]
+        first = {}
+        for seq in permutations(range(inst.n)):
+            first.setdefault(oss.assignment_from_sequence(inst, seq), seq)
+        for target in product((False, True), repeat=inst.n):
+            assert oss.sat_as_decide(inst, target) == first.get(target)
+
+    def test_max_sat_refuses_past_the_subset_cap_before_any_work(self):
+        for caps, n in ((Caps(subset=4), 5), (None, 21)):
+            inst = oss.random_sat_instance(n, 2 * n, 3, 0)
+            with pytest.raises(CapExceededError) as exc:
+                underlying_optimum(inst, caps)
+            assert str(exc.value) == f"n={n} exceeds subset cap {n - 1}"
+            assert not {"clause_masks", "scaled_weights"} & set(inst.__dict__)
+
+    def test_max_sat_memory_stays_below_two_halves(self):
+        """A list of all 2^16 open-clause masks would take about 3 MB."""
+        inst = oss.random_sat_instance(16, 32, 3, 5)
+        tracemalloc.start()
+        try:
+            underlying_optimum(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # --- integer reads over the common denominator ---------------------------------------

@@ -2,8 +2,9 @@ from itertools import permutations
 
 import pytest
 
-from seqdict import osa, osm
-from seqdict.feasibility import sequence_for_collection
+from seqdict import auxstructs, osa, osm, oss, seqopt
+from seqdict.core import actions
+from seqdict.feasibility import producing_sequence, sequence_for_collection
 
 
 class TestSequenceForCollection:
@@ -113,6 +114,41 @@ class TestLexicographicallySmallest:
                 for target in osa.all_arborescences(n):
                     assert (osa.sequence_for_arborescence(inst, target)
                             == first.get(target))
+
+
+class TestProducingSequence:
+    """The backtracking search serves every structured kind, including those
+    whose state the acted set and the target do not fix."""
+
+    KINDS = {
+        "osm": lambda n, seed: osm.random_matching_instance(n, seed, 3),
+        "osa": lambda n, seed: osa.random_digraph_instance(n, seed, 3),
+        "oss": lambda n, seed: oss.random_sat_instance(n, 2 * n, 3, seed, 3),
+        "osi": lambda n, seed: auxstructs.random_osi_instance(n, seed),
+        "paths": lambda n, seed: auxstructs.random_paths_instance(n, seed, 3),
+        "lowerbound": lambda n, seed: seqopt.random_lower_bound_instance(n, min(2, n), seed),
+    }
+
+    def test_lowerbound_order_sensitive_state(self):
+        # hidden order (3, 1, 0, 2): the acted set {0, 2} is a dead end after
+        # (0, 2), which keeps to that order, but not after (2, 0)
+        inst = seqopt.random_lower_bound_instance(4, 2, 0)
+        target = actions(inst, (2, 0, 3, 1))
+        seq = producing_sequence(inst, target, commit_first=False)
+        assert seq is not None and actions(inst, seq) == target
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_every_produced_target_is_found_first(self, kind):
+        for n in range(1, 6):
+            for seed in range(3):
+                inst = self.KINDS[kind](n, seed)
+                first = {}  # target -> lexicographically smallest producing sequence
+                for s in permutations(range(n)):
+                    first.setdefault(actions(inst, s), s)
+                for target, seq in first.items():
+                    found = producing_sequence(inst, target, commit_first=False)
+                    assert found == seq, (n, seed, target)
+                    assert actions(inst, found) == target
 
 
 def test_dominated_target_is_refused_in_polynomially_many_calls(monkeypatch):

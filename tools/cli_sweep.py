@@ -29,6 +29,12 @@ Families:
          and every algorithm on each kind it does not run on; bench commands
          at --trials 2 and 0.  The values just inside each --c and --trials
          rule are run too, as accepted neighbours of the refusals
+  wide-sat
+         sat instances with 80 clauses (clause masks wider than a machine
+         word) at n = 4..8, weight denominators 1 and 100, seeds 0 and 1,
+         each written as JSON and as weighted-CNF text; then `posd`,
+         `posd --json`, `run --algorithm det --c 2 --json` and
+         `run --algorithm rand --c 3 --json` on each file
   malformed
          `posd` on instance files that a kind's constructor refuses: an oss
          file with n 0, a short tie_default, an empty clause or a literal
@@ -68,6 +74,9 @@ VERIFY_SEEDS = range(4)
 BENCH_NS = "2..4"
 BENCH_CS = "1..2"
 BENCH_TRIALS = "2"
+WIDE_SAT_NS = range(4, 9)
+WIDE_SAT_M = "80"
+WIDE_SAT_DENOMINATORS = (1, 100)
 
 
 def refusals() -> list:
@@ -151,7 +160,7 @@ def call(argv: list, workdir: str) -> tuple:
 def sweep(workdir: str) -> dict:
     families = {name: hashlib.sha256()
                 for name in ("gen", "posd", "run", "named", "verify", "bench", "refusals",
-                             "malformed")}
+                             "wide-sat", "malformed")}
     counts = dict.fromkeys(families, 0)
 
     def record(family: str, argv: list, path=None) -> None:
@@ -197,6 +206,22 @@ def sweep(workdir: str) -> dict:
                 record("bench", argv + (["--c", BENCH_CS] if needs_c else []))
     for argv in refusals():
         record("refusals", argv)
+    wide = []
+    for n in WIDE_SAT_NS:
+        for wd in WIDE_SAT_DENOMINATORS:
+            for seed in SEEDS:
+                for suffix, flags in ((".json", []), (".wcnf", ["--wcnf"])):
+                    path = os.path.join(workdir, f"wide-sat-{n}-{wd}-{seed}{suffix}")
+                    record("wide-sat", ["gen", "oss", "--n", str(n), "--m", WIDE_SAT_M,
+                                        "--seed", str(seed), "--weight-denominator", str(wd),
+                                        *flags], path)
+                    wide.append((path, seed))
+    for path, seed in wide:
+        record("wide-sat", ["posd", path])
+        record("wide-sat", ["posd", path, "--json"])
+        for algorithm, c in (("det", "2"), ("rand", "3")):
+            record("wide-sat", ["run", path, "--json", "--algorithm", algorithm, "--c", c,
+                                "--seed", str(seed)])
     for name, text in MALFORMED.items():
         path = os.path.join(workdir, name)
         Path(path).write_text(text, encoding="utf-8")
@@ -208,7 +233,7 @@ def main_sweep() -> int:
     os.environ.pop("SEQDICT_CAPS", None)
     with tempfile.TemporaryDirectory(prefix="cli-sweep-") as workdir:
         for name, (count, digest) in sweep(workdir).items():
-            print(f"{name:<7} {count:>5} {digest}")
+            print(f"{name:<8} {count:>5} {digest}")
     return 0
 
 
