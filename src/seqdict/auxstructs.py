@@ -28,7 +28,6 @@ from .core import (
     heaviest_first,
     oracle_for as osi_oracle,
     oracle_for as paths_oracle,
-    underlying_optimum,
 )
 from .osa import (
     best_addable,
@@ -58,9 +57,10 @@ class OsiInstance:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable) -> "OsiInstance":
         adj = [[False] * n for _ in range(n)]
-        for i, j in edges:
-            if i == j or not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"bad edge ({i}, {j})")
+        for edge in edges:
+            if len(edge) != 2 or edge[0] == edge[1] or not all(0 <= k < n for k in edge):
+                raise ValueError(f"bad edge {tuple(edge)}")
+            i, j = edge
             adj[i][j] = adj[j][i] = True
         return cls(n, tuple(tuple(row) for row in adj))
 
@@ -86,6 +86,10 @@ class OsiInstance:
             return 0 if mask >> agent & 1 else 1
 
         return Structure(0, step, read, read, 1, True)
+
+    def optimum(self, caps: Optional[Caps] = None) -> Value:
+        """The size of a maximum independent set (`max_independent_set`)."""
+        return Fraction(len(max_independent_set(self, caps)))
 
 
 def _neighbour_masks(inst: OsiInstance) -> list:
@@ -142,11 +146,6 @@ def osi_learn_and_solve(oracle: ValuationOracle,
     return tuple(members) + tuple(i for i in range(n) if not mask >> i & 1)
 
 
-@underlying_optimum.register
-def _(inst: OsiInstance, caps: Optional[Caps] = None) -> Value:
-    return Fraction(len(max_independent_set(inst, caps)))
-
-
 def random_osi_instance(n: int, seed: int) -> OsiInstance:
     """Each of the n(n-1)/2 edges present independently with probability 1/2."""
     rng = random.Random(seed)
@@ -193,6 +192,39 @@ class PathsInstance(ScaledWeights):
         return Structure(tuple(range(self.n)), partial(draw, targets, True),
                          partial(best_addable, targets), read, scale, False)
 
+    def optimum(self, caps: Optional[Caps] = None) -> Value:
+        """Exact max-weight union of vertex-disjoint paths.
+
+        Dynamic program over (used-node set, open-path endpoint): either extend
+        the open path with a fresh node or close it and start a new path.  Every
+        disjoint-path union is built exactly this way, path by path.  Weights
+        are added as ints over the instance's common denominator, and -1 marks
+        an endpoint outside the set.  Starting a new path adds nothing, so the
+        best union over the full set is the best over any set.
+        """
+        n = self.n
+        (caps or DEFAULT_CAPS).check_subset(n)
+        scale, weights = self.scaled
+        open_best = [[-1] * n for _ in range(1 << n)]
+        for mask in range(1 << n):
+            ends = open_best[mask]
+            closed = max(ends) if mask else 0
+            open_paths = [(weights[last], v) for last, v in enumerate(ends) if v >= 0]
+            for j in range(n):
+                if mask >> j & 1:
+                    continue
+                cand = closed  # close everything, start a new path at j
+                for row, v in open_paths:
+                    v += row[j]
+                    if v > cand:
+                        cand = v
+                grown = open_best[mask | 1 << j]
+                if cand > grown[j]:
+                    grown[j] = cand
+        return Fraction(max(open_best[-1]), scale)
+
+
+max_disjoint_paths_weight = PathsInstance.optimum
 
 def paths_edges_from_sequence(inst: PathsInstance, seq) -> dict:
     """Out-edge map drawn by a full sequence (used for structural checks)."""
@@ -241,37 +273,3 @@ def random_paths_instance(n: int, seed: int,
     """The weights `osa.random_digraph_instance` draws for the same arguments."""
     return PathsInstance.from_weights(
         random_digraph_weights(n, seed, weight_denominator))
-
-
-@underlying_optimum.register
-def max_disjoint_paths_weight(inst: PathsInstance,
-                              caps: Optional[Caps] = None) -> Value:
-    """Exact max-weight union of vertex-disjoint paths.
-
-    Dynamic program over (used-node set, open-path endpoint): either extend
-    the open path with a fresh node or close it and start a new path.  Every
-    disjoint-path union is built exactly this way, path by path.  Weights
-    are added as ints over the instance's common denominator, and -1 marks
-    an endpoint outside the set.  Starting a new path adds nothing, so the
-    best union over the full set is the best over any set.
-    """
-    n = inst.n
-    (caps or DEFAULT_CAPS).check_subset(n)
-    scale, weights = inst.scaled
-    open_best = [[-1] * n for _ in range(1 << n)]
-    for mask in range(1 << n):
-        ends = open_best[mask]
-        closed = max(ends) if mask else 0
-        open_paths = [(weights[last], v) for last, v in enumerate(ends) if v >= 0]
-        for j in range(n):
-            if mask >> j & 1:
-                continue
-            cand = closed  # close everything, start a new path at j
-            for row, v in open_paths:
-                v += row[j]
-                if v > cand:
-                    cand = v
-            grown = open_best[mask | 1 << j]
-            if cand > grown[j]:
-                grown[j] = cand
-    return Fraction(max(open_best[-1]), scale)

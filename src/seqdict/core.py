@@ -15,7 +15,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial, singledispatch
+from functools import cached_property, partial
 from itertools import chain, permutations
 from operator import is_, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -410,16 +410,17 @@ def check_monotone_exhaustive(oracle: ValuationOracle) -> bool:
     return find_monotonicity_violation(oracle) is None
 
 
-@singledispatch
 def underlying_optimum(instance, caps: Optional[Caps] = None) -> Value:
-    """Exact optimum of the combinatorial problem beneath a structured instance.
+    """Exact optimum of the combinatorial problem beneath a structured
+    instance, from its `optimum(caps)` method.
 
-    Structure modules register implementations: max-weight perfect matching
-    and max-weight arborescence by dynamic programs over subsets, MAX-SAT by
-    scanning assignments, maximum independent set by subset search, and
-    max-weight disjoint-path union by a dynamic program.
+    `MatchingInstance`, `ArborescenceInstance`, `SatInstance`, `OsiInstance`
+    and `PathsInstance` have the method; a kind without it has no optimum.
     """
-    raise TypeError(f"no underlying optimum registered for {type(instance).__name__}")
+    optimum = getattr(instance, "optimum", None)
+    if optimum is None:
+        raise TypeError(f"no underlying optimum registered for {type(instance).__name__}")
+    return optimum(caps)
 
 
 class Structure(NamedTuple):

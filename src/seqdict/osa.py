@@ -28,7 +28,6 @@ from .core import (
     actions as arborescence_from_sequence,  # parent[i] = target or None
     as_fraction,
     oracle_for as osa_oracle,
-    underlying_optimum,
 )
 from .feasibility import is_pareto_optimal, sequence_for_collection
 
@@ -90,6 +89,30 @@ class ArborescenceInstance(ScaledWeights):
 
         return Structure(tuple(range(self.n)), partial(draw, targets, False),
                          partial(best_addable, targets), read, scale, True)
+
+    def optimum(self, caps: Optional[Caps] = None) -> Value:
+        """Max-weight arborescence by a dynamic program over node sets.
+
+        best[mask] is the heaviest in-tree spanning the nodes in mask, as an int
+        over the instance's common denominator.  A tree on two or more nodes has
+        a node no edge enters, and removing it leaves a tree, so every tree
+        grows one node at a time, each new node drawing its heaviest edge into
+        the set.  O(n^2 * 2^n).
+        """
+        n = self.n
+        (caps or DEFAULT_CAPS).check_subset(n)
+        scale, weights = self.scaled
+        best = [0] * (1 << n)  # weights are non-negative and every mask is filled
+        for mask in range(1, (1 << n) - 1):  # every submask of a mask comes first
+            members = [u for u in range(n) if mask >> u & 1]
+            base = best[mask]
+            for v in range(n):
+                if not mask >> v & 1:
+                    cand = base + max(map(weights[v].__getitem__, members))
+                    grown = mask | 1 << v
+                    if cand > best[grown]:
+                        best[grown] = cand
+        return Fraction(best[-1], scale)
 
     @classmethod
     def from_weights(cls, weights: Sequence[Sequence]) -> "ArborescenceInstance":
@@ -262,29 +285,3 @@ def random_digraph_instance(n: int, seed: int,
     """An arborescence instance on `random_digraph_weights`."""
     return ArborescenceInstance.from_weights(
         random_digraph_weights(n, seed, weight_denominator))
-
-
-@underlying_optimum.register
-def _(inst: ArborescenceInstance, caps: Optional[Caps] = None) -> Value:
-    """Max-weight arborescence by a dynamic program over node sets.
-
-    best[mask] is the heaviest in-tree spanning the nodes in mask, as an int
-    over the instance's common denominator.  A tree on two or more nodes has
-    a node no edge enters, and removing it leaves a tree, so every tree
-    grows one node at a time, each new node drawing its heaviest edge into
-    the set.  O(n^2 * 2^n).
-    """
-    n = inst.n
-    (caps or DEFAULT_CAPS).check_subset(n)
-    scale, weights = inst.scaled
-    best = [0] * (1 << n)  # weights are non-negative and every mask is filled
-    for mask in range(1, (1 << n) - 1):  # every submask of a mask comes first
-        members = [u for u in range(n) if mask >> u & 1]
-        base = best[mask]
-        for v in range(n):
-            if not mask >> v & 1:
-                cand = base + max(map(weights[v].__getitem__, members))
-                grown = mask | 1 << v
-                if cand > best[grown]:
-                    best[grown] = cand
-    return Fraction(best[-1], scale)

@@ -26,7 +26,6 @@ from .core import (
     actions as matching_from_sequence,  # the perfect matching: assignment[i] = item
     as_fraction,
     oracle_for as osm_oracle,
-    underlying_optimum,
 )
 from .feasibility import is_pareto_optimal, sequence_for_collection
 
@@ -69,6 +68,28 @@ class MatchingInstance(ScaledWeights):
             return rows[agent][_pick(prefs, taken, agent)]
 
         return Structure(0, step, act, read, scale, True)
+
+    def optimum(self, caps: Optional[Caps] = None) -> Value:
+        """Max-weight perfect matching by a dynamic program over taken items.
+
+        best[mask] is the heaviest assignment of agents 0..|mask|-1 to the items
+        in mask, as an int over the instance's common denominator; the next
+        agent then takes any free item.  O(n * 2^n).
+        """
+        n = self.n
+        (caps or DEFAULT_CAPS).check_subset(n)
+        scale, weights = self.scaled
+        best = [0] * (1 << n)  # weights are non-negative and every mask is filled
+        for mask in range((1 << n) - 1):  # every submask of a mask comes first
+            row = weights[bin(mask).count("1")]
+            base = best[mask]
+            for j in range(n):
+                if not mask >> j & 1:
+                    cand = base + row[j]
+                    grown = mask | 1 << j
+                    if cand > best[grown]:
+                        best[grown] = cand
+        return Fraction(best[-1], scale)
 
     @classmethod
     def from_weights(cls, weights: Sequence[Sequence]) -> "MatchingInstance":
@@ -131,27 +152,3 @@ def random_matching_instance(n: int, seed: int,
     weights = [[Fraction(rng.randint(0, weight_denominator), weight_denominator)
                 for _ in range(n)] for _ in range(n)]
     return MatchingInstance.from_weights(weights)
-
-
-@underlying_optimum.register
-def _(inst: MatchingInstance, caps: Optional[Caps] = None) -> Value:
-    """Max-weight perfect matching by a dynamic program over taken items.
-
-    best[mask] is the heaviest assignment of agents 0..|mask|-1 to the items
-    in mask, as an int over the instance's common denominator; the next
-    agent then takes any free item.  O(n * 2^n).
-    """
-    n = inst.n
-    (caps or DEFAULT_CAPS).check_subset(n)
-    scale, weights = inst.scaled
-    best = [0] * (1 << n)  # weights are non-negative and every mask is filled
-    for mask in range((1 << n) - 1):  # every submask of a mask comes first
-        row = weights[bin(mask).count("1")]
-        base = best[mask]
-        for j in range(n):
-            if not mask >> j & 1:
-                cand = base + row[j]
-                grown = mask | 1 << j
-                if cand > best[grown]:
-                    best[grown] = cand
-    return Fraction(best[-1], scale)

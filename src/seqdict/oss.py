@@ -26,7 +26,6 @@ from .core import (
     decode_rational,
     encode_rational,
     oracle_for as oss_oracle,
-    underlying_optimum,
 )
 from .feasibility import producing_sequence
 
@@ -97,6 +96,22 @@ class SatInstance:
             return turns[agent][unsat & own[agent]][0]
 
         return Structure((1 << len(self.clauses)) - 1, step, act, read, self.scale, False)
+
+    def optimum(self, caps: Optional[Caps] = None) -> Value:
+        """MAX-SAT: the total weight less the least weight that one of the 2^n
+        assignments leaves open.  An assignment leaves open the clauses that
+        both its first n//2 variables and its others leave open, so each half's
+        open-clause masks are built once (2^(n/2) of them) and ANDed in pairs."""
+        n = self.n
+        (caps or DEFAULT_CAPS).check_subset(n)
+        masks, weights = self.clause_masks, self.scaled_weights
+        every = (1 << len(weights)) - 1
+        low, high = _open_after(masks[:n // 2], every), _open_after(masks[n // 2:], every)
+        sums = _byte_sums(weights)
+        width = len(sums)
+        least = min(sum(map(getitem, sums, (u & v).to_bytes(width, "little")))
+                    for u in low for v in high)
+        return Fraction(sum(weights) - least, self.scale)
 
 
 class _Turns(dict):
@@ -272,24 +287,6 @@ def _byte_sums(weights: tuple) -> list:
             table += [t + w for t in table]
         sums.append(table)
     return sums
-
-
-@underlying_optimum.register
-def _(inst: SatInstance, caps: Optional[Caps] = None) -> Value:
-    """MAX-SAT: the total weight less the least weight that one of the 2^n
-    assignments leaves open.  An assignment leaves open the clauses that
-    both its first n//2 variables and its others leave open, so each half's
-    open-clause masks are built once (2^(n/2) of them) and ANDed in pairs."""
-    n = inst.n
-    (caps or DEFAULT_CAPS).check_subset(n)
-    masks, weights = inst.clause_masks, inst.scaled_weights
-    every = (1 << len(weights)) - 1
-    low, high = _open_after(masks[:n // 2], every), _open_after(masks[n // 2:], every)
-    sums = _byte_sums(weights)
-    width = len(sums)
-    least = min(sum(map(getitem, sums, (u & v).to_bytes(width, "little")))
-                for u in low for v in high)
-    return Fraction(sum(weights) - least, inst.scale)
 
 
 # --- weighted-CNF text format ------------------------------------------------

@@ -568,6 +568,8 @@ MALFORMED_FILES = {
         "prefs must order the n-1 possible targets"),
     "paths-two-rows.json": (instance_doc("paths", 3, weights=[[None, "1", "0"], ["1", None, "0"]]),
                             "bad weight matrix"),
+    "osi-triple-edge.json": (instance_doc("osi", 3, edges=[[0, 1, 2]]), "bad edge (0, 1, 2)"),
+    "osi-single-node-edge.json": (instance_doc("osi", 3, edges=[[0]]), "bad edge (0,)"),
 }
 
 

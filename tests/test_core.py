@@ -177,6 +177,10 @@ CAPPED_ENTRY_POINTS = {
                     osa.random_digraph_instance(4, 0), None, SUBSET_MSG),
     "sat-optimum": (lambda inst, _: underlying_optimum(inst, SMALL_CAPS),
                     oss.random_sat_instance(4, 8, 3, 0), None, SUBSET_MSG),
+    "osi-optimum": (lambda inst, _: underlying_optimum(inst, SMALL_CAPS),
+                    auxstructs.random_osi_instance(4, 0), None, SUBSET_MSG),
+    "paths-optimum": (lambda inst, _: underlying_optimum(inst, SMALL_CAPS),
+                      auxstructs.random_paths_instance(4, 0), None, SUBSET_MSG),
     "sat-as-decide": (lambda inst, _: oss.sat_as_decide(inst, (True,) * 4, SMALL_CAPS),
                       oss.random_sat_instance(4, 8, 3, 0), None, SUBSET_MSG),
     "max-independent-set": (lambda inst, _: auxstructs.max_independent_set(inst, SMALL_CAPS),
@@ -327,9 +331,13 @@ class TestUnderlyingOptimumAndPosd:
         inst = osm.MatchingInstance.from_weights([[0, 0], [0, 0]])
         assert underlying_optimum(inst) == 0
 
-    def test_unregistered_type(self):
-        with pytest.raises(TypeError):
-            underlying_optimum(object())
+    @pytest.mark.parametrize("instance", [object(), seqopt.random_lower_bound_instance(4, 2, 0)],
+                             ids=["object", "lowerbound"])
+    def test_unregistered_type(self, instance):
+        with pytest.raises(TypeError) as exc:
+            underlying_optimum(instance)
+        assert str(exc.value) == ("no underlying optimum registered for "
+                                  f"{type(instance).__name__}")
 
     def test_matching_posd_is_one(self):
         for n in (2, 4, 6):

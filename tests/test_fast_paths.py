@@ -525,6 +525,41 @@ class TestStructureStates:
             state = step(state, agent)
             hash(state)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_prefixes_sharing_a_key_play_alike(self, kind):
+        """The searches memoise on (acted set, state), which is sound only if
+        every two prefixes with the same key give each next agent the same
+        read, act and next state.  The reads and acts are taken both from the
+        structure and from the plain reference simulation of the whole prefix,
+        which would tell the prefixes apart under a key too coarse.  Every
+        prefix is walked; sat at m = 2n and paths at weight denominator 1
+        have ties, so many orders meet in one key."""
+        reference_value = REFERENCE_VALUE[kind]
+        reference_actions = REFERENCE_ACTIONS.get(kind)
+        shared = 0
+        for n in range(2, 7):
+            for seed in range(3):
+                inst = make_instance(kind, n, seed, 1 if kind == "paths" else 100)
+                start, step, act, read, *_ = inst.structure
+                plays = {}
+                stack = [((), 0, start)]
+                while stack:
+                    prefix, acted, state = stack.pop()
+                    nexts = [a for a in range(n) if not acted >> a & 1]
+                    play = []
+                    for a in nexts:
+                        value = reference_value(inst, a, prefix)
+                        done = (reference_actions(inst, prefix + (a,))[a]
+                                if reference_actions else value)  # osi, lowerbound
+                        play.append((read(state, a), act(state, a), step(state, a),
+                                     value, done))
+                    seen = plays.setdefault((acted, state), play)
+                    shared += seen is not play
+                    assert seen == play, (n, seed, prefix)
+                    stack.extend((prefix + (a,), acted | 1 << a, after)
+                                 for a, (_, _, after, _, _) in zip(nexts, play))
+        assert shared > 0
+
 
 class TestMonotoneClaims:
     @pytest.mark.parametrize("kind", ("osm", "osa", "osi", "lowerbound"))
