@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, permutations
-from operator import is_, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 ActionSeq = tuple  # tuple[int, ...]
@@ -128,7 +128,7 @@ class QueryLedger:
     """Counts oracle queries: every call, and distinct (agent, prefix) pairs.
 
     A pair is kept as one int, code * n + agent, where code is the prefix's
-    `PrefixStates` code; the map is one-to-one, so `distinct_calls` counts
+    `CheckedPrefix` code; the map is one-to-one, so `distinct_calls` counts
     exactly the distinct pairs.
     """
 
@@ -140,46 +140,66 @@ class QueryLedger:
         return len(self._seen)
 
 
-class PrefixStates:
-    """The one walk over a counted query's prefix: it validates the prefix,
-    names it by an exact integer code, and replays a structure's state after
-    it from `start` by `step`.
+class CheckedPrefix:
+    """A prefix that a `PrefixStates` walk has checked and stepped: its
+    agents, the acted bitmask, its code (the agents read as base-(n+1)
+    digits a+1, so distinct prefixes get distinct codes) and the state after
+    it.  Only a walk makes one, as its `root` or by `walk`, and `then` grows
+    it into a new one; nothing changes one once it is made.  Iterating it
+    gives its agents."""
 
-    The cache is the last path walked, one immutable snapshot (path, rows)
-    where rows[k] is (acted bitmask, code, state) after path[:k]; the code
-    reads the prefix as base-(n+1) digits a+1, so distinct prefixes get
-    distinct codes.  `walk(seq)` checks and steps only the agents past the
-    run of positions where `seq` holds the very objects of the last path
-    (those were checked when that path was walked), raising the errors of
-    `check_action_seq`, and returns (code, state).  Without a `step` (an
-    opaque oracle) the state stays `start`.  Replaying is bookkeeping, not
-    a counted query.  The cache is replaced by a single assignment, so
-    oracle copies sharing a walk may query it from several threads.
+    __slots__ = ("walk", "agents", "mask", "code", "state")
+
+    def __init__(self, walk: "PrefixStates", agents: ActionSeq, mask: int, code: int, state):
+        self.walk, self.agents, self.mask, self.code, self.state = \
+            walk, agents, mask, code, state
+
+    def __iter__(self):
+        return iter(self.agents)
+
+    def then(self, agent: int) -> "CheckedPrefix":
+        """This prefix followed by `agent`, who is checked as `check_action_seq`
+        checks each agent (same order, same messages) and stepped once."""
+        walk = self.walk
+        n = walk.n
+        if not (isinstance(agent, int) and 0 <= agent < n):
+            raise ValueError(f"agent {agent!r} out of range for n={n}")
+        if self.mask >> agent & 1:
+            raise ValueError(f"duplicate agent {agent} in sequence")
+        step = walk.step
+        return CheckedPrefix(walk, self.agents + (agent,), self.mask | 1 << agent,
+                             self.code * (n + 1) + agent + 1,
+                             self.state if step is None else step(self.state, agent))
+
+
+class PrefixStates:
+    """The one walk over a counted query's prefix: it checks a prefix as
+    `check_action_seq` does, names it by an exact integer code, and replays
+    a structure's state after it from `start` by `step`, handing all of it
+    back as a `CheckedPrefix`.  Without a `step` (an opaque oracle) the
+    state stays `start`.  Replaying is bookkeeping, not a counted query.
+
+    The walk keeps no state of its own: a caller that reads along a tree of
+    prefixes grows `root` by `CheckedPrefix.then`, one agent per tree edge,
+    and `walk(seq)` checks and steps a plain sequence from the root.
     """
 
-    __slots__ = ("_n", "_step", "_snap")
+    __slots__ = ("n", "start", "step")
 
     def __init__(self, n: int, start=None, step: Optional[Callable] = None):
-        self._n, self._step = n, step
-        self._snap = ((), ((0, 0, start),))
+        self.n, self.start, self.step = n, start, step
 
-    def walk(self, seq: ActionSeq) -> tuple:
-        """Check `seq` as `check_action_seq` does; return (its code, the
-        state after it)."""
-        last, rows = self._snap
-        if all(map(is_, seq, last)):
-            k = len(last)
-            if len(seq) <= k:
-                _, code, state = rows[len(seq)]
-                return code, state
-        else:  # they part below both lengths
-            k = 0
-            while seq[k] is last[k]:
-                k += 1
-        n, step = self._n, self._step
-        mask, code, state = rows[k]
-        rows = rows[:k + 1]
-        for a in seq[k:]:
+    @property
+    def root(self) -> CheckedPrefix:
+        """The empty prefix, at `start`."""
+        return CheckedPrefix(self, (), 0, 0, self.start)
+
+    def walk(self, seq: ActionSeq) -> CheckedPrefix:
+        """Check the tuple `seq` as `check_action_seq` does and step it from
+        `start`; return it as a checked prefix."""
+        n, step, state = self.n, self.step, self.start
+        mask = code = 0
+        for a in seq:
             if not (isinstance(a, int) and 0 <= a < n):
                 raise ValueError(f"agent {a!r} out of range for n={n}")
             if mask >> a & 1:
@@ -188,9 +208,13 @@ class PrefixStates:
             code = code * (n + 1) + a + 1
             if step is not None:
                 state = step(state, a)
-            rows += ((mask, code, state),)
-        self._snap = (seq, rows)
-        return code, state
+        return CheckedPrefix(self, seq, mask, code, state)
+
+
+def grown(prefix, agent: int):
+    """`prefix` followed by `agent`: a plain tuple grows by concatenation, a
+    `CheckedPrefix` by its `then`."""
+    return prefix + (agent,) if type(prefix) is tuple else prefix.then(agent)
 
 
 class ValuationOracle:
@@ -223,20 +247,30 @@ class ValuationOracle:
         self.prefixes = PrefixStates(n)
 
     def value(self, agent: int, seq: Iterable[int] = (), scaled: bool = False):
-        """v_agent(seq); with `scaled`, as `value_scaled` reads it."""
-        seq = tuple(seq)
-        if not (isinstance(agent, int) and 0 <= agent < self.n):
+        """v_agent(seq); with `scaled`, as `value_scaled` reads it.
+
+        `seq` is a `CheckedPrefix` of this oracle's walk (copies made by
+        `fresh` share it), read as it stands, or any other sequence of
+        agents, a checked prefix of another walk included, which is walked
+        from the start.  Either way one call is one counted query."""
+        n = self.n
+        if not (isinstance(agent, int) and 0 <= agent < n):
             raise ValueError(f"agent {agent} out of range")
-        if agent in seq:
-            raise ValueError("query subsequence contains the queried agent")
-        code, state = self.prefixes.walk(seq)
+        if type(seq) is CheckedPrefix and seq.walk is self.prefixes:
+            if seq.mask >> agent & 1:
+                raise ValueError("query subsequence contains the queried agent")
+        else:
+            seq = tuple(seq)
+            if agent in seq:
+                raise ValueError("query subsequence contains the queried agent")
+            seq = self.prefixes.walk(seq)
         ledger = self.ledger
         ledger.total_calls += 1
-        ledger._seen.add(code * self.n + agent)
+        ledger._seen.add(seq.code * n + agent)
         scale = self.scale
         if scale is None:
-            return self._fn(agent, seq)
-        v = self._fn(state, agent)
+            return self._fn(agent, seq.agents)
+        v = self._fn(seq.state, agent)
         return v if scaled else Fraction(v, scale)
 
     def value_scaled(self, agent: int, seq: Iterable[int] = ()):
@@ -309,13 +343,39 @@ class ScaledWeights:
 
 
 def social_welfare(oracle: ValuationOracle, seq: Sequence[int]) -> Value:
-    """Sum of v_i(prefix of i) over a full sequence; makes exactly n queries."""
+    """Sum of v_i(prefix of i) over a full sequence; makes exactly n queries,
+    along one checked prefix grown agent by agent."""
     seq = tuple(seq)
     check_action_seq(seq, oracle.n, full=True)
-    total = 0
-    for k, agent in enumerate(seq):
-        total += oracle.value_scaled(agent, seq[:k])
+    read, prefix = oracle.value_scaled, oracle.prefixes.root
+    total = read(seq[0], prefix)
+    for k in range(1, len(seq)):
+        prefix = prefix.then(seq[k - 1])
+        total += read(seq[k], prefix)
     return Fraction(total, oracle.scale or 1)
+
+
+def prefix_paths(root, pool: Sequence[int], k: int) -> Iterator[tuple]:
+    """(order, prefixes, d) for every ordering `order` of k agents of
+    `pool`, in lexicographic order over `pool`'s order, by one depth-first
+    pass over the ordering tree from `root`.
+
+    `prefixes[j]` is what `order[j]` acts after: `root` grown by
+    order[:j].  It is one list, updated in place for each order, and d is
+    the first position where `order` parts from the order before it (0 for
+    the first), so prefixes[:d + 1] carry over.  Each tree edge above the
+    leaves is grown once, by `grown`; nothing is read.
+    """
+    prefixes = [root] * k
+    last = (None,) * k
+    for order in permutations(pool, k):
+        d = 0
+        while d < k and order[d] == last[d]:
+            d += 1
+        for j in range(d + 1, k):
+            prefixes[j] = grown(prefixes[j - 1], order[j - 1])
+        last = order
+        yield order, prefixes, d
 
 
 def sequence_welfares(oracle: ValuationOracle,
@@ -335,14 +395,9 @@ def sequence_welfares(oracle: ValuationOracle,
 def _sequence_welfares(oracle: ValuationOracle) -> Iterator[tuple[ActionSeq, object]]:
     n, read = oracle.n, oracle.value_scaled
     sums = [0] * (n + 1)  # sums[k]: the welfare of the current sequence's first k agents
-    last = (None,) * n
-    for seq in permutations(range(n)):
-        k = 0
-        while seq[k] == last[k]:  # the edges it shares with the last sequence are read
-            k += 1
-        for j in range(k, n):
-            sums[j + 1] = sums[j] + read(seq[j], seq[:j])
-        last = seq
+    for seq, prefixes, d in prefix_paths(oracle.prefixes.root, range(n), n):
+        for j in range(d, n):  # the edges it shares with the last sequence are read
+            sums[j + 1] = sums[j] + read(seq[j], prefixes[j])
         yield seq, sums[n]
 
 
@@ -360,11 +415,18 @@ def ordered_subsequences(pool: Sequence[int]) -> Iterator[tuple]:
         yield from permutations(pool, k)
 
 
-def prefix_table(n: int, agent: int, value_of: Callable[[tuple], Value]) -> dict:
-    """`value_of(s)` for every prefix `s` the agent can act after: every
-    `ordered_subsequences` of the other agents, in that order."""
-    return {s: value_of(s) for s in ordered_subsequences(
-        [j for j in range(n) if j != agent])}
+def prefix_table(n: int, agent: int, value_of: Callable[[tuple], Value], root=()) -> dict:
+    """`value_of(s)` for every prefix `s` the agent can act after, keyed by
+    its agents: every `ordered_subsequences` of the other agents, in that
+    order.  Each `s` is `root` grown by its agents, by `grown`: a plain
+    tuple from `()`, or a `CheckedPrefix` from an oracle's root."""
+    pool = [j for j in range(n) if j != agent]
+    table, layer = {}, [root]
+    for _ in range(len(pool) + 1):  # the prefixes of each length, in lexicographic order
+        for s in layer:
+            table[tuple(s)] = value_of(s)
+        layer = [grown(s, a) for s in layer for a in pool if a not in s]
+    return table
 
 
 class MonotonicityViolation(NamedTuple):
@@ -393,7 +455,8 @@ def find_monotonicity_violation(oracle: ValuationOracle) -> Optional[Monotonicit
         raise CapExceededError(f"monotonicity check capped at n={MONOTONICITY_MAX_N}")
     scale = oracle.scale or 1
     for agent in range(oracle.n):
-        vals = prefix_table(oracle.n, agent, partial(oracle.value_scaled, agent))
+        vals = prefix_table(oracle.n, agent, partial(oracle.value_scaled, agent),
+                            oracle.prefixes.root)
         for s, v_s in vals.items():
             if all(vals[s[:i] + s[i + 1:]] >= v_s for i in range(len(s))):
                 continue  # then s has no violation either (see above)
@@ -477,40 +540,43 @@ def best_sequence(instance, caps: Optional[Caps] = None) -> tuple[ActionSeq, Val
     same best completion, so the search expands the first of them and reuses
     its result for the rest.  Each expanded prefix reads every next agent's
     value through one counted query on a fresh `oracle_for(instance)`, so no
-    pair is read twice.  Children are visited in ascending agent order and
-    only a strictly better completion replaces the best, so every stored
-    completion is the lexicographically smallest best one, and ties break as
-    in the tree search.  Welfare is summed as integers over the oracle's
-    `scale`.  The memo never outgrows the tree, so the tree search's cap
-    holds.
+    pair is read twice.  A prefix is a `CheckedPrefix`: each child is grown
+    from its parent once, and that one step gives both its memo key and the
+    state its own reads are taken at.  Children are visited in ascending
+    agent order and only a strictly better completion replaces the best, so
+    every stored completion is the lexicographically smallest best one, and
+    ties break as in the tree search.  Welfare is summed as integers over
+    the oracle's `scale`.  The memo never outgrows the tree, so the tree
+    search's cap holds.
     """
     oracle = oracle_for(instance)
     n = oracle.n
     (caps or DEFAULT_CAPS).check_sequences(n)
-    start, step, *_ = instance.structure
+    read = oracle.value_scaled
     full = (1 << n) - 1
     memo: dict = {}  # (acted set as a bitmask, state) -> (completion, its welfare)
 
-    def completion(prefix: ActionSeq, acted: int, state) -> tuple[ActionSeq, int]:
+    def completion(prefix: CheckedPrefix) -> tuple[ActionSeq, int]:
         best = None
+        acted = prefix.mask
         for agent in range(n):
             if not acted >> agent & 1:
-                value = oracle.value_scaled(agent, prefix)
-                grown = acted | 1 << agent
-                if grown == full:  # the last agent: her state is never read
+                value = read(agent, prefix)
+                if acted | 1 << agent == full:  # the last agent: her state is never read
                     rest, welfare = (), 0
                 else:
-                    at = (grown, step(state, agent))
+                    child = prefix.then(agent)
+                    at = (child.mask, child.state)
                     found = memo.get(at)
                     if found is None:
-                        found = memo[at] = completion(prefix + (agent,), *at)
+                        found = memo[at] = completion(child)
                     rest, welfare = found
                 welfare += value
                 if best is None or welfare > best[1]:
                     best = ((agent,) + rest, welfare)
         return best
 
-    seq, welfare = completion((), 0, start)
+    seq, welfare = completion(oracle.prefixes.root)
     completion = None  # it refers to itself: free the memo now, not at the next gc cycle
     return seq, Fraction(welfare, oracle.scale)
 

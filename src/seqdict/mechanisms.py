@@ -60,7 +60,8 @@ class ValuationProfile:
         n = oracle.n
         DEFAULT_CAPS.check_work(n * sum(perm(n - 1, k) for k in range(n)),
                                 f"n={n} valuation tables")
-        return cls([prefix_table(n, i, partial(oracle.value, i)) for i in range(n)])
+        return cls([prefix_table(n, i, partial(oracle.value, i), oracle.prefixes.root)
+                    for i in range(n)])
 
     def value(self, agent: int, prefix: tuple) -> Value:
         return self.tables[agent][tuple(prefix)]

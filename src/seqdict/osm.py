@@ -112,18 +112,18 @@ def greedy_osm(oracle: ValuationOracle) -> ActionSeq:
     Issues exactly n + (n-1) + ... + 1 = n(n+1)/2 queries.
     """
     n = oracle.n
-    order: list = []
+    order = oracle.prefixes.root  # the checked prefix built so far
     remaining = list(range(n))
     for _ in range(n):
         best_agent = None
         best_val = None
         for i in remaining:
-            v = oracle.value_scaled(i, tuple(order))
+            v = oracle.value_scaled(i, order)
             if best_val is None or v > best_val:
                 best_agent, best_val = i, v
-        order.append(best_agent)
         remaining.remove(best_agent)
-    return tuple(order)
+        order = order.then(best_agent)
+    return order.agents
 
 
 def check_perfect_matching(assignment, n: int) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import permutations
 from math import factorial, perm
 from typing import Callable, Optional
 
@@ -23,25 +23,30 @@ from .core import (
     ValuationOracle,
     check_action_seq,
     oracle_for as make_lower_bound_oracle,
+    prefix_paths,
     social_welfare,
 )
 
 
 def max_welfare_ordering(value_fn: Callable[[int, tuple], Value],
-                         agents) -> tuple[tuple, Value]:
-    """Ordering of `agents` maximizing the sum of prefix values.
+                         agents, root=(), length: Optional[int] = None) -> tuple[tuple, Value]:
+    """Ordering of `agents` (of `length` of them, when given) maximizing the
+    sum of prefix values.
 
-    Evaluates value_fn(a, prefix) at every position of every ordering, i.e.
-    exactly k * k! calls for k agents, and adds the results up as they come:
-    Fractions from `value`, ints from a structured oracle's `value_scaled`.
-    Ties break to the lexicographically smallest ordering.
+    One depth-first pass over the ordering tree from `root`: a plain tuple
+    `()` for a callable over tuples, or an oracle's `prefixes.root` for its
+    `value` or `value_scaled`, whose reads then take checked prefixes grown
+    once per tree edge.  Each ordering calls value_fn(a, prefix) at every
+    position, i.e. exactly k * m!/(m - k)! calls for k of m agents (k * k!
+    for all of them), and adds the results up: Fractions from `value`, ints
+    from a structured oracle's `value_scaled`.  Ties break to the
+    lexicographically smallest ordering.
     """
+    pool = sorted(agents)
     best_order = None
     best_total = None
-    for order in permutations(sorted(agents)):
-        total = 0
-        for k, a in enumerate(order):
-            total += value_fn(a, order[:k])
+    for order, prefixes, _ in prefix_paths(root, pool, len(pool) if length is None else length):
+        total = sum(map(value_fn, order, prefixes))
         if best_total is None or total > best_total:
             best_order, best_total = order, total
     return best_order, best_total
@@ -53,10 +58,12 @@ def fill_ascending(prefix: tuple, n: int) -> tuple:
     return prefix + tuple(i for i in range(n) if i not in chosen)
 
 
-def subset_sequence(value_fn: Callable[[int, tuple], Value], agents, n: int) -> ActionSeq:
-    """The `max_welfare_ordering` of the drawn `agents`, then the rest of the
-    n agents ascending: the prefix search's output for one drawn subset."""
-    order, _ = max_welfare_ordering(value_fn, agents)
+def subset_sequence(value_fn: Callable[[int, tuple], Value], agents, n: int,
+                    root=()) -> ActionSeq:
+    """The `max_welfare_ordering` of the drawn `agents` from `root`, then the
+    rest of the n agents ascending: the prefix search's output for one drawn
+    subset."""
+    order, _ = max_welfare_ordering(value_fn, agents, root)
     return fill_ascending(order, n)
 
 
@@ -66,19 +73,17 @@ def det(oracle: ValuationOracle, c: int,
 
     Keeps the prefix with maximum total value (ties lexicographic) and appends
     the remaining agents in ascending index order.  Issues exactly
-    C(n,c) * c * c! queries.  The n/c welfare guarantee holds on instances
+    C(n,c) * c * c! queries: one `max_welfare_ordering` pass over all the
+    ordered c-prefixes of the n agents, which reads the pairs of the C(n,c)
+    per-subset searches.  The n/c welfare guarantee holds on instances
     with monotone valuations; the search itself runs on any oracle.
     """
     n = oracle.n
     if not 1 <= c <= n:
         raise ValueError("c out of range")
     (caps or DEFAULT_CAPS).check_work(perm(n, c), f"{n}!/{n - c}! prefixes")
-    best = None  # (total, order)
-    for subset in combinations(range(n), c):
-        order, total = max_welfare_ordering(oracle.value_scaled, subset)
-        if best is None or total > best[0] or (total == best[0] and order < best[1]):
-            best = (total, order)
-    return fill_ascending(best[1], n)
+    order, _ = max_welfare_ordering(oracle.value_scaled, range(n), oracle.prefixes.root, c)
+    return fill_ascending(order, n)
 
 
 def rand(oracle: ValuationOracle, c: int, seed: int,
@@ -98,7 +103,7 @@ def rand(oracle: ValuationOracle, c: int, seed: int,
     for k in range(c):
         j = rng.randrange(k, n)
         pool[k], pool[j] = pool[j], pool[k]
-    return subset_sequence(oracle.value_scaled, pool[:c], n)
+    return subset_sequence(oracle.value_scaled, pool[:c], n, oracle.prefixes.root)
 
 
 def det_plus(oracle: ValuationOracle, c: int,

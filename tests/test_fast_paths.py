@@ -410,6 +410,63 @@ class TestSearchFreesItsMemo:
             gc.enable()
 
 
+class TestReadsLeaveNoCycles:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_no_garbage_cycles_left(self, kind):
+        """The searches that read along grown prefixes leave nothing for the
+        garbage collector, as `best_sequence` leaves nothing."""
+        inst = make_instance(kind, 6, 1)
+        runs = (lambda o: seqopt.det(o, 3),
+                lambda o: seqopt.rand(o, 4, seed=1),
+                lambda o: seqopt.max_welfare_ordering(o.value_scaled, range(5), o.prefixes.root),
+                lambda o: list(core.sequence_welfares(o)),
+                core.find_monotonicity_violation)
+        gc.collect()
+        gc.disable()
+        try:
+            for run in runs:
+                run(oracle_for(inst))
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+# --- det: one prefix-tree pass against the per-subset searches ---------------------
+
+
+def det_by_subsets(oracle, c):
+    """`det` as a search of each c-subset in turn: every ordering of the subset
+    read position by position, the subset's first maximum kept, and the best
+    over the subsets taken with ties to the smaller ordering."""
+    n = oracle.n
+    best = None  # (total, order)
+    for subset in combinations(range(n), c):
+        order = total = None
+        for cand in permutations(subset):
+            t = 0
+            for k, a in enumerate(cand):
+                t += oracle.value_scaled(a, cand[:k])
+            if total is None or t > total:
+                order, total = cand, t
+        if best is None or total > best[0] or (total == best[0] and order < best[1]):
+            best = (total, order)
+    return seqopt.fill_ascending(best[1], n)
+
+
+class TestDetMatchesSubsetSearches:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_same_sequence_and_reads(self, kind):
+        """Lowerbound's values are 0 or 1, so its orderings tie often."""
+        for n in range(1, 8):
+            for seed in range(3):
+                inst = make_instance(kind, n, 50 * n + seed)
+                for c in range(1, n + 1):
+                    got, want = oracle_for(inst), oracle_for(inst)
+                    assert seqopt.det(got, c) == det_by_subsets(want, c), (n, seed, c)
+                    assert (got.ledger.total_calls, got.ledger.distinct_calls) == \
+                        (want.ledger.total_calls, want.ledger.distinct_calls), (n, seed, c)
+
+
 # --- prefix-state oracles ------------------------------------------------------------
 
 
@@ -682,6 +739,123 @@ class TestPrefixWalkLedger:
             assert oracle.value(agent, seq) == reference.value(agent, orders[i][:k])
         assert oracle.ledger.total_calls == len(pairs)
         assert oracle.ledger.distinct_calls == len(set(pairs))
+
+
+# --- checked prefixes: reads along grown prefixes ----------------------------------
+
+
+def count_steps(inst):
+    """Give `inst` a `structure` whose `step` records each agent it steps;
+    return the record."""
+    structure, steps = inst.structure, []
+
+    def step(state, agent):
+        steps.append(agent)
+        return structure.step(state, agent)
+
+    inst.__dict__["structure"] = structure._replace(step=step)
+    return steps
+
+
+def stepping_oracle(kind, n, seed):
+    """`walk_oracle(kind, n, seed)` and the list of agents its structure has
+    stepped so far (an opaque oracle steps nothing)."""
+    if kind == "opaque":
+        return walk_oracle(kind, n, seed), []
+    inst = make_instance(kind, n, seed, wd=3)
+    steps = count_steps(inst)
+    return oracle_for(inst), steps
+
+
+def outcome(call):
+    """("value", what `call()` returns), or ("error", its ValueError's text)."""
+    try:
+        return "value", call()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def counts(oracle):
+    return oracle.ledger.total_calls, oracle.ledger.distinct_calls
+
+
+class TestCheckedPrefixes:
+    @drawn
+    @given(st.data())
+    def test_reads_equal_plain_reads(self, data):
+        """Along a drawn growth path, a checked prefix's read equals the read
+        of its agents as a plain tuple (value, error text and ledger counts)
+        and steps nothing; a growth step checks its agent as
+        `check_action_seq` does, steps once and counts nothing; a checked
+        prefix of another instance's walk is read as its plain agents; and
+        `fresh` copies read their source's prefixes."""
+        kind = data.draw(st.sampled_from(WALK_KINDS), label="kind")
+        n = data.draw(st.integers(1, 6), label="n")
+        seed = data.draw(st.integers(0, 10 ** 6), label="seed")
+        oracle, steps = stepping_oracle(kind, n, seed)
+        plain = walk_oracle(kind, n, seed)
+        copy, plain_copy = oracle.fresh(), plain.fresh()
+        other = walk_oracle(kind, data.draw(st.integers(1, n), label="other n"), seed + 1)
+        prefix = oracle.prefixes.root
+        agents = st.one_of(st.integers(-1, n), st.sampled_from((1.0, None, True)))
+        ops = st.tuples(st.sampled_from(("grow", "read", "fresh", "foreign")), agents,
+                        st.permutations(range(other.n)), st.integers(0, other.n))
+        for op, agent, order, k in data.draw(st.lists(ops, max_size=25), label="ops"):
+            stepped, before = len(steps), counts(oracle)
+            if op == "grow":
+                want = value_error(lambda: core.check_action_seq(prefix.agents + (agent,), n))
+                if want is None:
+                    prefix = prefix.then(agent)
+                    assert len(steps) == stepped + (kind != "opaque")
+                    assert prefix.agents[-1] is agent
+                else:
+                    assert value_error(lambda: prefix.then(agent)) == want
+                assert counts(oracle) == before
+            elif op == "read":
+                assert outcome(lambda: oracle.value(agent, prefix)) == \
+                    outcome(lambda: plain.value(agent, prefix.agents))
+                assert len(steps) == stepped
+                assert counts(oracle) == counts(plain)
+            elif op == "fresh":
+                assert outcome(lambda: copy.value_scaled(agent, prefix)) == \
+                    outcome(lambda: plain_copy.value_scaled(agent, prefix.agents))
+                assert len(steps) == stepped
+                assert counts(copy) == counts(plain_copy)
+            else:
+                foreign = other.prefixes.walk(tuple(order[:k]))
+                assert outcome(lambda: oracle.value(agent, foreign)) == \
+                    outcome(lambda: plain.value(agent, foreign.agents))
+                assert counts(oracle) == counts(plain)
+
+
+class TestSearchStepsEachChildOnce:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_one_step_per_read_that_leaves_two_agents(self, kind, monkeypatch):
+        """`best_sequence` steps a child once, for its memo key and its own
+        reads both: one `step` per read whose prefix has fewer than n - 1
+        agents (the last agent's state is never read)."""
+        reads = []
+
+        def recording(instance):
+            oracle = oracle_for(instance)
+            value = oracle.value
+
+            def recorded(agent, seq=(), scaled=False):
+                reads.append(len(tuple(seq)))
+                return value(agent, seq, scaled)
+
+            oracle.value = recorded
+            return oracle
+
+        monkeypatch.setattr(core, "oracle_for", recording)
+        for n in range(1, 7):
+            for wd in (1, 100):
+                inst = make_instance(kind, n, 5 * n + wd, wd)
+                want = best_sequence(inst)
+                steps = count_steps(inst)
+                reads.clear()
+                assert best_sequence(inst) == want
+                assert len(steps) == sum(k < n - 1 for k in reads), (n, wd)
 
 
 # --- subset-DP optima --------------------------------------------------------------

@@ -35,6 +35,12 @@ Families:
          each written as JSON and as weighted-CNF text; then `posd`,
          `posd --json`, `run --algorithm det --c 2 --json` and
          `run --algorithm rand --c 3 --json` on each file
+  wide-prefix
+         the prefix searches at the sizes where they read most: lowerbound
+         (instance c = 2 and 3), osm and osa files at n = 9 and 10, seeds 0
+         and 1, then `run --json --skip-optimum` of `det` c=4 and
+         `det-plus` c=3 at run seed 0 and `rand` c = 5..7 at run seeds 0
+         and 1 on each file
   malformed
          `posd` on instance files that a kind's constructor refuses: an oss
          file with n 0, a short tie_default, an empty clause or a literal
@@ -77,6 +83,11 @@ BENCH_TRIALS = "2"
 WIDE_SAT_NS = range(4, 9)
 WIDE_SAT_M = "80"
 WIDE_SAT_DENOMINATORS = (1, 100)
+WIDE_PREFIX_NS = (9, 10)
+WIDE_PREFIX_FILES = (("lowerbound", "--c", "2"), ("lowerbound", "--c", "3"), ("osm",), ("osa",))
+#: (algorithm, --c, the --seed values it runs at)
+WIDE_PREFIX_RUNS = (("det", "4", (0,)), ("rand", "5", SEEDS), ("rand", "6", SEEDS),
+                    ("rand", "7", SEEDS), ("det-plus", "3", (0,)))
 
 
 def refusals() -> list:
@@ -160,7 +171,7 @@ def call(argv: list, workdir: str) -> tuple:
 def sweep(workdir: str) -> dict:
     families = {name: hashlib.sha256()
                 for name in ("gen", "posd", "run", "named", "verify", "bench", "refusals",
-                             "wide-sat", "malformed")}
+                             "wide-sat", "wide-prefix", "malformed")}
     counts = dict.fromkeys(families, 0)
 
     def record(family: str, argv: list, path=None) -> None:
@@ -222,6 +233,16 @@ def sweep(workdir: str) -> dict:
         for algorithm, c in (("det", "2"), ("rand", "3")):
             record("wide-sat", ["run", path, "--json", "--algorithm", algorithm, "--c", c,
                                 "--seed", str(seed)])
+    for n in WIDE_PREFIX_NS:
+        for gen_args in WIDE_PREFIX_FILES:
+            for seed in SEEDS:
+                path = os.path.join(workdir, f"wide-prefix-{'-'.join(gen_args)}-{n}-{seed}.json")
+                record("wide-prefix", ["gen", *gen_args, "--n", str(n), "--seed", str(seed)], path)
+                for algorithm, c, run_seeds in WIDE_PREFIX_RUNS:
+                    for run_seed in run_seeds:
+                        record("wide-prefix", ["run", path, "--json", "--skip-optimum",
+                                               "--algorithm", algorithm, "--c", c,
+                                               "--seed", str(run_seed)])
     for name, text in MALFORMED.items():
         path = os.path.join(workdir, name)
         Path(path).write_text(text, encoding="utf-8")
