@@ -98,28 +98,26 @@ def _neighbour_masks(inst: OsiInstance) -> list:
 
 
 def _mis_from_masks(n: int, nbr: list) -> int:
-    """Maximum independent set as a bitmask, given neighbor bitmasks.
+    """Maximum independent set as a bitmask, given neighbor bitmasks, by
+    `_grow_independent` from node 0 and the empty set."""
+    return _grow_independent(n, nbr, 0, 0, 0, 0, (0, 0))[0]
 
-    Include-first depth-first search with a size prune; the first maximum
-    found is the one with the lexicographically smallest member list.
-    """
-    best_mask = 0
-    best_size = 0
 
-    def rec(i: int, mask: int, size: int, banned: int) -> None:
-        nonlocal best_mask, best_size
-        if size + (n - i) <= best_size:
-            return
-        if i == n:
-            if size > best_size:
-                best_mask, best_size = mask, size
-            return
-        if not banned >> i & 1:
-            rec(i + 1, mask | 1 << i, size + 1, banned | nbr[i])
-        rec(i + 1, mask, size, banned)
+def _grow_independent(n: int, nbr: list, i: int, mask: int, size: int, banned: int,
+                      best: tuple) -> tuple:
+    """The better (mask, size) of `best` and the independent sets that add
+    nodes i..n-1 to `mask`, which has `size` nodes and neighbours `banned`.
 
-    rec(0, 0, 0, 0)
-    return best_mask
+    Include-first depth-first search with a size prune; only a strictly
+    larger set replaces `best`, so the first maximum found is the one with
+    the lexicographically smallest member list."""
+    if size + (n - i) <= best[1]:
+        return best
+    if i == n:
+        return mask, size
+    if not banned >> i & 1:
+        best = _grow_independent(n, nbr, i + 1, mask | 1 << i, size + 1, banned | nbr[i], best)
+    return _grow_independent(n, nbr, i + 1, mask, size, banned, best)
 
 
 def max_independent_set(inst: OsiInstance,

@@ -158,14 +158,12 @@ class CheckedPrefix:
         return iter(self.agents)
 
     def then(self, agent: int) -> "CheckedPrefix":
-        """This prefix followed by `agent`, who is checked as `check_action_seq`
-        checks each agent (same order, same messages) and stepped once."""
+        """This prefix followed by `agent`, stepped once.  An agent out of
+        range or already in the prefix raises through `check_action_seq`."""
         walk = self.walk
         n = walk.n
-        if not (isinstance(agent, int) and 0 <= agent < n):
-            raise ValueError(f"agent {agent!r} out of range for n={n}")
-        if self.mask >> agent & 1:
-            raise ValueError(f"duplicate agent {agent} in sequence")
+        if not (isinstance(agent, int) and 0 <= agent < n) or self.mask >> agent & 1:
+            check_action_seq(self.agents + (agent,), n)
         step = walk.step
         return CheckedPrefix(walk, self.agents + (agent,), self.mask | 1 << agent,
                              self.code * (n + 1) + agent + 1,
@@ -195,15 +193,13 @@ class PrefixStates:
         return CheckedPrefix(self, (), 0, 0, self.start)
 
     def walk(self, seq: ActionSeq) -> CheckedPrefix:
-        """Check the tuple `seq` as `check_action_seq` does and step it from
-        `start`; return it as a checked prefix."""
+        """Step the tuple `seq` from `start` and return it as a checked
+        prefix.  A bad agent raises through `check_action_seq`."""
         n, step, state = self.n, self.step, self.start
         mask = code = 0
         for a in seq:
-            if not (isinstance(a, int) and 0 <= a < n):
-                raise ValueError(f"agent {a!r} out of range for n={n}")
-            if mask >> a & 1:
-                raise ValueError(f"duplicate agent {a} in sequence")
+            if not (isinstance(a, int) and 0 <= a < n) or mask >> a & 1:
+                check_action_seq(seq, n)
             mask |= 1 << a
             code = code * (n + 1) + a + 1
             if step is not None:
@@ -534,51 +530,48 @@ def actions(instance, seq: Sequence[int]) -> tuple:
 
 def best_sequence(instance, caps: Optional[Caps] = None) -> tuple[ActionSeq, Value]:
     """The (sequence, welfare) of `brute_force_optimal_sequence` on the
-    instance's oracle, by a prefix-tree search that memoises completions.
-
-    Two prefixes over the same acted set that reach equal states have the
-    same best completion, so the search expands the first of them and reuses
-    its result for the rest.  Each expanded prefix reads every next agent's
-    value through one counted query on a fresh `oracle_for(instance)`, so no
-    pair is read twice.  A prefix is a `CheckedPrefix`: each child is grown
-    from its parent once, and that one step gives both its memo key and the
-    state its own reads are taken at.  Children are visited in ascending
-    agent order and only a strictly better completion replaces the best, so
-    every stored completion is the lexicographically smallest best one, and
-    ties break as in the tree search.  Welfare is summed as integers over
-    the oracle's `scale`.  The memo never outgrows the tree, so the tree
-    search's cap holds.
-    """
+    instance's oracle: the `_best_completion` of its root, on a fresh
+    `oracle_for(instance)`.  The memo never outgrows the tree, so the tree
+    search's cap holds."""
     oracle = oracle_for(instance)
-    n = oracle.n
-    (caps or DEFAULT_CAPS).check_sequences(n)
-    read = oracle.value_scaled
-    full = (1 << n) - 1
-    memo: dict = {}  # (acted set as a bitmask, state) -> (completion, its welfare)
-
-    def completion(prefix: CheckedPrefix) -> tuple[ActionSeq, int]:
-        best = None
-        acted = prefix.mask
-        for agent in range(n):
-            if not acted >> agent & 1:
-                value = read(agent, prefix)
-                if acted | 1 << agent == full:  # the last agent: her state is never read
-                    rest, welfare = (), 0
-                else:
-                    child = prefix.then(agent)
-                    at = (child.mask, child.state)
-                    found = memo.get(at)
-                    if found is None:
-                        found = memo[at] = completion(child)
-                    rest, welfare = found
-                welfare += value
-                if best is None or welfare > best[1]:
-                    best = ((agent,) + rest, welfare)
-        return best
-
-    seq, welfare = completion(oracle.prefixes.root)
-    completion = None  # it refers to itself: free the memo now, not at the next gc cycle
+    (caps or DEFAULT_CAPS).check_sequences(oracle.n)
+    seq, welfare = _best_completion(oracle.prefixes.root, oracle.value_scaled,
+                                    (1 << oracle.n) - 1, {})
     return seq, Fraction(welfare, oracle.scale)
+
+
+def _best_completion(prefix: CheckedPrefix, read: Callable, full: int,
+                     memo: dict) -> tuple[ActionSeq, int]:
+    """The best (completion, its welfare as an int) after `prefix`, by a
+    prefix-tree search: `read(agent, prefix)` is one counted query, `full`
+    the bitmask of all agents, and `memo` maps (acted bitmask, state) to
+    the completion found there.
+
+    Prefixes over the same acted set that reach equal states have the same
+    best completion, so the first is expanded and the rest reuse its result;
+    each expanded prefix reads every next agent once, so no pair is read
+    twice.  A child is grown once, by `then`, which gives both its memo key
+    and the state its reads are taken at.  Children go in ascending agent
+    order and only a strictly better completion replaces the best, so ties
+    break to the lexicographically smallest, as in the tree search."""
+    best = None
+    acted = prefix.mask
+    for agent in range(prefix.walk.n):
+        if not acted >> agent & 1:
+            value = read(agent, prefix)
+            if acted | 1 << agent == full:  # the last agent: her state is never read
+                rest, welfare = (), 0
+            else:
+                child = prefix.then(agent)
+                at = (child.mask, child.state)
+                found = memo.get(at)
+                if found is None:
+                    found = memo[at] = _best_completion(child, read, full, memo)
+                rest, welfare = found
+            welfare += value
+            if best is None or welfare > best[1]:
+                best = ((agent,) + rest, welfare)
+    return best
 
 
 def welfare_ratio(optimum: Value, welfare: Value):

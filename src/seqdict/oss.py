@@ -81,9 +81,11 @@ class SatInstance:
         """v_i(S) = larger of the unsatisfied weights on x_i's two sides after S.
         The state is the bitmask of the clauses still open, which fixes later
         choices.  An agent's turn depends only on her own open clauses, so
-        each agent's turns are kept per such sub-mask in her `_Turns`."""
+        each agent's turns are kept per such sub-mask in her `_Turns`, which
+        all sum weights by one set of `_byte_sums` tables."""
         own = tuple(pos | neg for pos, neg in self.clause_masks)
-        turns = tuple(_Turns(pos, neg, self.scaled_weights, tie)
+        sums = _byte_sums(self.scaled_weights)
+        turns = tuple(_Turns(pos, neg, sums, tie)
                       for (pos, neg), tie in zip(self.clause_masks, self.tie_default))
 
         def step(unsat: int, agent: int) -> int:
@@ -117,29 +119,20 @@ class SatInstance:
 class _Turns(dict):
     """One agent's turn per set of her own open clauses (a bitmask): (her
     value, the value she sets her variable to, the mask of the clauses that
-    stay open), worked out on first use.  It holds at most 2^(her clause
-    count) entries, and never more than the states it was asked about."""
+    stay open), worked out on first use by `_clause_weight` over the
+    `_byte_sums` tables `sums`.  It holds at most 2^(her clause count)
+    entries, and never more than the states it was asked about."""
 
-    def __init__(self, pos: int, neg: int, weights: tuple, tie):
+    def __init__(self, pos: int, neg: int, sums: list, tie):
         super().__init__()
-        self.pos, self.neg, self.weights, self.tie = pos, neg, weights, tie
+        self.pos, self.neg, self.sums, self.tie = pos, neg, sums, tie
 
     def __missing__(self, own: int) -> tuple:
-        w_true = _weight(own & self.pos, self.weights)
-        w_false = _weight(own & self.neg, self.weights)
+        w_true = _clause_weight(own & self.pos, self.sums)
+        w_false = _clause_weight(own & self.neg, self.sums)
         up = w_true > w_false or (w_true == w_false and self.tie)
         turn = self[own] = (max(w_true, w_false), up, ~(self.pos if up else self.neg))
         return turn
-
-
-def _weight(mask: int, weights: tuple) -> int:
-    """The total of `weights[k]` over the bits k set in `mask`."""
-    total = 0
-    while mask:
-        low = mask & -mask
-        total += weights[low.bit_length() - 1]
-        mask ^= low
-    return total
 
 
 def sat_instance(n: int, clauses: Iterable, tie_default=None) -> SatInstance:
@@ -287,6 +280,12 @@ def _byte_sums(weights: tuple) -> list:
             table += [t + w for t in table]
         sums.append(table)
     return sums
+
+
+def _clause_weight(mask: int, sums: list) -> int:
+    """The weight of the clauses in `mask`, read a byte at a time from the
+    `_byte_sums` tables `sums`."""
+    return sum(map(getitem, sums, mask.to_bytes(len(sums), "little")))
 
 
 # --- weighted-CNF text format ------------------------------------------------

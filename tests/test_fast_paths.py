@@ -431,6 +431,26 @@ class TestReadsLeaveNoCycles:
             gc.enable()
 
 
+class TestIndependentSetSearchLeavesNoCycles:
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_no_garbage_cycles_left(self, n):
+        """The maximum independent set search, on its own, as the osi optimum
+        and inside the pair-query learner, leaves nothing for the garbage
+        collector."""
+        inst = auxstructs.random_osi_instance(n, n)
+        runs = (lambda: auxstructs.max_independent_set(inst),
+                lambda: underlying_optimum(inst),
+                lambda: auxstructs.osi_learn_and_solve(oracle_for(inst)))
+        gc.collect()
+        gc.disable()
+        try:
+            for run in runs:
+                run()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 # --- det: one prefix-tree pass against the per-subset searches ---------------------
 
 
@@ -994,8 +1014,17 @@ def wide_sat_instances():
             for n in (1, 4, 7) for seed, wd in ((0, 1), (1, 100))]
 
 
+def byte_edge_sat_instances():
+    """Clause counts at the edges of the per-byte weight tables: no clause,
+    fewer than a byte, a mask ending one past a byte, and wider ones that
+    end mid-byte."""
+    return [oss.random_sat_instance(n, m, 3, 100 * m + n, 7)
+            for m in (0, 1, 7, 9, 63, 65, 130) for n in range(3, 7)]
+
+
 class TestSatBitmasks:
-    @pytest.mark.parametrize("family", (wide_sat_instances, x3c_reductions))
+    @pytest.mark.parametrize("family", (wide_sat_instances, x3c_reductions,
+                                        byte_edge_sat_instances))
     def test_values_acts_and_optimum_equal_reference(self, family):
         for inst in family():
             n = inst.n

@@ -41,6 +41,11 @@ Families:
          and 1, then `run --json --skip-optimum` of `det` c=4 and
          `det-plus` c=3 at run seed 0 and `rand` c = 5..7 at run seeds 0
          and 1 on each file
+  wide-osi
+         the maximum independent set search at the sizes where its prune
+         matters: osi files at n = 12, 16 and 20 for `run --algorithm
+         osi-learn --json`, and at n = 9 and 10 for `posd --json`, seeds 0
+         and 1
   malformed
          `posd` on instance files that a kind's constructor refuses: an oss
          file with n 0, a short tie_default, an empty clause or a literal
@@ -88,6 +93,9 @@ WIDE_PREFIX_FILES = (("lowerbound", "--c", "2"), ("lowerbound", "--c", "3"), ("o
 #: (algorithm, --c, the --seed values it runs at)
 WIDE_PREFIX_RUNS = (("det", "4", (0,)), ("rand", "5", SEEDS), ("rand", "6", SEEDS),
                     ("rand", "7", SEEDS), ("det-plus", "3", (0,)))
+#: (the osi file sizes, the command run on each file)
+WIDE_OSI = (((12, 16, 20), ["run", "--algorithm", "osi-learn", "--json"]),
+            ((9, 10), ["posd", "--json"]))
 
 
 def refusals() -> list:
@@ -171,7 +179,7 @@ def call(argv: list, workdir: str) -> tuple:
 def sweep(workdir: str) -> dict:
     families = {name: hashlib.sha256()
                 for name in ("gen", "posd", "run", "named", "verify", "bench", "refusals",
-                             "wide-sat", "wide-prefix", "malformed")}
+                             "wide-sat", "wide-prefix", "wide-osi", "malformed")}
     counts = dict.fromkeys(families, 0)
 
     def record(family: str, argv: list, path=None) -> None:
@@ -243,6 +251,12 @@ def sweep(workdir: str) -> dict:
                         record("wide-prefix", ["run", path, "--json", "--skip-optimum",
                                                "--algorithm", algorithm, "--c", c,
                                                "--seed", str(run_seed)])
+    for ns, (command, *flags) in WIDE_OSI:
+        for n in ns:
+            for seed in SEEDS:
+                path = os.path.join(workdir, f"wide-osi-{n}-{seed}.json")
+                record("wide-osi", ["gen", "osi", "--n", str(n), "--seed", str(seed)], path)
+                record("wide-osi", [command, path, *flags])
     for name, text in MALFORMED.items():
         path = os.path.join(workdir, name)
         Path(path).write_text(text, encoding="utf-8")
