@@ -36,6 +36,7 @@ from .osa import (
     draw,
     has_cycle,
     random_digraph_weights,
+    walk_start,
 )
 
 
@@ -177,17 +178,18 @@ class PathsInstance(ScaledWeights):
         edge and thereby unblocking an edge that the shorter prefix forbade.
         They are monotone for n <= 3, where no such rerouting is possible.
 
-        The state is the walk ends of `osa.draw`, with end[j] None once an edge
-        enters j: an edge i->j is addable iff end[j] is neither None nor i.
+        The state is the walk ends of `osa.draw`, with end[j] the code point
+        chr(n) once an edge enters j (`osa.walk_start`): an edge i->j is
+        addable iff end[j] is neither that nor i.
         """
         scale, rows = self.scaled
         targets = heaviest_first(rows)
 
-        def read(end: tuple, agent: int) -> int:
+        def read(end: str, agent: int) -> int:
             target = best_addable(targets, end, agent)
             return 0 if target is None else rows[agent][target]
 
-        return Structure(tuple(range(self.n)), partial(draw, targets, True),
+        return Structure(walk_start(self.n), partial(draw, targets, True),
                          partial(best_addable, targets), read, scale, False)
 
     def optimum(self, caps: Optional[Caps] = None) -> Value:

@@ -85,12 +85,19 @@ def encode_rational(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
+#: A "p/q" or integer string: the numerator and the denominator (or None).
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def decode_rational(s) -> Fraction:
-    """A "p/q" (or integer) string as a Fraction; anything else is a ValueError."""
-    if not isinstance(s, str) or not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s):
+    """A "p/q" (or integer) string as a Fraction; anything else is a
+    ValueError.  One match of `_RATIONAL` gives both integers."""
+    match = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if match is None:
         raise ValueError(f"rationals must be 'p/q' strings, got {s!r}")
+    p, q = match.groups()
     try:
-        return Fraction(s)
+        return Fraction(int(p), int(q or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational {s!r}") from None
 
@@ -158,16 +165,25 @@ class CheckedPrefix:
         return iter(self.agents)
 
     def then(self, agent: int) -> "CheckedPrefix":
-        """This prefix followed by `agent`, stepped once.  An agent out of
-        range or already in the prefix raises through `check_action_seq`."""
+        """This prefix followed by `agent`, stepped once and made by
+        `stepped`.  An agent out of range or already in the prefix raises
+        through `check_action_seq`."""
         walk = self.walk
-        n = walk.n
-        if not (isinstance(agent, int) and 0 <= agent < n) or self.mask >> agent & 1:
-            check_action_seq(self.agents + (agent,), n)
+        if not (isinstance(agent, int) and 0 <= agent < walk.n) or self.mask >> agent & 1:
+            check_action_seq(self.agents + (agent,), walk.n)
         step = walk.step
+        return self.stepped(agent, self.state if step is None else step(self.state, agent))
+
+    def stepped(self, agent: int, state) -> "CheckedPrefix":
+        """This prefix followed by `agent`, at `state`, the state the walk's
+        step gives after her: the one place that grows a prefix's agents,
+        mask and code by one agent.  It checks and steps nothing; `then`
+        checks the agent and steps first, and `_best_completion`, whose
+        children are valid and already stepped for their memo keys, calls
+        it only for a child it expands."""
+        walk = self.walk
         return CheckedPrefix(walk, self.agents + (agent,), self.mask | 1 << agent,
-                             self.code * (n + 1) + agent + 1,
-                             self.state if step is None else step(self.state, agent))
+                             self.code * (walk.n + 1) + agent + 1, state)
 
 
 class PrefixStates:
@@ -550,23 +566,27 @@ def _best_completion(prefix: CheckedPrefix, read: Callable, full: int,
     Prefixes over the same acted set that reach equal states have the same
     best completion, so the first is expanded and the rest reuse its result;
     each expanded prefix reads every next agent once, so no pair is read
-    twice.  A child is grown once, by `then`, which gives both its memo key
-    and the state its reads are taken at.  Children go in ascending agent
-    order and only a strictly better completion replaces the best, so ties
-    break to the lexicographically smallest, as in the tree search."""
+    twice.  A child is stepped once, by the walk's `step`, which gives both
+    its memo key and the state its reads are taken at; only a child that
+    misses the memo, and so is expanded, is made a `CheckedPrefix`, by
+    `stepped`.  Children go in ascending agent order and only a strictly
+    better completion replaces the best, so ties break to the
+    lexicographically smallest, as in the tree search."""
     best = None
-    acted = prefix.mask
+    acted, state, step = prefix.mask, prefix.state, prefix.walk.step
     for agent in range(prefix.walk.n):
         if not acted >> agent & 1:
             value = read(agent, prefix)
-            if acted | 1 << agent == full:  # the last agent: her state is never read
+            mask = acted | 1 << agent
+            if mask == full:  # the last agent: her state is never read
                 rest, welfare = (), 0
             else:
-                child = prefix.then(agent)
-                at = (child.mask, child.state)
+                child = step(state, agent)
+                at = (mask, child)
                 found = memo.get(at)
                 if found is None:
-                    found = memo[at] = _best_completion(child, read, full, memo)
+                    found = memo[at] = _best_completion(prefix.stepped(agent, child),
+                                                        read, full, memo)
                 rest, welfare = found
             welfare += value
             if best is None or welfare > best[1]:

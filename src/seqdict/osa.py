@@ -83,11 +83,11 @@ class ArborescenceInstance(ScaledWeights):
         scale, rows = self.scaled
         targets = self.prefs
 
-        def read(end: tuple, agent: int) -> int:
+        def read(end: str, agent: int) -> int:
             target = best_addable(targets, end, agent)
             return 0 if target is None else rows[agent][target]
 
-        return Structure(tuple(range(self.n)), partial(draw, targets, False),
+        return Structure(walk_start(self.n), partial(draw, targets, False),
                          partial(best_addable, targets), read, scale, True)
 
     def optimum(self, caps: Optional[Caps] = None) -> Value:
@@ -142,33 +142,43 @@ def has_cycle(out: dict) -> bool:
     return any(reaches(out, j, i) for i, j in out.items())
 
 
-def best_addable(targets: tuple, end: tuple, agent: int) -> Optional[int]:
+def walk_start(n: int) -> str:
+    """The walk ends of n nodes before any edge is drawn: each node ends its
+    own walk.  Walk ends are a str of one code point per node, chr(e) for
+    the end e of the walk from that node, and chr(n), which no node has,
+    once the node may take no further incoming edge."""
+    return "".join(map(chr, range(n)))
+
+
+def best_addable(targets: tuple, end: str, agent: int) -> Optional[int]:
     """The agent's first target j in `targets[agent]` (her preference order)
     whose edge agent->j may be drawn, or None if there is none.
 
     end[j] is the last node of the walk from j along the drawn edges, or
-    None once j may take no further incoming edge.  The agent has not acted,
-    so she ends her own path: agent->j closes a cycle exactly when end[j]
-    is the agent.
+    chr(len(end)) once j may take no further incoming edge (`walk_start`).
+    The agent has not acted, so she ends her own path: agent->j closes a
+    cycle exactly when end[j] is the agent.
     """
+    own, closed = chr(agent), chr(len(end))
     for j in targets[agent]:
         e = end[j]
-        if e is not None and e != agent:
+        if e != own and e != closed:
             return j
     return None
 
 
-def draw(targets: tuple, in_degree_one: bool, end: tuple, agent: int) -> tuple:
+def draw(targets: tuple, in_degree_one: bool, end: str, agent: int) -> str:
     """The walk ends after the agent draws her `best_addable` edge (none if
-    there is none); with `in_degree_one`, its target takes no further edge."""
+    there is none): every walk that ended at her now ends where her
+    target's walk does, by one `str.replace`.  With `in_degree_one`, her
+    target takes no further edge."""
     target = best_addable(targets, end, agent)
     if target is None:
         return end
-    tail = end[target]
-    end = [tail if e == agent else e for e in end]
+    end = end.replace(chr(agent), end[target])
     if in_degree_one:
-        end[target] = None
-    return tuple(end)
+        end = end[:target] + chr(len(end)) + end[target + 1:]
+    return end
 
 
 def greedy_osa(oracle: ValuationOracle) -> ActionSeq:
@@ -179,23 +189,28 @@ def greedy_osa(oracle: ValuationOracle) -> ActionSeq:
     each j, the cycle member with the smallest v(empty) is evicted to a reserve
     list (ties: smallest index), and i joins.  The reserve list, in eviction
     order, is appended at the end.
+
+    The working prefix is a checked prefix of the oracle's walk: a joining
+    agent grows it by `then`, and only an eviction that drops one of its
+    agents walks it again from the start.
     """
-    n = oracle.n
-    prefix: list = []
+    read, walk = oracle.value_scaled, oracle.prefixes
+    prefix = walk.root
     reserve: list = []
-    for i in range(n):
-        v_now = oracle.value_scaled(i, tuple(prefix))
-        v_top = oracle.value_scaled(i, ())
+    for i in range(oracle.n):
+        v_now = read(i, prefix)
+        v_top = read(i, ())
         if v_now == v_top:
-            prefix.append(i)
+            prefix = prefix.then(i)
             continue
-        cycle = [i] + [j for j in prefix
-                       if oracle.value_scaled(i, tuple(x for x in prefix if x != j)) == v_top]
-        loser = min(cycle, key=lambda t: (oracle.value_scaled(t, ()), t))
-        prefix.append(i)
-        prefix.remove(loser)
+        agents = prefix.agents
+        cycle = [i] + [j for j in agents
+                       if read(i, tuple(x for x in agents if x != j)) == v_top]
+        loser = min(cycle, key=lambda t: (read(t, ()), t))
+        if loser != i:
+            prefix = walk.walk(tuple(x for x in agents if x != loser) + (i,))
         reserve.append(loser)
-    return tuple(prefix + reserve)
+    return prefix.agents + tuple(reserve)
 
 
 def bit(n: int, coin: bool) -> ActionSeq:

@@ -14,6 +14,8 @@ from seqdict.core import (
     actions,
     brute_force_optimal_sequence,
     check_monotone_exhaustive,
+    decode_rational,
+    encode_rational,
     find_monotonicity_violation,
     is_subsequence,
     oracle_for,
@@ -31,6 +33,30 @@ EPS = Fraction(1, 10)
 
 def constant_oracle(n, value=Fraction(1)):
     return ValuationOracle(n, lambda i, s: value, monotone_claimed=True)
+
+
+class TestRationals:
+    @given(st.fractions())
+    def test_signed_round_trip(self, q):
+        assert decode_rational(encode_rational(q)) == q
+
+    @pytest.mark.parametrize("text, message", [
+        ("1/0", "zero denominator in rational '1/0'"),
+        ("+1/2", "rationals must be 'p/q' strings, got '+1/2'"),
+        ("1.5", "rationals must be 'p/q' strings, got '1.5'"),
+        (" 1/2", "rationals must be 'p/q' strings, got ' 1/2'"),
+        ("1/-2", "rationals must be 'p/q' strings, got '1/-2'"),
+        ("", "rationals must be 'p/q' strings, got ''"),
+        ("\u0663/4", "rationals must be 'p/q' strings, got '\u0663/4'"),
+        (1.5, "rationals must be 'p/q' strings, got 1.5"),
+    ])
+    def test_refusals(self, text, message):
+        """Only ASCII digits, an optional leading minus and an optional
+        positive-width denominator are read; a zero denominator has its own
+        message."""
+        with pytest.raises(ValueError) as refused:
+            decode_rational(text)
+        assert str(refused.value) == message
 
 
 class TestPrefixOf:

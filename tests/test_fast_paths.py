@@ -878,6 +878,126 @@ class TestSearchStepsEachChildOnce:
                 assert len(steps) == sum(k < n - 1 for k in reads), (n, wd)
 
 
+class TestSearchMakesHandlesWhereItExpands:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_one_handle_per_expanded_prefix(self, kind, monkeypatch):
+        """`best_sequence` makes a `CheckedPrefix` for the root and for each
+        child that misses the memo, which it then expands, and none for a
+        child whose (acted set, state) the memo holds: as many as the plain
+        search expands keys, the root's among them, which is the number of
+        distinct prefixes it reads at."""
+        made = []
+        init = core.CheckedPrefix.__init__
+
+        def counting(self, *fields):
+            made.append(fields[1])
+            init(self, *fields)
+
+        monkeypatch.setattr(core.CheckedPrefix, "__init__", counting)
+        for n in range(1, 7):
+            for wd in (1, 100):
+                inst = make_instance(kind, n, 3 * n + wd, wd)
+                expanded = {prefix for _, prefix in TestSearchReads.plain_search_reads(inst)}
+                made.clear()
+                best_sequence(inst)
+                assert sorted(made) == sorted(expanded), (n, wd)
+
+
+class TestGreedyOsaGrowsItsPrefix:
+    def test_steps_on_a_ten_agent_instance(self):
+        """`greedy_osa` grows its working prefix by `then` as agents join and
+        walks it from the start only after an eviction drops one of its
+        agents; the cycle probes (the prefix less one agent) are walked from
+        the start.  Here that is 73 steps for 34 reads, where walking every
+        read's prefix from the start takes 100."""
+        inst = osa.random_digraph_instance(10, 1)
+        steps = count_steps(inst)
+        oracle = oracle_for(inst)
+        assert osa.greedy_osa(oracle) == (0, 1, 2, 4, 5, 6, 7, 8, 9, 3)
+        assert (oracle.ledger.total_calls, oracle.ledger.distinct_calls) == (34, 27)
+        assert len(steps) == 73
+
+    @staticmethod
+    def greedy_on_tuples(oracle):
+        """The cycle-evicting greedy on a plain list prefix, every read's
+        prefix a tuple."""
+        prefix, reserve = [], []
+        for i in range(oracle.n):
+            v_now = oracle.value_scaled(i, tuple(prefix))
+            v_top = oracle.value_scaled(i, ())
+            prefix.append(i)
+            if v_now != v_top:
+                cycle = [i] + [j for j in prefix[:-1] if oracle.value_scaled(
+                    i, tuple(x for x in prefix[:-1] if x != j)) == v_top]
+                loser = min(cycle, key=lambda t: (oracle.value_scaled(t, ()), t))
+                prefix.remove(loser)
+                reserve.append(loser)
+        return tuple(prefix + reserve)
+
+    def test_equals_plain_tuple_run(self):
+        """The same sequence and ledger as the algorithm run on tuples."""
+        for n in range(1, 10):
+            for seed in range(6):
+                inst = osa.random_digraph_instance(n, seed, (1, 3, 100)[seed % 3])
+                oracle, plain = oracle_for(inst), oracle_for(inst)
+                assert osa.greedy_osa(oracle) == self.greedy_on_tuples(plain), (n, seed)
+                assert oracle.ledger == plain.ledger, (n, seed)
+
+
+# --- walk ends past one byte ----------------------------------------------------------
+
+
+def walk_end(out, node):
+    """The last node of the walk from `node` along the out-edges (a None
+    target draws no edge)."""
+    while out.get(node) is not None:
+        node = out[node]
+    return node
+
+
+class TestWalkEndsPastAByte:
+    N = 257  # node 256 and the "no further edge" mark chr(257) are past a byte
+
+    @pytest.mark.parametrize("kind", ("osa", "paths"))
+    def test_reads_actions_and_det_equal_reference(self, kind):
+        n = self.N
+        inst = make_instance(kind, n, 0)
+        reference_value, reference_actions = REFERENCE_VALUE[kind], REFERENCE_ACTIONS[kind]
+        oracle = oracle_for(inst)
+        for order in (tuple(range(n)), tuple(random.Random(n).sample(range(n), n))):
+            acts = reference_actions(inst, order)
+            assert core.actions(inst, order) == tuple(acts[i] for i in range(n))
+            for k in (0, 1, 2, 128, 255, 256):
+                assert (oracle.value(order[k], order[:k])
+                        == reference_value(inst, order[k], order[:k])), k
+        tops = [reference_value(inst, a, ()) for a in range(n)]
+        first = tops.index(max(tops))
+        seq = seqopt.det(oracle, 1)
+        assert seq == (first,) + tuple(a for a in range(n) if a != first)
+        acts = reference_actions(inst, seq)
+        assert social_welfare(oracle, seq) == sum(
+            (inst.weights[a][j] for a, j in acts.items() if j is not None), Fraction(0))
+
+    @pytest.mark.parametrize("kind", ("osa", "paths"))
+    def test_states_hold_walk_ends_and_the_closed_mark(self, kind):
+        """Each state along a sequence holds, for every node, the end of its
+        walk (a node, so a code point below n), or, for paths, chr(n) once
+        an edge enters the node: the mark is no node's index."""
+        n = self.N
+        inst = make_instance(kind, n, 1)
+        start, step, *_ = inst.structure
+        order = tuple(random.Random(n + 1).sample(range(n), n))
+        state = start
+        for k in range(n + 1):
+            if k % 32 == 0 or k == n:
+                out = REFERENCE_ACTIONS[kind](inst, order[:k])
+                entered = {j for j in out.values() if j is not None} if kind == "paths" else ()
+                assert state == "".join(chr(n) if j in entered else chr(walk_end(out, j))
+                                        for j in range(n)), k
+            if k < n:
+                state = step(state, order[k])
+
+
 # --- subset-DP optima --------------------------------------------------------------
 
 

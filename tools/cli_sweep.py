@@ -46,6 +46,10 @@ Families:
          matters: osi files at n = 12, 16 and 20 for `run --algorithm
          osi-learn --json`, and at n = 9 and 10 for `posd --json`, seeds 0
          and 1
+  wide-walk
+         osa and paths files past 255 nodes (n = 260, seed 0), where a walk
+         end no longer fits in a byte, then `run --algorithm det --c 1
+         --skip-optimum --json` on each file
   malformed
          `posd` on instance files that a kind's constructor refuses: an oss
          file with n 0, a short tie_default, an empty clause or a literal
@@ -96,6 +100,8 @@ WIDE_PREFIX_RUNS = (("det", "4", (0,)), ("rand", "5", SEEDS), ("rand", "6", SEED
 #: (the osi file sizes, the command run on each file)
 WIDE_OSI = (((12, 16, 20), ["run", "--algorithm", "osi-learn", "--json"]),
             ((9, 10), ["posd", "--json"]))
+WIDE_WALK_KINDS = ("osa", "paths")
+WIDE_WALK_N = "260"
 
 
 def refusals() -> list:
@@ -179,7 +185,7 @@ def call(argv: list, workdir: str) -> tuple:
 def sweep(workdir: str) -> dict:
     families = {name: hashlib.sha256()
                 for name in ("gen", "posd", "run", "named", "verify", "bench", "refusals",
-                             "wide-sat", "wide-prefix", "wide-osi", "malformed")}
+                             "wide-sat", "wide-prefix", "wide-osi", "wide-walk", "malformed")}
     counts = dict.fromkeys(families, 0)
 
     def record(family: str, argv: list, path=None) -> None:
@@ -257,6 +263,11 @@ def sweep(workdir: str) -> dict:
                 path = os.path.join(workdir, f"wide-osi-{n}-{seed}.json")
                 record("wide-osi", ["gen", "osi", "--n", str(n), "--seed", str(seed)], path)
                 record("wide-osi", [command, path, *flags])
+    for kind in WIDE_WALK_KINDS:
+        path = os.path.join(workdir, f"wide-walk-{kind}.json")
+        record("wide-walk", ["gen", kind, "--n", WIDE_WALK_N, "--seed", "0"], path)
+        record("wide-walk", ["run", path, "--algorithm", "det", "--c", "1", "--skip-optimum",
+                             "--json"])
     for name, text in MALFORMED.items():
         path = os.path.join(workdir, name)
         Path(path).write_text(text, encoding="utf-8")
