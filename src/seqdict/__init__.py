@@ -9,7 +9,9 @@ satisfiability, independent sets, disjoint paths), producibility and Pareto
 deciders, price-of-serial-dictatorship computation, and VCG-style payments.
 """
 
-from . import auxstructs, feasibility, fileio, mechanisms, osa, osm, oss, seqopt
+import importlib.util
+import sys
+
 from .core import (
     CapExceededError,
     Caps,
@@ -43,3 +45,23 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def _register_lazily(name: str):
+    """`seqdict.<name>`, put in `sys.modules` now but compiled and run only
+    on its first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Every submodule but `core`, which the names above need now, and `cli`,
+# which `python -m seqdict.cli` must find unregistered.  A command runs only
+# the modules it touches; see "Start-up" in the README.
+auxstructs, feasibility, fileio, mechanisms, osa, osm, oss, seqopt, suites = map(
+    _register_lazily,
+    ("auxstructs", "feasibility", "fileio", "mechanisms", "osa", "osm", "oss",
+     "seqopt", "suites"))

@@ -42,6 +42,7 @@ from .osa import (
 
 @dataclass(frozen=True)
 class OsiInstance:
+    kind = "osi"  # its name in instance files; a class attribute, not a field
     n: int
     adj: tuple  # symmetric boolean matrix, no self-loops
 
@@ -155,6 +156,7 @@ def random_osi_instance(n: int, seed: int) -> OsiInstance:
 
 @dataclass(frozen=True)
 class PathsInstance(ScaledWeights):
+    kind = "paths"  # its name in instance files; a class attribute, not a field
     n: int
     weights: tuple  # weights[i][j]: weight of edge i->j; diagonal is None
 

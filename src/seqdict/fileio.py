@@ -8,37 +8,29 @@ Satisfiability instances may alternatively travel as weighted-CNF text;
 from __future__ import annotations
 
 import json
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from . import oss
-from .auxstructs import OsiInstance, PathsInstance
+from . import auxstructs, osa, osm, oss, seqopt
 from .core import decode_rational, encode_rational
-from .osa import ArborescenceInstance
-from .osm import MatchingInstance
-from .oss import SatInstance
-from .seqopt import LowerBoundInstance
+
+if TYPE_CHECKING:
+    Instance = Union[osm.MatchingInstance, osa.ArborescenceInstance, oss.SatInstance,
+                     auxstructs.OsiInstance, auxstructs.PathsInstance,
+                     seqopt.LowerBoundInstance]
 
 SCHEMA_VERSION = 1
 
-Instance = Union[MatchingInstance, ArborescenceInstance, SatInstance,
-                 OsiInstance, PathsInstance, LowerBoundInstance]
-
-_KINDS = {
-    MatchingInstance: "osm",
-    ArborescenceInstance: "osa",
-    SatInstance: "oss",
-    OsiInstance: "osi",
-    PathsInstance: "paths",
-    LowerBoundInstance: "lowerbound",
-}
-KINDS = tuple(_KINDS.values())
+# Each instance class states its own `kind`; naming them here, in file order,
+# keeps their modules unloaded until an instance of the kind is built.
+KINDS = ("osm", "osa", "oss", "osi", "paths", "lowerbound")
 
 
 def instance_kind(inst: Instance) -> str:
-    try:
-        return _KINDS[type(inst)]
-    except KeyError:
-        raise TypeError(f"unknown instance type {type(inst).__name__}") from None
+    """The kind that `type(inst)` itself states (a subclass states none)."""
+    kind = vars(type(inst)).get("kind")
+    if kind not in KINDS:
+        raise TypeError(f"unknown instance type {type(inst).__name__}")
+    return kind
 
 
 def _weights_out(weights) -> list:
@@ -99,11 +91,11 @@ def instance_from_dict(doc: dict) -> Instance:
     try:
         n = _checked(int, "n", doc["n"])
         if kind == "osm":
-            return MatchingInstance(n, _weights_in(doc["weights"], allow_none=False),
-                                    tuple(_ints("prefs", p) for p in doc["prefs"]))
-        if kind == "osa":
-            return ArborescenceInstance(n, _weights_in(doc["weights"], allow_none=True),
+            return osm.MatchingInstance(n, _weights_in(doc["weights"], allow_none=False),
                                         tuple(_ints("prefs", p) for p in doc["prefs"]))
+        if kind == "osa":
+            return osa.ArborescenceInstance(n, _weights_in(doc["weights"], allow_none=True),
+                                            tuple(_ints("prefs", p) for p in doc["prefs"]))
         if kind == "oss":
             clauses = [(_ints("literals", c["literals"]), decode_rational(c["weight"]))
                        for c in doc["clauses"]]
@@ -112,11 +104,12 @@ def instance_from_dict(doc: dict) -> Instance:
                 tie = tuple(_checked(bool, "tie_default", b) for b in tie)
             return oss.sat_instance(n, clauses, tie)
         if kind == "osi":
-            return OsiInstance.from_edges(n, [_ints("edges", e) for e in doc["edges"]])
+            return auxstructs.OsiInstance.from_edges(
+                n, [_ints("edges", e) for e in doc["edges"]])
         if kind == "paths":
-            return PathsInstance(n, _weights_in(doc["weights"], allow_none=True))
-        return LowerBoundInstance(n, _checked(int, "c", doc["c"]),
-                                  _ints("hidden_pi", doc["hidden_pi"]))
+            return auxstructs.PathsInstance(n, _weights_in(doc["weights"], allow_none=True))
+        return seqopt.LowerBoundInstance(n, _checked(int, "c", doc["c"]),
+                                         _ints("hidden_pi", doc["hidden_pi"]))
     except KeyError as exc:
         raise ValueError(f"{kind} instance lacks field {exc}") from None
     except TypeError as exc:

@@ -52,6 +52,7 @@ def check_digraph_row(row, i: int, n: int) -> None:
 
 @dataclass(frozen=True)
 class ArborescenceInstance(ScaledWeights):
+    kind = "osa"  # its name in instance files; a class attribute, not a field
     n: int
     weights: tuple  # weights[i][j]: value of edge i->j; diagonal is None
     prefs: tuple    # prefs[i]: the n-1 targets in strictly decreasing preference

@@ -32,6 +32,7 @@ from .feasibility import is_pareto_optimal, sequence_for_collection
 
 @dataclass(frozen=True)
 class MatchingInstance(ScaledWeights):
+    kind = "osm"  # its name in instance files; a class attribute, not a field
     n: int
     weights: tuple  # weights[i][j]: agent i's value for item j
     prefs: tuple    # prefs[i]: items in strictly decreasing preference

@@ -32,6 +32,7 @@ from .feasibility import producing_sequence
 
 @dataclass(frozen=True)
 class SatInstance:
+    kind = "oss"  # its name in instance files; a class attribute, not a field
     n: int
     clauses: tuple  # ((frozenset of literals, weight), ...)
     tie_default: tuple  # per-agent value chosen when the two sides tie

@@ -138,6 +138,8 @@ class LowerBoundInstance:
     way to welfare n.
     """
 
+    kind = "lowerbound"  # its name in instance files; a class attribute, not a field
+
     n: int
     c: int
     hidden_pi: tuple

@@ -2,10 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from seqdict import auxstructs, osa, osm, oss, seqopt
 from seqdict.fileio import (
+    KINDS,
     decode_rational,
     encode_rational,
     instance_kind,
@@ -14,13 +15,14 @@ from seqdict.fileio import (
     serialize_instance,
 )
 
+# kind -> draw(n, seed, weight denominator), as `seqdict gen` draws it
 GENERATORS = {
-    "osm": lambda n, s: osm.random_matching_instance(n, s),
-    "osa": lambda n, s: osa.random_digraph_instance(n, s),
-    "oss": lambda n, s: oss.random_sat_instance(n, 2 * n, 3, s),
-    "osi": lambda n, s: auxstructs.random_osi_instance(n, s),
-    "paths": lambda n, s: auxstructs.random_paths_instance(n, s),
-    "lowerbound": lambda n, s: seqopt.random_lower_bound_instance(n, min(2, n), s),
+    "osm": lambda n, s, wd=100: osm.random_matching_instance(n, s, wd),
+    "osa": lambda n, s, wd=100: osa.random_digraph_instance(n, s, wd),
+    "oss": lambda n, s, wd=100: oss.random_sat_instance(n, 2 * n, 3, s, wd),
+    "osi": lambda n, s, wd=100: auxstructs.random_osi_instance(n, s),
+    "paths": lambda n, s, wd=100: auxstructs.random_paths_instance(n, s, wd),
+    "lowerbound": lambda n, s, wd=100: seqopt.random_lower_bound_instance(n, min(2, n), s),
 }
 
 
@@ -44,6 +46,13 @@ class TestRoundTrip:
             assert instance_kind(inst) == kind
             assert parse_instance(serialize_instance(inst)) == inst
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(GENERATORS)), st.integers(1, 8),
+           st.integers(0, 10 ** 6), st.integers(1, 1000))
+    def test_parse_inverts_serialize(self, kind, n, seed, wd):
+        inst = GENERATORS[kind](n, seed, wd)
+        assert parse_instance(serialize_instance(inst)) == inst
+
     def test_serialization_deterministic(self):
         inst = osm.random_matching_instance(4, seed=1)
         assert serialize_instance(inst) == serialize_instance(inst)
@@ -62,6 +71,26 @@ class TestRoundTrip:
                     walk(v)
 
         walk(doc)
+
+
+class TestInstanceKind:
+    def test_kinds_in_file_order(self):
+        assert KINDS == ("osm", "osa", "oss", "osi", "paths", "lowerbound")
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_each_class_names_its_kind(self, kind):
+        assert instance_kind(GENERATORS[kind](3, 0)) == kind
+
+    def test_unknown_types_refused(self):
+        class Subclass(osm.MatchingInstance):
+            pass
+
+        inst = osm.random_matching_instance(2, 0)
+        for other, name in [(object(), "object"),
+                            (Subclass(inst.n, inst.weights, inst.prefs), "Subclass")]:
+            with pytest.raises(TypeError) as exc:
+                instance_kind(other)
+            assert str(exc.value) == f"unknown instance type {name}"
 
 
 class TestParsing:
