@@ -7,7 +7,7 @@ alternating rounds (before first in even rounds, after first in odd rounds).
 Children run with PYTHONDONTWRITEBYTECODE=1, so every seqdict module they
 import is compiled from source, as in a checkout that has no bytecode cache.
 
-    python3 tools/startup_cpu.py BEFORE AFTER [--rounds 15] [-o out.json]
+    python3 tools/startup_cpu.py BEFORE AFTER > out.json
 
 BEFORE and AFTER are checkout roots, each with a src/seqdict.  The commands:
   pass        python3 -c pass
@@ -17,8 +17,8 @@ BEFORE and AFTER are checkout roots, each with a src/seqdict.  The commands:
   verify-x3c  seqdict verify x3c --json
 The instance files are drawn once with BEFORE's `seqdict gen` (seed 0).  The
 report has each command's per-round milliseconds, median and quartiles on
-each side, the rounds in which AFTER used less CPU, and whether both sides
-printed the same stdout.  Standard library only.
+each side over ROUNDS rounds, the rounds in which AFTER used less CPU, and
+whether both sides printed the same stdout.  Standard library only.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+ROUNDS = 15
 SEQDICT = ["-m", "seqdict"]
 COMMANDS = {
     "pass": ["-c", "pass"],
@@ -67,13 +68,13 @@ def summary(ms: list) -> dict:
             "runs_ms": [round(x, 2) for x in ms]}
 
 
-def measure(before: Path, after: Path, rounds: int, workdir: str) -> dict:
+def measure(before: Path, after: Path, workdir: str) -> dict:
     for name, argv in FILES.items():
         child_cpu(before, SEQDICT + argv + ["-o", f"{workdir}/{name}"])
     sides = {"before": before, "after": after}
     ms = {cmd: {side: [] for side in sides} for cmd in COMMANDS}
     stdout = {cmd: {} for cmd in COMMANDS}
-    for r in range(rounds):
+    for r in range(ROUNDS):
         for side in (("before", "after") if r % 2 == 0 else ("after", "before")):
             for cmd, args in COMMANDS.items():
                 cpu, out = child_cpu(sides[side], [a.format(dir=workdir) for a in args])
@@ -83,7 +84,7 @@ def measure(before: Path, after: Path, rounds: int, workdir: str) -> dict:
         "before": summary(ms[cmd]["before"]),
         "after": summary(ms[cmd]["after"]),
         "after_lower_in": f"{sum(a < b for a, b in zip(ms[cmd]['after'], ms[cmd]['before']))}"
-                          f" of {rounds} rounds",
+                          f" of {ROUNDS} rounds",
         "same_stdout": stdout[cmd]["before"] == stdout[cmd]["after"],
     } for cmd in COMMANDS}
 
@@ -92,30 +93,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("before", type=Path)
     parser.add_argument("after", type=Path)
-    parser.add_argument("--rounds", type=int, default=15)
-    parser.add_argument("-o", "--output")
     args = parser.parse_args(argv)
-    if args.rounds < 2:
-        parser.error("--rounds must be at least 2")
     for root in (args.before, args.after):
         if not (root / "src" / "seqdict").is_dir():
             parser.error(f"no src/seqdict under {root}")
     with tempfile.TemporaryDirectory() as workdir:
-        results = measure(args.before, args.after, args.rounds, workdir)
+        results = measure(args.before, args.after, workdir)
     report = {
         "how": "child CPU (user + sys, RUSAGE_CHILDREN) of one fresh process per "
                "command, PYTHONDONTWRITEBYTECODE=1, before and after in alternating "
-               f"rounds, {args.rounds} rounds",
+               f"rounds, {ROUNDS} rounds",
         "python": platform.python_version(),
         "cpus": len(os.sched_getaffinity(0)),
         "commands": {cmd: " ".join(["python3", *args]) for cmd, args in COMMANDS.items()},
         "results": results,
     }
-    text = json.dumps(report, indent=1) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(json.dumps(report, indent=1) + "\n")
     return 0
 
 
