@@ -24,7 +24,6 @@ from .core import (
     Structure,
     Value,
     ValuationOracle,
-    actions,
     heaviest_first,
     oracle_for as osi_oracle,
     oracle_for as paths_oracle,
@@ -34,7 +33,6 @@ from .osa import (
     check_digraph_row,
     digraph_rows,
     draw,
-    has_cycle,
     random_digraph_weights,
     walk_start,
 )
@@ -227,19 +225,6 @@ class PathsInstance(ScaledWeights):
 
 
 max_disjoint_paths_weight = PathsInstance.optimum
-
-def paths_edges_from_sequence(inst: PathsInstance, seq) -> dict:
-    """Out-edge map drawn by a full sequence (used for structural checks)."""
-    return {i: j for i, j in enumerate(actions(inst, seq)) if j is not None}
-
-
-def check_path_union(out: dict, n: int) -> None:
-    """Validate out-degree <= 1 (implicit), in-degree <= 1, and no cycles."""
-    targets = list(out.values())
-    if len(targets) != len(set(targets)):
-        raise ValueError("a node has in-degree above 1")
-    if has_cycle(out):
-        raise ValueError("edges contain a cycle")
 
 
 def posd_paths_instance(eps) -> PathsInstance:

@@ -171,8 +171,7 @@ class CheckedPrefix:
         walk = self.walk
         if not (isinstance(agent, int) and 0 <= agent < walk.n) or self.mask >> agent & 1:
             check_action_seq(self.agents + (agent,), walk.n)
-        step = walk.step
-        return self.stepped(agent, self.state if step is None else step(self.state, agent))
+        return self.stepped(agent, walk.step(self.state, agent))
 
     def stepped(self, agent: int, state) -> "CheckedPrefix":
         """This prefix followed by `agent`, at `state`, the state the walk's
@@ -190,8 +189,8 @@ class PrefixStates:
     """The one walk over a counted query's prefix: it checks a prefix as
     `check_action_seq` does, names it by an exact integer code, and replays
     a structure's state after it from `start` by `step`, handing all of it
-    back as a `CheckedPrefix`.  Without a `step` (an opaque oracle) the
-    state stays `start`.  Replaying is bookkeeping, not a counted query.
+    back as a `CheckedPrefix`.  Replaying is bookkeeping, not a counted
+    query.
 
     The walk keeps no state of its own: a caller that reads along a tree of
     prefixes grows `root` by `CheckedPrefix.then`, one agent per tree edge,
@@ -200,7 +199,7 @@ class PrefixStates:
 
     __slots__ = ("n", "start", "step")
 
-    def __init__(self, n: int, start=None, step: Optional[Callable] = None):
+    def __init__(self, n: int, start, step: Callable):
         self.n, self.start, self.step = n, start, step
 
     @property
@@ -218,8 +217,7 @@ class PrefixStates:
                 check_action_seq(seq, n)
             mask |= 1 << a
             code = code * (n + 1) + a + 1
-            if step is not None:
-                state = step(state, a)
+            state = step(state, a)
         return CheckedPrefix(self, seq, mask, code, state)
 
 
@@ -227,6 +225,11 @@ def grown(prefix, agent: int):
     """`prefix` followed by `agent`: a plain tuple grows by concatenation, a
     `CheckedPrefix` by its `then`."""
     return prefix + (agent,) if type(prefix) is tuple else prefix.then(agent)
+
+
+def appended(prefix: tuple, agent: int) -> tuple:
+    """The step of a bare oracle's walk, whose state is the prefix itself."""
+    return prefix + (agent,)
 
 
 class ValuationOracle:
@@ -238,16 +241,14 @@ class ValuationOracle:
     records whether the instance promises v_i(S') >= v_i(S) for S' <= S, which
     the prefix-search guarantees rely on.
 
-    `scale` is a positive common denominator D of every value, or None for
-    an opaque oracle; `value_scaled(i, S)` is then v_i(S) * D as an int.
-    `prefixes` is the `PrefixStates` walk that checks each query's prefix
-    and names it for the ledger.  A structured oracle, built by `oracle_for`,
-    has `fn = read(state, agent)` of its `Structure`, reading v_i(S) * D at
-    the state its walk reaches after S; an opaque oracle has `fn(agent, S)`,
-    the Fraction itself, and a walk with no structure.
+    `prefixes` is the `PrefixStates` walk that checks each query's prefix,
+    names it for the ledger and reaches a state after it; `fn(state, agent)`
+    reads v_i(S) * `scale` at the state S leaves, and `value_scaled(i, S)`
+    returns that read.  A bare oracle walks with the prefix tuple itself as
+    its state and has scale 1, so its `fn(S, agent)` gives v_i(S) itself.
+    `oracle_for` sets a `Structure`'s walk and scale, a positive common
+    denominator of every value, and its `fn` is the structure's `read`.
     """
-
-    scale: Optional[int] = None
 
     def __init__(self, n: int, fn: Callable, monotone_claimed: bool = False):
         if n < 1:
@@ -256,7 +257,8 @@ class ValuationOracle:
         self._fn = fn
         self.monotone_claimed = monotone_claimed
         self.ledger = QueryLedger()
-        self.prefixes = PrefixStates(n)
+        self.scale = 1
+        self.prefixes = PrefixStates(n, (), appended)
 
     def value(self, agent: int, seq: Iterable[int] = (), scaled: bool = False):
         """v_agent(seq); with `scaled`, as `value_scaled` reads it.
@@ -279,15 +281,12 @@ class ValuationOracle:
         ledger = self.ledger
         ledger.total_calls += 1
         ledger._seen.add(seq.code * n + agent)
-        scale = self.scale
-        if scale is None:
-            return self._fn(agent, seq.agents)
         v = self._fn(seq.state, agent)
-        return v if scaled else Fraction(v, scale)
+        return v if scaled else Fraction(v, self.scale)
 
     def value_scaled(self, agent: int, seq: Iterable[int] = ()):
-        """`value(agent, seq)` times `scale` as an int: one counted query.
-        Without a scale, the Fraction itself."""
+        """`value(agent, seq)` times `scale`, as `fn` reads it: one counted
+        query."""
         return self.value(agent, seq, True)
 
     def fresh(self) -> "ValuationOracle":
@@ -364,7 +363,7 @@ def social_welfare(oracle: ValuationOracle, seq: Sequence[int]) -> Value:
     for k in range(1, len(seq)):
         prefix = prefix.then(seq[k - 1])
         total += read(seq[k], prefix)
-    return Fraction(total, oracle.scale or 1)
+    return Fraction(total, oracle.scale)
 
 
 def prefix_paths(root, pool: Sequence[int], k: int) -> Iterator[tuple]:
@@ -397,9 +396,9 @@ def sequence_welfares(oracle: ValuationOracle,
 
     Each tree edge (prefix S, next agent i) is one query v_i(S), so the pass
     makes sum_k n!/(n-k-1)! queries, each (agent, prefix) pair once, rather
-    than n * n!.  A welfare is the sum of `value_scaled` reads: an int over
-    `scale`, or a Fraction for an opaque oracle.  The caps are checked on the
-    call, before any query."""
+    than n * n!.  A welfare is the sum of `value_scaled` reads over `scale`:
+    an int for a structured oracle, a Fraction for a bare one whose `fn`
+    gives Fractions.  The caps are checked on the call, before any query."""
     (caps or DEFAULT_CAPS).check_sequences(oracle.n)
     return _sequence_welfares(oracle)
 
@@ -418,7 +417,7 @@ def brute_force_optimal_sequence(oracle: ValuationOracle,
     """Welfare-maximizing full sequence: the first maximum of `sequence_welfares`,
     so ties break to the lexicographically smallest sequence."""
     seq, welfare = max(sequence_welfares(oracle, caps), key=itemgetter(1))
-    return seq, Fraction(welfare, oracle.scale or 1)
+    return seq, Fraction(welfare, oracle.scale)
 
 
 def ordered_subsequences(pool: Sequence[int]) -> Iterator[tuple]:
@@ -457,15 +456,15 @@ def find_monotonicity_violation(oracle: ValuationOracle) -> Optional[Monotonicit
     """First (agent, S' <= S) pair with v(S') < v(S), or None if monotone.
 
     Reads every value, so it is limited to small n.  Values are compared as
-    the integers `value_scaled` reads (Fractions for an opaque oracle); the
-    witness carries them back as Fractions.  Only the first S with a
-    violating single deletion has its subsequences scanned: a violating
-    S' <= S is reached from S by single deletions, and a violating link
-    below S would be a violation at an earlier, shorter prefix.
+    `value_scaled` reads them; the witness carries them back as Fractions.
+    Only the first S with a violating single deletion has its subsequences
+    scanned: a violating S' <= S is reached from S by single deletions, and
+    a violating link below S would be a violation at an earlier, shorter
+    prefix.
     """
     if oracle.n > MONOTONICITY_MAX_N:
         raise CapExceededError(f"monotonicity check capped at n={MONOTONICITY_MAX_N}")
-    scale = oracle.scale or 1
+    scale = oracle.scale
     for agent in range(oracle.n):
         vals = prefix_table(oracle.n, agent, partial(oracle.value_scaled, agent),
                             oracle.prefixes.root)

@@ -66,9 +66,10 @@ class ValuationProfile:
     def value(self, agent: int, prefix: tuple) -> Value:
         return self.tables[agent][tuple(prefix)]
 
-    def oracle(self, monotone_claimed: bool = False) -> ValuationOracle:
+    def oracle(self) -> ValuationOracle:
+        """A bare counted oracle over the tables: it reads `tables[i][S]`."""
         tables = self.tables
-        return ValuationOracle(self.n, lambda i, s: tables[i][s], monotone_claimed)
+        return ValuationOracle(self.n, lambda s, i: tables[i][s])
 
     def with_table(self, agent: int, table: Mapping) -> "ValuationProfile":
         """A copy with `agent`'s table replaced; only the new table is checked."""
@@ -178,13 +179,11 @@ class BitMechanism:
 class UnpaidAlgorithm:
     """A payment-free wrapper around any sequence algorithm."""
 
-    def __init__(self, run: Callable[[ValuationOracle], tuple],
-                 monotone_claimed: bool = False):
+    def __init__(self, run: Callable[[ValuationOracle], tuple]):
         self.run = run
-        self.monotone_claimed = monotone_claimed
 
     def distribution(self, profile: ValuationProfile):
-        seq = self.run(profile.oracle(self.monotone_claimed))
+        seq = self.run(profile.oracle())
         return [(Fraction(1), MechanismOutcome(seq, (Fraction(0),) * profile.n))]
 
 

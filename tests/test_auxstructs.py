@@ -5,27 +5,41 @@ import pytest
 
 from seqdict.auxstructs import (
     OsiInstance,
-    check_path_union,
     max_disjoint_paths_weight,
     max_independent_set,
     nonmonotone_paths_instance,
     osi_learn_and_solve,
     osi_oracle,
-    paths_edges_from_sequence,
     paths_oracle,
     posd_paths_instance,
     random_osi_instance,
     random_paths_instance,
 )
 from seqdict.core import (
+    actions,
     brute_force_optimal_sequence,
     check_monotone_exhaustive,
     find_monotonicity_violation,
     social_welfare,
     underlying_optimum,
 )
+from seqdict.osa import has_cycle
 
 EPS = Fraction(1, 10)
+
+
+def paths_edges_from_sequence(inst, seq) -> dict:
+    """Out-edge map drawn by a full sequence (used for structural checks)."""
+    return {i: j for i, j in enumerate(actions(inst, seq)) if j is not None}
+
+
+def check_path_union(out: dict, n: int) -> None:
+    """Validate out-degree <= 1 (implicit), in-degree <= 1, and no cycles."""
+    targets = list(out.values())
+    if len(targets) != len(set(targets)):
+        raise ValueError("a node has in-degree above 1")
+    if has_cycle(out):
+        raise ValueError("edges contain a cycle")
 
 
 def mis_by_subset_scan(inst):

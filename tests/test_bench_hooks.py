@@ -116,3 +116,46 @@ def test_deciders_reach_traced_groups():
         tracer.uninstall()
     assert tracer.groups["feasibility.sequence_for_collection"].calls == 2
     assert tracer.groups["oss.sat_as_decide"].calls == 1
+
+
+def test_traced_profile_oracles(monkeypatch):
+    """A valuation profile's oracles are bare oracles built through the same
+    `__init__`: under the tracer `vcg_rand` and `truthfulness_spotcheck` give
+    what they give untraced, every profile oracle's ledger is registered,
+    and each counted read passes through `value` and through the profile's
+    read, grouped by the module that defines it."""
+    _modules("cli", "core", "fileio", "suites")  # imported so the tracer patches them
+    (mechanisms,) = _modules("mechanisms")
+    profile = mechanisms.det_family_profile(4, 2)
+    misreports = {0: [mechanisms.det_family_misreport(4, 2)]}
+
+    def run():
+        return ([mechanisms.vcg_rand(profile, 2, seed) for seed in range(3)],
+                mechanisms.truthfulness_spotcheck(mechanisms.VcgDetPlusMechanism(2),
+                                                  profile, misreports))
+
+    untraced = run()
+    built = []
+    make = mechanisms.ValuationProfile.oracle
+
+    def recorded(self):
+        built.append(make(self))
+        return built[-1]
+
+    monkeypatch.setattr(mechanisms.ValuationProfile, "oracle", recorded)
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        traced = run()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert len(built) > 3
+    assert [id(oracle.ledger) for oracle in built] == [id(ledger) for ledger in tracer.ledgers]
+    calls = sum(ledger.total_calls for ledger in tracer.ledgers)
+    assert calls > 0
+    assert tracer.groups["core.value"].calls == calls
+    assert tracer.groups["mechanisms.value_fn"].calls == calls
+    # each vcg_rand and the outcome it builds, and one vcg_det_plus per distribution
+    assert tracer.groups["mechanisms.vcg"].calls == 3 * 2 + 2
+    assert tracer.groups["mechanisms.truthfulness_spotcheck"].calls == 1

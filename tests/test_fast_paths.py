@@ -663,7 +663,7 @@ WALK_KINDS = ALL_KINDS + ("opaque",)
 def walk_oracle(kind, n, seed=0):
     """An oracle of `kind`; "opaque" is a table-free `ValuationOracle`."""
     if kind == "opaque":
-        return ValuationOracle(n, lambda agent, seq: Fraction(sum(seq) + agent, len(seq) + 1))
+        return ValuationOracle(n, lambda seq, agent: Fraction(sum(seq) + agent, len(seq) + 1))
     return oracle_for(make_instance(kind, n, seed, wd=3))
 
 
@@ -1234,8 +1234,10 @@ def draw_scaled_instance(data):
 
 
 def fraction_copy(oracle):
-    """The same valuations behind an opaque oracle: no scale, Fraction sums."""
-    return ValuationOracle(oracle.n, oracle.fresh().value, oracle.monotone_claimed)
+    """The same valuations behind an opaque oracle: scale 1, Fraction sums."""
+    value = oracle.fresh().value
+    return ValuationOracle(oracle.n, lambda seq, agent: value(agent, seq),
+                           oracle.monotone_claimed)
 
 
 def prefix_total(value, order):
@@ -1300,7 +1302,7 @@ class TestScaledReads:
         assert copy.scale == oracle.scale is not None
         assert copy.fresh().scale == oracle.scale
         assert copy.ledger.total_calls == 0
-        assert fraction_copy(oracle).fresh().scale is None
+        assert fraction_copy(oracle).fresh().scale == 1
 
 
 def equivalence_instances():
@@ -1354,13 +1356,29 @@ class TestOpaqueOracle:
         table = {(a, s): oracle_for(inst).value(a, s) for a in range(6)
                  for s in core.ordered_subsequences([j for j in range(6) if j != a])
                  if len(s) < 4}
-        opaque = ValuationOracle(6, lambda a, s: table[a, s])
-        assert opaque.scale is None
+        opaque = ValuationOracle(6, lambda s, a: table[a, s])
+        assert opaque.scale == 1
         assert opaque.value_scaled(1, (0,)) is table[1, (0,)]
         value = lambda a, s: table[a, s]
         for c in (2, 3, 4):
             assert seqopt.det(opaque.fresh(), c) == det_reference(value, 6, c)
             assert seqopt.rand(opaque.fresh(), c, seed=c) == rand_reference(value, 6, c, c)
+
+    def test_walks_its_prefix_as_its_state(self):
+        """A bare oracle's walk reaches the prefix tuple itself, and its `fn`
+        reads (prefix, agent), as a structure's `read` reads (state, agent)."""
+        reads = []
+        oracle = ValuationOracle(5, lambda *args: reads.append(args) or Fraction(len(reads)))
+        for seq in ((), (3,), (4, 0, 2), (1, 0, 3, 2)):
+            assert oracle.prefixes.walk(seq).state == seq
+            agent = min(set(range(5)) - set(seq))
+            assert oracle.value(agent, seq) == len(reads)
+            assert reads[-1] == (seq, agent)
+        prefix = oracle.prefixes.root.then(2).then(0)
+        assert prefix.state == (2, 0)
+        assert oracle.value_scaled(4, prefix) == len(reads)
+        assert reads[-1] == ((2, 0), 4)
+        assert oracle.scale == oracle.fresh().scale == 1
 
 
 # --- the exhaustive monotonicity scan ------------------------------------------------
@@ -1411,7 +1429,7 @@ class TestMonotonicityScan:
             for seed in range(3):
                 scan_both_ways(fraction_copy(oracle_for(make_instance(kind, 4, seed, 3))))
         opaque = fraction_copy(oss.oss_oracle(oss.nonmonotone_sat_instance()))
-        assert opaque.scale is None
+        assert opaque.scale == 1
         assert scan_both_ways(opaque) == (2, (1,), (0, 1), 1, 2)
 
     def test_loaded_files_with_mixed_denominators(self):

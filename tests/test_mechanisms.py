@@ -61,6 +61,14 @@ class TestValuationProfile:
         with pytest.raises(ValueError, match="every prefix"):
             ValuationProfile([{(): Fraction(1)}, {(): Fraction(1)}])
 
+    def test_extra_prefix_rejected(self):
+        full = {(): Fraction(1), (0,): Fraction(1)}
+        with pytest.raises(ValueError, match="every prefix"):
+            ValuationProfile([{(): Fraction(1), (1,): Fraction(1)},
+                              {**full, (0, 1): Fraction(1)}])
+        with pytest.raises(ValueError, match="every prefix"):
+            ValuationProfile([{(): Fraction(1), (1,): Fraction(1)}, {**full, (1,): Fraction(1)}])
+
     def test_zeroed(self):
         profile = det_family_profile(3, 1)
         z = profile.zeroed(0)
@@ -185,7 +193,7 @@ class TestSpotcheck:
         # reporting the inflated one (the other direction of the same pair)
         ce = counterexample_profiles(EPS)[0]
         truth = ce.profile.with_table(0, ce.alt_table)
-        mech = UnpaidAlgorithm(ce.run, monotone_claimed=True)
+        mech = UnpaidAlgorithm(ce.run)
         report = truthfulness_spotcheck(mech, truth, {0: [ce.profile.tables[0]]})
         assert not report.ok
         (entry,) = report.violations

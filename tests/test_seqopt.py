@@ -71,7 +71,7 @@ class TestDet:
 
     def test_counterexample_family_prefix(self):
         profile = mechanisms.det_family_profile(5, 2)
-        seq = det(profile.oracle(monotone_claimed=True), 2)
+        seq = det(profile.oracle(), 2)
         assert set(seq[:2]) == {0, 1}
 
     def test_query_count_exact(self):
@@ -183,7 +183,7 @@ class TestDetPlus:
 
     def test_counterexample_prefix(self):
         profile = mechanisms.det_family_profile(5, 2)
-        seq = det_plus(profile.oracle(monotone_claimed=True), 2)
+        seq = det_plus(profile.oracle(), 2)
         assert set(seq[:2]) == {0, 1}
 
     def test_cap(self):
