@@ -221,12 +221,6 @@ class PrefixStates:
         return CheckedPrefix(self, seq, mask, code, state)
 
 
-def grown(prefix, agent: int):
-    """`prefix` followed by `agent`: a plain tuple grows by concatenation, a
-    `CheckedPrefix` by its `then`."""
-    return prefix + (agent,) if type(prefix) is tuple else prefix.then(agent)
-
-
 def appended(prefix: tuple, agent: int) -> tuple:
     """The step of a bare oracle's walk, whose state is the prefix itself."""
     return prefix + (agent,)
@@ -366,16 +360,16 @@ def social_welfare(oracle: ValuationOracle, seq: Sequence[int]) -> Value:
     return Fraction(total, oracle.scale)
 
 
-def prefix_paths(root, pool: Sequence[int], k: int) -> Iterator[tuple]:
+def prefix_paths(root: CheckedPrefix, pool: Sequence[int], k: int) -> Iterator[tuple]:
     """(order, prefixes, d) for every ordering `order` of k agents of
     `pool`, in lexicographic order over `pool`'s order, by one depth-first
-    pass over the ordering tree from `root`.
+    pass over the ordering tree from the checked prefix `root`.
 
     `prefixes[j]` is what `order[j]` acts after: `root` grown by
     order[:j].  It is one list, updated in place for each order, and d is
     the first position where `order` parts from the order before it (0 for
     the first), so prefixes[:d + 1] carry over.  Each tree edge above the
-    leaves is grown once, by `grown`; nothing is read.
+    leaves is grown once, by `then`; nothing is read.
     """
     prefixes = [root] * k
     last = (None,) * k
@@ -384,7 +378,7 @@ def prefix_paths(root, pool: Sequence[int], k: int) -> Iterator[tuple]:
         while d < k and order[d] == last[d]:
             d += 1
         for j in range(d + 1, k):
-            prefixes[j] = grown(prefixes[j - 1], order[j - 1])
+            prefixes[j] = prefixes[j - 1].then(order[j - 1])
         last = order
         yield order, prefixes, d
 
@@ -426,17 +420,17 @@ def ordered_subsequences(pool: Sequence[int]) -> Iterator[tuple]:
         yield from permutations(pool, k)
 
 
-def prefix_table(n: int, agent: int, value_of: Callable[[tuple], Value], root=()) -> dict:
+def prefix_table(root: CheckedPrefix, agent: int, value_of: Callable) -> dict:
     """`value_of(s)` for every prefix `s` the agent can act after, keyed by
-    its agents: every `ordered_subsequences` of the other agents, in that
-    order.  Each `s` is `root` grown by its agents, by `grown`: a plain
-    tuple from `()`, or a `CheckedPrefix` from an oracle's root."""
-    pool = [j for j in range(n) if j != agent]
+    its agents: every `ordered_subsequences` of the other agents of the
+    walk's n, in that order.  Each `s` is the checked prefix `root` grown
+    by its agents, by `then`."""
+    pool = [j for j in range(root.walk.n) if j != agent]
     table, layer = {}, [root]
     for _ in range(len(pool) + 1):  # the prefixes of each length, in lexicographic order
         for s in layer:
-            table[tuple(s)] = value_of(s)
-        layer = [grown(s, a) for s in layer for a in pool if a not in s]
+            table[s.agents] = value_of(s)
+        layer = [s.then(a) for s in layer for a in pool if not s.mask >> a & 1]
     return table
 
 
@@ -466,8 +460,7 @@ def find_monotonicity_violation(oracle: ValuationOracle) -> Optional[Monotonicit
         raise CapExceededError(f"monotonicity check capped at n={MONOTONICITY_MAX_N}")
     scale = oracle.scale
     for agent in range(oracle.n):
-        vals = prefix_table(oracle.n, agent, partial(oracle.value_scaled, agent),
-                            oracle.prefixes.root)
+        vals = prefix_table(oracle.prefixes.root, agent, partial(oracle.value_scaled, agent))
         for s, v_s in vals.items():
             if all(vals[s[:i] + s[i + 1:]] >= v_s for i in range(len(s))):
                 continue  # then s has no violation either (see above)

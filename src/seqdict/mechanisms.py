@@ -20,6 +20,7 @@ from .core import (
     Value,
     ValuationOracle,
     oracle_for,
+    ordered_subsequences,
     prefix_of,
     prefix_table,
 )
@@ -34,10 +35,16 @@ class MechanismOutcome:
     payments: tuple  # per-agent charges, non-negative for the schemes here
 
 
+def _prefixes(n: int, agent: int):
+    """Every prefix `agent` can act after: the `ordered_subsequences` of the
+    other agents."""
+    return ordered_subsequences([j for j in range(n) if j != agent])
+
+
 def _check_table(n: int, agent: int, table: dict) -> None:
     """Refuse a table that misses or adds a prefix, or has a value that is not
     a non-negative Fraction."""
-    if prefix_table(n, agent, table.get) != table:  # a key missing or extra
+    if table.keys() != set(_prefixes(n, agent)):
         raise ValueError(f"table for agent {agent} must cover every prefix")
     for v in table.values():
         if not isinstance(v, Fraction) or v < 0:
@@ -60,7 +67,7 @@ class ValuationProfile:
         n = oracle.n
         DEFAULT_CAPS.check_work(n * sum(perm(n - 1, k) for k in range(n)),
                                 f"n={n} valuation tables")
-        return cls([prefix_table(n, i, partial(oracle.value, i), oracle.prefixes.root)
+        return cls([prefix_table(oracle.prefixes.root, i, partial(oracle.value, i))
                     for i in range(n)])
 
     def value(self, agent: int, prefix: tuple) -> Value:
@@ -103,7 +110,7 @@ def _vcg_rand_outcome(profile: ValuationProfile, subset) -> MechanismOutcome:
     """The drawn subset's sequence with payments: what the others lose, under
     the same draw, because agent i reported a non-zero valuation."""
     subset = frozenset(subset)
-    run = lambda p: subset_sequence(p.value, subset, p.n)
+    run = lambda p: subset_sequence(p.oracle(), subset)
     return _paid_outcome(profile, subset, run(profile), run)
 
 
@@ -152,6 +159,8 @@ class VcgRandMechanism:
     c: int
 
     def distribution(self, profile: ValuationProfile):
+        if not 1 <= self.c <= profile.n:  # as `rand` refuses it
+            raise ValueError("c out of range")
         subsets = list(combinations(range(profile.n), self.c))
         p = Fraction(1, len(subsets))
         return [(p, _vcg_rand_outcome(profile, frozenset(s))) for s in subsets]
@@ -278,17 +287,13 @@ def counterexample_digraph_instance(eps) -> ArborescenceInstance:
 def det_family_profile(n: int, c: int) -> ValuationProfile:
     """Monotone family: agents 0..c-1 value early slots at 10 (8 after the
     first c positions fill); everyone else is a constant 9."""
-    def value(i: int, s: tuple) -> Value:
-        if i >= c:
-            return Fraction(9)
-        return Fraction(10) if len(s) < c else Fraction(8)
-
-    return ValuationProfile([prefix_table(n, i, partial(value, i)) for i in range(n)])
+    return ValuationProfile([{s: Fraction(9) if i >= c else Fraction(10) if len(s) < c
+                              else Fraction(8) for s in _prefixes(n, i)} for i in range(n)])
 
 
 def det_family_misreport(n: int, c: int, agent: int = 0) -> dict:
     """The deflating misreport for an agent in the favored group."""
-    return prefix_table(n, agent, lambda s: Fraction(8) if len(s) < c else Fraction(0))
+    return {s: Fraction(8) if len(s) < c else Fraction(0) for s in _prefixes(n, agent)}
 
 
 def counterexample_profiles(eps=Fraction(1, 10)) -> tuple:
@@ -298,11 +303,11 @@ def counterexample_profiles(eps=Fraction(1, 10)) -> tuple:
     eps = Fraction(eps)
     greedy = [
         Counterexample(name, ValuationProfile.from_oracle(oracle_for(truth)), 0,
-                       prefix_table(alt.n, 0, partial(oracle_for(alt).value, 0)), run)
+                       prefix_table(alt.prefixes.root, 0, partial(alt.value, 0)), run)
         for name, truth, alt, run in [
             ("greedy-matching", counterexample_matching_instance(eps),
-             _counterexample_matching_alt(eps), greedy_osm),
+             oracle_for(_counterexample_matching_alt(eps)), greedy_osm),
             ("greedy-arborescence", counterexample_digraph_instance(eps),
-             _counterexample_digraph(eps, 1 + eps, Fraction(1)), greedy_osa)]]
+             oracle_for(_counterexample_digraph(eps, 1 + eps, Fraction(1))), greedy_osa)]]
     return (*greedy, Counterexample("prefix-search", det_family_profile(5, 2), 0,
                                     det_family_misreport(5, 2), lambda oracle: det(oracle, 2)))

@@ -12,14 +12,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from math import factorial, perm
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import (
     ActionSeq,
     Caps,
     DEFAULT_CAPS,
     Structure,
-    Value,
     ValuationOracle,
     check_action_seq,
     oracle_for as make_lower_bound_oracle,
@@ -28,25 +27,26 @@ from .core import (
 )
 
 
-def max_welfare_ordering(value_fn: Callable[[int, tuple], Value],
-                         agents, root=(), length: Optional[int] = None) -> tuple[tuple, Value]:
+def max_welfare_ordering(oracle: ValuationOracle, agents,
+                         length: Optional[int] = None) -> tuple:
     """Ordering of `agents` (of `length` of them, when given) maximizing the
-    sum of prefix values.
+    sum of prefix values, as the oracle's `value_scaled` reads them.
 
-    One depth-first pass over the ordering tree from `root`: a plain tuple
-    `()` for a callable over tuples, or an oracle's `prefixes.root` for its
-    `value` or `value_scaled`, whose reads then take checked prefixes grown
-    once per tree edge.  Each ordering calls value_fn(a, prefix) at every
-    position, i.e. exactly k * m!/(m - k)! calls for k of m agents (k * k!
-    for all of them), and adds the results up: Fractions from `value`, ints
-    from a structured oracle's `value_scaled`.  Ties break to the
-    lexicographically smallest ordering.
+    One depth-first pass over the ordering tree from the oracle's
+    `prefixes.root`, whose reads take checked prefixes grown once per tree
+    edge.  Each ordering reads every position, i.e. exactly
+    k * m!/(m - k)! queries for k of m agents (k * k! for all of them), and
+    adds the reads up: ints over `scale` for a structured oracle, the
+    table's Fractions for a profile's.  Ties break to the lexicographically
+    smallest ordering.
     """
     pool = sorted(agents)
+    read = oracle.value_scaled
     best_order = None
     best_total = None
-    for order, prefixes, _ in prefix_paths(root, pool, len(pool) if length is None else length):
-        total = sum(map(value_fn, order, prefixes))
+    for order, prefixes, _ in prefix_paths(oracle.prefixes.root, pool,
+                                           len(pool) if length is None else length):
+        total = sum(map(read, order, prefixes))
         if best_total is None or total > best_total:
             best_order, best_total = order, total
     return best_order, best_total
@@ -58,13 +58,12 @@ def fill_ascending(prefix: tuple, n: int) -> tuple:
     return prefix + tuple(i for i in range(n) if i not in chosen)
 
 
-def subset_sequence(value_fn: Callable[[int, tuple], Value], agents, n: int,
-                    root=()) -> ActionSeq:
-    """The `max_welfare_ordering` of the drawn `agents` from `root`, then the
-    rest of the n agents ascending: the prefix search's output for one drawn
-    subset."""
-    order, _ = max_welfare_ordering(value_fn, agents, root)
-    return fill_ascending(order, n)
+def subset_sequence(oracle: ValuationOracle, agents) -> ActionSeq:
+    """The `max_welfare_ordering` of the drawn `agents`, then the rest of
+    the oracle's n agents ascending: the prefix search's output for one
+    drawn subset."""
+    order, _ = max_welfare_ordering(oracle, agents)
+    return fill_ascending(order, oracle.n)
 
 
 def det(oracle: ValuationOracle, c: int,
@@ -82,7 +81,7 @@ def det(oracle: ValuationOracle, c: int,
     if not 1 <= c <= n:
         raise ValueError("c out of range")
     (caps or DEFAULT_CAPS).check_work(perm(n, c), f"{n}!/{n - c}! prefixes")
-    order, _ = max_welfare_ordering(oracle.value_scaled, range(n), oracle.prefixes.root, c)
+    order, _ = max_welfare_ordering(oracle, range(n), c)
     return fill_ascending(order, n)
 
 
@@ -103,7 +102,7 @@ def rand(oracle: ValuationOracle, c: int, seed: int,
     for k in range(c):
         j = rng.randrange(k, n)
         pool[k], pool[j] = pool[j], pool[k]
-    return subset_sequence(oracle.value_scaled, pool[:c], n, oracle.prefixes.root)
+    return subset_sequence(oracle, pool[:c])
 
 
 def det_plus(oracle: ValuationOracle, c: int,

@@ -418,7 +418,7 @@ class TestReadsLeaveNoCycles:
         inst = make_instance(kind, 6, 1)
         runs = (lambda o: seqopt.det(o, 3),
                 lambda o: seqopt.rand(o, 4, seed=1),
-                lambda o: seqopt.max_welfare_ordering(o.value_scaled, range(5), o.prefixes.root),
+                lambda o: seqopt.max_welfare_ordering(o, range(5)),
                 lambda o: list(core.sequence_welfares(o)),
                 core.find_monotonicity_violation)
         gc.collect()
@@ -1321,10 +1321,10 @@ class TestScaledSumsMatchFractionSums:
     def test_max_welfare_ordering(self, inst):
         oracle = oracle_for(inst)
         for agents in ((0, 2, 3), (5, 1, 4, 2), tuple(range(inst.n))[:5]):
-            order, total = seqopt.max_welfare_ordering(oracle.value_scaled, agents)
+            order, total = seqopt.max_welfare_ordering(oracle, agents)
             assert type(total) is int
-            assert (order, Fraction(total, oracle.scale)) == \
-                seqopt.max_welfare_ordering(oracle.value, agents)
+            assert Fraction(total, oracle.scale) == prefix_total(oracle.fresh().value, order)
+            assert order == best_order(oracle.fresh().value, permutations(sorted(agents)))
 
     def test_social_welfare(self, inst):
         oracle = oracle_for(inst)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
@@ -272,6 +273,33 @@ class TestVcgRandMatchesItsDistribution:
             for seed in range(20):
                 out = vcg_rand(profile, c, seed)
                 assert out == by_draw[frozenset(out.sequence[:c])], (c, seed)
+
+
+class TestVcgRandReads:
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_every_search_reads_a_counted_oracle(self, monkeypatch, c):
+        """The draw, the real run and the c runs with a payer zeroed each
+        read a fresh `profile.oracle()`, c * c! reads apiece."""
+        built = []
+        make = ValuationProfile.oracle
+
+        def recorded(profile):
+            built.append(make(profile))
+            return built[-1]
+
+        monkeypatch.setattr(ValuationProfile, "oracle", recorded)
+        for seed in range(3):
+            built.clear()
+            vcg_rand(det_family_profile(5, c), c, seed)
+            assert len(built) == c + 2
+            assert sum(o.ledger.total_calls for o in built) == (c + 2) * c * factorial(c)
+
+
+class TestVcgRandMechanismRange:
+    @pytest.mark.parametrize("c", [-1, 0, 5])
+    def test_c_outside_one_to_n_refused(self, c):
+        with pytest.raises(ValueError, match="^c out of range$"):
+            VcgRandMechanism(c).distribution(det_family_profile(4, 2))
 
 
 class TestSpotcheckBuildsTheTruthOnce:
