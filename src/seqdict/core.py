@@ -15,8 +15,8 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import chain, permutations
+from functools import cached_property, partial, reduce
+from itertools import accumulate, chain, permutations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -151,9 +151,9 @@ class CheckedPrefix:
     """A prefix that a `PrefixStates` walk has checked and stepped: its
     agents, the acted bitmask, its code (the agents read as base-(n+1)
     digits a+1, so distinct prefixes get distinct codes) and the state after
-    it.  Only a walk makes one, as its `root` or by `walk`, and `then` grows
-    it into a new one; nothing changes one once it is made.  Iterating it
-    gives its agents."""
+    it.  Only a walk's `root` starts one, and `then` grows it into a new
+    one (`walk` is a fold of `then`); nothing changes one once it is made.
+    Iterating it gives its agents."""
 
     __slots__ = ("walk", "agents", "mask", "code", "state")
 
@@ -194,7 +194,7 @@ class PrefixStates:
 
     The walk keeps no state of its own: a caller that reads along a tree of
     prefixes grows `root` by `CheckedPrefix.then`, one agent per tree edge,
-    and `walk(seq)` checks and steps a plain sequence from the root.
+    and `walk(seq)` grows a plain sequence from the root the same way.
     """
 
     __slots__ = ("n", "start", "step")
@@ -208,17 +208,10 @@ class PrefixStates:
         return CheckedPrefix(self, (), 0, 0, self.start)
 
     def walk(self, seq: ActionSeq) -> CheckedPrefix:
-        """Step the tuple `seq` from `start` and return it as a checked
-        prefix.  A bad agent raises through `check_action_seq`."""
-        n, step, state = self.n, self.step, self.start
-        mask = code = 0
-        for a in seq:
-            if not (isinstance(a, int) and 0 <= a < n) or mask >> a & 1:
-                check_action_seq(seq, n)
-            mask |= 1 << a
-            code = code * (n + 1) + a + 1
-            state = step(state, a)
-        return CheckedPrefix(self, seq, mask, code, state)
+        """The tuple `seq` as a checked prefix: `root` grown by each of its
+        agents in turn, by `then`.  A bad agent raises through
+        `check_action_seq`."""
+        return reduce(CheckedPrefix.then, seq, self.root)
 
 
 def appended(prefix: tuple, agent: int) -> tuple:
@@ -349,15 +342,11 @@ class ScaledWeights:
 
 def social_welfare(oracle: ValuationOracle, seq: Sequence[int]) -> Value:
     """Sum of v_i(prefix of i) over a full sequence; makes exactly n queries,
-    along one checked prefix grown agent by agent."""
+    along one checked prefix, grown from the root by `then`."""
     seq = tuple(seq)
     check_action_seq(seq, oracle.n, full=True)
-    read, prefix = oracle.value_scaled, oracle.prefixes.root
-    total = read(seq[0], prefix)
-    for k in range(1, len(seq)):
-        prefix = prefix.then(seq[k - 1])
-        total += read(seq[k], prefix)
-    return Fraction(total, oracle.scale)
+    prefixes = accumulate(seq[:-1], CheckedPrefix.then, initial=oracle.prefixes.root)
+    return Fraction(sum(map(oracle.value_scaled, seq, prefixes)), oracle.scale)
 
 
 def prefix_paths(root: CheckedPrefix, pool: Sequence[int], k: int) -> Iterator[tuple]:

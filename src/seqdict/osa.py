@@ -138,11 +138,6 @@ def reaches(out: dict, start: int, goal: int) -> bool:
     return node == goal
 
 
-def has_cycle(out: dict) -> bool:
-    """True iff the out-edges close a directed cycle; None targets draw no edge."""
-    return any(reaches(out, j, i) for i, j in out.items())
-
-
 def walk_start(n: int) -> str:
     """The walk ends of n nodes before any edge is drawn: each node ends its
     own walk.  Walk ends are a str of one code point per node, chr(e) for

@@ -108,22 +108,17 @@ def _pick(prefs: tuple, taken: int, agent: int) -> int:
 
 def greedy_osm(oracle: ValuationOracle) -> ActionSeq:
     """Build the sequence by repeatedly appending the remaining agent whose
-    value after the current prefix is highest (ties: smallest index).
+    value after the current prefix is highest (ties: smallest index, the
+    first maximum `max` meets among the remaining agents, kept ascending).
 
     Issues exactly n + (n-1) + ... + 1 = n(n+1)/2 queries.
     """
-    n = oracle.n
-    order = oracle.prefixes.root  # the checked prefix built so far
-    remaining = list(range(n))
-    for _ in range(n):
-        best_agent = None
-        best_val = None
-        for i in remaining:
-            v = oracle.value_scaled(i, order)
-            if best_val is None or v > best_val:
-                best_agent, best_val = i, v
-        remaining.remove(best_agent)
-        order = order.then(best_agent)
+    read, order = oracle.value_scaled, oracle.prefixes.root  # order: the prefix so far
+    remaining = list(range(oracle.n))
+    while remaining:
+        best = max(remaining, key=lambda i: read(i, order))
+        remaining.remove(best)
+        order = order.then(best)
     return order.agents
 
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import permutations
 from math import factorial, perm
+from operator import itemgetter
 from typing import Optional
 
 from .core import (
@@ -37,19 +38,14 @@ def max_welfare_ordering(oracle: ValuationOracle, agents,
     edge.  Each ordering reads every position, i.e. exactly
     k * m!/(m - k)! queries for k of m agents (k * k! for all of them), and
     adds the reads up: ints over `scale` for a structured oracle, the
-    table's Fractions for a profile's.  Ties break to the lexicographically
-    smallest ordering.
+    table's Fractions for a profile's.  The first maximum wins, so ties
+    break to the lexicographically smallest ordering.
     """
     pool = sorted(agents)
     read = oracle.value_scaled
-    best_order = None
-    best_total = None
-    for order, prefixes, _ in prefix_paths(oracle.prefixes.root, pool,
-                                           len(pool) if length is None else length):
-        total = sum(map(read, order, prefixes))
-        if best_total is None or total > best_total:
-            best_order, best_total = order, total
-    return best_order, best_total
+    paths = prefix_paths(oracle.prefixes.root, pool, len(pool) if length is None else length)
+    return max(((order, sum(map(read, order, prefixes))) for order, prefixes, _ in paths),
+               key=itemgetter(1), default=(None, None))
 
 
 def fill_ascending(prefix: tuple, n: int) -> tuple:
@@ -110,7 +106,8 @@ def det_plus(oracle: ValuationOracle, c: int,
     """Full-welfare variant of det.
 
     Considers every sequence whose last n-c agents appear in ascending index
-    order and returns one of maximum social welfare (ties lexicographic).
+    order and returns the first of maximum social welfare, with prefixes
+    in lexicographic order (so ties are lexicographic).
     Its welfare is never below det's on the same instance, since det's output
     is among the candidates.
     """
@@ -118,14 +115,8 @@ def det_plus(oracle: ValuationOracle, c: int,
     if not 0 <= c <= n:
         raise ValueError("c out of range")
     (caps or DEFAULT_CAPS).check_work(perm(n, c), f"{n}!/{n - c}! candidates")
-    best_seq = None
-    best_val = None
-    for prefix in permutations(range(n), c):  # lexicographic over prefixes
-        cand = fill_ascending(prefix, n)
-        sw = social_welfare(oracle, cand)
-        if best_val is None or sw > best_val:
-            best_seq, best_val = cand, sw
-    return best_seq
+    return max((fill_ascending(prefix, n) for prefix in permutations(range(n), c)),
+               key=partial(social_welfare, oracle))
 
 
 @dataclass(frozen=True)

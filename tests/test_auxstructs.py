@@ -23,7 +23,7 @@ from seqdict.core import (
     social_welfare,
     underlying_optimum,
 )
-from seqdict.osa import has_cycle
+from seqdict.osa import reaches
 
 EPS = Fraction(1, 10)
 
@@ -31,6 +31,11 @@ EPS = Fraction(1, 10)
 def paths_edges_from_sequence(inst, seq) -> dict:
     """Out-edge map drawn by a full sequence (used for structural checks)."""
     return {i: j for i, j in enumerate(actions(inst, seq)) if j is not None}
+
+
+def has_cycle(out: dict) -> bool:
+    """True iff the out-edges close a directed cycle; None targets draw no edge."""
+    return any(reaches(out, j, i) for i, j in out.items())
 
 
 def check_path_union(out: dict, n: int) -> None:

@@ -736,6 +736,22 @@ class TestPrefixWalkChecks:
         oracle = walk_oracle(kind, 4)
         assert oracle.fresh().prefixes is oracle.prefixes
 
+    def test_walked_mask_and_code_have_closed_forms(self, kind):
+        """A walked prefix's mask is the bitmask of its agents and its code
+        its agents read as base-(n+1) digits a+1, so every prefix gets its
+        own code."""
+        n = 4
+        walk = walk_oracle(kind, n).prefixes
+        codes = []
+        for seq in core.ordered_subsequences(range(n)):
+            walked = walk.walk(seq)
+            assert walked.agents == seq
+            assert walked.mask == sum(1 << a for a in seq)
+            assert walked.code == sum((a + 1) * (n + 1) ** (len(seq) - 1 - k)
+                                      for k, a in enumerate(seq))
+            codes.append(walked.code)
+        assert len(set(codes)) == len(codes)
+
 
 class TestPrefixWalkLedger:
     @drawn
@@ -1347,6 +1363,92 @@ class TestScaledSumsMatchFractionSums:
                 scaled, plain = oracle.fresh(), fraction_copy(oracle)
                 assert run(scaled) == run(plain) == want
                 assert scaled.ledger.total_calls == plain.ledger.total_calls
+
+
+# --- tie-breaks: the first best candidate wins -----------------------------------------
+
+
+def first_strictly_best(candidates, score):
+    """(candidate, score) of the first best candidate, by a plain loop in
+    which only a strictly better candidate replaces the best; (None, None)
+    when there are none."""
+    best = best_score = None
+    for cand in candidates:
+        s = score(cand)
+        if best_score is None or s > best_score:
+            best, best_score = cand, s
+    return best, best_score
+
+
+def plain_welfare(oracle, order):
+    """The scaled reads of `order`'s agents, each after its plain-tuple
+    prefix, added up."""
+    return sum(oracle.value_scaled(a, order[:k]) for k, a in enumerate(order))
+
+
+def ordering_loop(oracle, agents, length=None):
+    """`max_welfare_ordering` by the plain loop."""
+    pool = sorted(agents)
+    return first_strictly_best(permutations(pool, len(pool) if length is None else length),
+                               lambda order: plain_welfare(oracle, order))
+
+
+def det_plus_loop(oracle, c):
+    n = oracle.n
+    candidates = (seqopt.fill_ascending(p, n) for p in permutations(range(n), c))
+    return first_strictly_best(candidates, lambda seq: plain_welfare(oracle, seq))[0]
+
+
+def greedy_osm_loop(oracle):
+    order, remaining = (), list(range(oracle.n))
+    while remaining:
+        best, _ = first_strictly_best(remaining, lambda i: oracle.value_scaled(i, order))
+        remaining.remove(best)
+        order += (best,)
+    return order
+
+
+def tie_heavy_instance(data):
+    """A drawn osm or osa instance with weights 0 and 1 (weight denominator
+    1), or a lowerbound one, whose values are 0 or 1 too: n <= 6."""
+    kind = data.draw(st.sampled_from(("osm", "osa", "lowerbound")), label="kind")
+    n = data.draw(st.integers(1, 6), label="n")
+    seed = data.draw(st.integers(0, 10 ** 6), label="seed")
+    if kind == "lowerbound":
+        c = data.draw(st.integers(1, n), label="c")
+        return seqopt.random_lower_bound_instance(n, c, seed)
+    return make_instance(kind, n, seed, wd=1)
+
+
+def same_run(run, reference, inst):
+    """`run` and `reference`, each on a fresh oracle of `inst`, give the same
+    result and the same ledger counts."""
+    oracle, plain = oracle_for(inst), oracle_for(inst)
+    assert run(oracle) == reference(plain)
+    assert counts(oracle) == counts(plain)
+
+
+class TestTiesGoToTheFirstBest:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_searches_equal_strictly_better_loops(self, data):
+        inst = tie_heavy_instance(data)
+        n = inst.n
+        for c in range(n + 1):
+            same_run(lambda o: seqopt.det_plus(o, c), lambda o: det_plus_loop(o, c), inst)
+        agents = range(n)
+        same_run(lambda o: seqopt.max_welfare_ordering(o, agents),
+                 lambda o: ordering_loop(o, agents), inst)
+        for length in range(1, n + 1):
+            same_run(lambda o: seqopt.max_welfare_ordering(o, agents, length),
+                     lambda o: ordering_loop(o, agents, length), inst)
+        same_run(osm.greedy_osm, greedy_osm_loop, inst)
+
+    def test_more_positions_than_agents(self):
+        oracle = oracle_for(make_instance("osm", 4, 0, wd=1))
+        assert seqopt.max_welfare_ordering(oracle, [0, 1], 3) == (None, None)
+        assert ordering_loop(oracle, [0, 1], 3) == (None, None)
+        assert oracle.ledger.total_calls == 0
 
 
 class TestOpaqueOracle:

@@ -19,13 +19,13 @@ from seqdict.osa import (
     bit,
     check_arborescence,
     greedy_osa,
-    has_cycle,
     is_pareto_optimal_arborescence,
     osa_oracle,
     random_digraph_instance,
     reaches,
     sequence_for_arborescence,
 )
+from test_auxstructs import has_cycle  # a test helper beside the path checks
 
 EPS = Fraction(1, 10)
 

@@ -50,6 +50,12 @@ Families:
          osa and paths files past 255 nodes (n = 260, seed 0), where a walk
          end no longer fits in a byte, then `run --algorithm det --c 1
          --skip-optimum --json` on each file
+  wide-greedy
+         the greedy builders past the `run` family's n = 8, where
+         `greedy_osa` evicts and probes: osm and osa files at n = 12, 16 and
+         24, seeds 0 and 1, then `run --json --skip-optimum` of the kind's
+         greedy (`greedy-osm` or `greedy-osa`) and of `det-plus` c=2 on each
+         file
   malformed
          `posd` on instance files that a kind's constructor refuses: an oss
          file with n 0, a short tie_default, an empty clause or a literal
@@ -102,6 +108,8 @@ WIDE_OSI = (((12, 16, 20), ["run", "--algorithm", "osi-learn", "--json"]),
             ((9, 10), ["posd", "--json"]))
 WIDE_WALK_KINDS = ("osa", "paths")
 WIDE_WALK_N = "260"
+WIDE_GREEDY_NS = (12, 16, 24)
+WIDE_GREEDY_KINDS = ("osm", "osa")
 
 
 def refusals() -> list:
@@ -185,7 +193,8 @@ def call(argv: list, workdir: str) -> tuple:
 def sweep(workdir: str) -> dict:
     families = {name: hashlib.sha256()
                 for name in ("gen", "posd", "run", "named", "verify", "bench", "refusals",
-                             "wide-sat", "wide-prefix", "wide-osi", "wide-walk", "malformed")}
+                             "wide-sat", "wide-prefix", "wide-osi", "wide-walk", "wide-greedy",
+                             "malformed")}
     counts = dict.fromkeys(families, 0)
 
     def record(family: str, argv: list, path=None) -> None:
@@ -268,6 +277,14 @@ def sweep(workdir: str) -> dict:
         record("wide-walk", ["gen", kind, "--n", WIDE_WALK_N, "--seed", "0"], path)
         record("wide-walk", ["run", path, "--algorithm", "det", "--c", "1", "--skip-optimum",
                              "--json"])
+    for kind in WIDE_GREEDY_KINDS:
+        for n in WIDE_GREEDY_NS:
+            for seed in SEEDS:
+                path = os.path.join(workdir, f"wide-greedy-{kind}-{n}-{seed}.json")
+                record("wide-greedy", ["gen", kind, "--n", str(n), "--seed", str(seed)], path)
+                for algorithm in ([f"greedy-{kind}"], ["det-plus", "--c", "2"]):
+                    record("wide-greedy", ["run", path, "--json", "--skip-optimum",
+                                           "--algorithm", *algorithm])
     for name, text in MALFORMED.items():
         path = os.path.join(workdir, name)
         Path(path).write_text(text, encoding="utf-8")
