@@ -42,31 +42,35 @@ from .osa import (
 class OsiInstance:
     kind = "osi"  # its name in instance files; a class attribute, not a field
     n: int
-    adj: tuple  # symmetric boolean matrix, no self-loops
+    nbr: tuple  # each node's neighbours as a bitmask: symmetric, no self-loops
 
     def __post_init__(self):
-        if self.n < 1 or len(self.adj) != self.n:
+        n, nbr = self.n, self.nbr
+        if n < 1 or len(nbr) != n:
             raise ValueError("bad adjacency matrix")
-        for i in range(self.n):
-            if len(self.adj[i]) != self.n or self.adj[i][i]:
+        for i, mask in enumerate(nbr):
+            if mask >> n or mask >> i & 1:  # a bit >= n (a negative mask has all), or a self-loop
                 raise ValueError("self-loops are not allowed")
-            for j in range(self.n):
-                if self.adj[i][j] != self.adj[j][i]:
+            while mask:  # each neighbour j, lowest first
+                j = (mask & -mask).bit_length() - 1
+                if not nbr[j] >> i & 1:
                     raise ValueError("adjacency must be symmetric")
+                mask &= mask - 1
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable) -> "OsiInstance":
-        adj = [[False] * n for _ in range(n)]
+        nbr = [0] * n
         for edge in edges:
             if len(edge) != 2 or edge[0] == edge[1] or not all(0 <= k < n for k in edge):
                 raise ValueError(f"bad edge {tuple(edge)}")
             i, j = edge
-            adj[i][j] = adj[j][i] = True
-        return cls(n, tuple(tuple(row) for row in adj))
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+        return cls(n, tuple(nbr))
 
     def edges(self) -> list:
-        return [(i, j) for i in range(self.n) for j in range(i + 1, self.n)
-                if self.adj[i][j]]
+        return [(i, j) for i, mask in enumerate(self.nbr)
+                for j in range(i + 1, mask.bit_length()) if mask >> j & 1]
 
     @cached_property
     def structure(self) -> Structure:
@@ -76,7 +80,7 @@ class OsiInstance:
         bit set once the acted set stops being independent, so it depends only
         on the set of agents that acted.  An agent's act is her value.
         """
-        nbr = _neighbour_masks(self)
+        nbr = self.nbr
         dependent = (1 << self.n) - 1
 
         def step(mask: int, agent: int) -> int:
@@ -85,16 +89,11 @@ class OsiInstance:
         def read(mask: int, agent: int) -> int:
             return 0 if mask >> agent & 1 else 1
 
-        return Structure(0, step, read, read, 1, True)
+        return Structure(0, step, read, read, 1, True, self.n)
 
     def optimum(self, caps: Optional[Caps] = None) -> Value:
         """The size of a maximum independent set (`max_independent_set`)."""
         return Fraction(len(max_independent_set(self, caps)))
-
-
-def _neighbour_masks(inst: OsiInstance) -> list:
-    """Each node's neighbours as a bitmask."""
-    return [sum(1 << j for j in range(inst.n) if inst.adj[i][j]) for i in range(inst.n)]
 
 
 def _mis_from_masks(n: int, nbr: list) -> int:
@@ -124,7 +123,7 @@ def max_independent_set(inst: OsiInstance,
                         caps: Optional[Caps] = None) -> frozenset:
     """Lexicographically-smallest maximum independent set, by subset search."""
     (caps or DEFAULT_CAPS).check_subset(inst.n)
-    mask = _mis_from_masks(inst.n, _neighbour_masks(inst))
+    mask = _mis_from_masks(inst.n, inst.nbr)
     return frozenset(i for i in range(inst.n) if mask >> i & 1)
 
 
@@ -190,7 +189,7 @@ class PathsInstance(ScaledWeights):
             return 0 if target is None else rows[agent][target]
 
         return Structure(walk_start(self.n), partial(draw, targets, True),
-                         partial(best_addable, targets), read, scale, False)
+                         partial(best_addable, targets), read, scale, False, self.n)
 
     def optimum(self, caps: Optional[Caps] = None) -> Value:
         """Exact max-weight union of vertex-disjoint paths.

@@ -148,16 +148,16 @@ class QueryLedger:
 
 
 class CheckedPrefix:
-    """A prefix that a `PrefixStates` walk has checked and stepped: its
-    agents, the acted bitmask, its code (the agents read as base-(n+1)
-    digits a+1, so distinct prefixes get distinct codes) and the state after
-    it.  Only a walk's `root` starts one, and `then` grows it into a new
-    one (`walk` is a fold of `then`); nothing changes one once it is made.
-    Iterating it gives its agents."""
+    """A prefix that a `Structure`'s walk has checked and stepped: the
+    structure it walks, its agents, the acted bitmask, its code (the agents
+    read as base-(n+1) digits a+1, so distinct prefixes get distinct codes)
+    and the state after it.  Only a structure's `root` starts one, and
+    `then` grows it into a new one (`Structure.walk` is a fold of `then`);
+    nothing changes one once it is made.  Iterating it gives its agents."""
 
     __slots__ = ("walk", "agents", "mask", "code", "state")
 
-    def __init__(self, walk: "PrefixStates", agents: ActionSeq, mask: int, code: int, state):
+    def __init__(self, walk: "Structure", agents: ActionSeq, mask: int, code: int, state):
         self.walk, self.agents, self.mask, self.code, self.state = \
             walk, agents, mask, code, state
 
@@ -185,22 +185,33 @@ class CheckedPrefix:
                              self.code * (walk.n + 1) + agent + 1, state)
 
 
-class PrefixStates:
-    """The one walk over a counted query's prefix: it checks a prefix as
-    `check_action_seq` does, names it by an exact integer code, and replays
-    a structure's state after it from `start` by `step`, handing all of it
-    back as a `CheckedPrefix`.  Replaying is bookkeeping, not a counted
-    query.
+class Structure(NamedTuple):
+    """How an instance plays out as agents act, and the one walk over a
+    counted query's prefix.  Each kind's instance class builds it once per
+    instance, as the cached property `structure`, which all its oracles walk.
+
+    `start` is the state before anyone acts and `step(state, agent)` the new
+    state after `agent` acts, neither changing the state it is given.  A
+    state is hashable and holds only what, with the set of agents that
+    acted, fixes every later value and step, so it is its own memo key.
+    `act(state, agent)` is what the agent does in `state` and `read(state,
+    agent)` her value there as an int over `scale`, a positive common
+    denominator of every value; `monotone_claimed` says whether the kind
+    promises monotone valuations, and `n` is its number of agents.
 
     The walk keeps no state of its own: a caller that reads along a tree of
     prefixes grows `root` by `CheckedPrefix.then`, one agent per tree edge,
     and `walk(seq)` grows a plain sequence from the root the same way.
+    Replaying states is bookkeeping, not a counted query.
     """
 
-    __slots__ = ("n", "start", "step")
-
-    def __init__(self, n: int, start, step: Callable):
-        self.n, self.start, self.step = n, start, step
+    start: object
+    step: Callable
+    act: Callable
+    read: Callable
+    scale: int
+    monotone_claimed: bool
+    n: int
 
     @property
     def root(self) -> CheckedPrefix:
@@ -228,13 +239,13 @@ class ValuationOracle:
     records whether the instance promises v_i(S') >= v_i(S) for S' <= S, which
     the prefix-search guarantees rely on.
 
-    `prefixes` is the `PrefixStates` walk that checks each query's prefix,
+    `prefixes` is the `Structure` whose walk checks each query's prefix,
     names it for the ledger and reaches a state after it; `fn(state, agent)`
     reads v_i(S) * `scale` at the state S leaves, and `value_scaled(i, S)`
-    returns that read.  A bare oracle walks with the prefix tuple itself as
-    its state and has scale 1, so its `fn(S, agent)` gives v_i(S) itself.
-    `oracle_for` sets a `Structure`'s walk and scale, a positive common
-    denominator of every value, and its `fn` is the structure's `read`.
+    returns that read.  A bare oracle walks `Structure((), appended, fn, fn,
+    1, monotone_claimed, n)`, whose state is the prefix tuple itself, so its
+    `fn(S, agent)` gives v_i(S) itself.  `oracle_for` sets the instance's
+    `structure`, and its scale, a positive common denominator of every value.
     """
 
     def __init__(self, n: int, fn: Callable, monotone_claimed: bool = False):
@@ -245,13 +256,13 @@ class ValuationOracle:
         self.monotone_claimed = monotone_claimed
         self.ledger = QueryLedger()
         self.scale = 1
-        self.prefixes = PrefixStates(n, (), appended)
+        self.prefixes = Structure((), appended, fn, fn, 1, monotone_claimed, n)
 
     def value(self, agent: int, seq: Iterable[int] = (), scaled: bool = False):
         """v_agent(seq); with `scaled`, as `value_scaled` reads it.
 
-        `seq` is a `CheckedPrefix` of this oracle's walk (copies made by
-        `fresh` share it), read as it stands, or any other sequence of
+        `seq` is a `CheckedPrefix` of this oracle's walk (every oracle of
+        its instance shares it), read as it stands, or any other sequence of
         agents, a checked prefix of another walk included, which is walked
         from the start.  Either way one call is one counted query."""
         n = self.n
@@ -479,36 +490,13 @@ def underlying_optimum(instance, caps: Optional[Caps] = None) -> Value:
     return optimum(caps)
 
 
-class Structure(NamedTuple):
-    """How a structured instance plays out as agents act.  Each kind's
-    instance class builds it once per instance, as the cached property
-    `structure`.
-
-    `start` is the structure's state before anyone acts and `step(state,
-    agent)` the new state after `agent` acts, neither changing the state it
-    is given.  A state is hashable and holds only what, with the set of
-    agents that acted, fixes every later value and step, so it is its own
-    memo key.  `act(state, agent)` is what the agent does in `state` and
-    `read(state, agent)` her value there as an int over `scale`, a positive
-    common denominator of every value; `monotone_claimed` says whether the
-    kind promises monotone valuations.
-    """
-
-    start: object
-    step: Callable
-    act: Callable
-    read: Callable
-    scale: int
-    monotone_claimed: bool
-
-
 def oracle_for(instance) -> ValuationOracle:
-    """A fresh counted oracle for a structured instance: each query reads its
-    `Structure`'s `read` at the state the query's prefix leaves."""
+    """A fresh counted oracle for a structured instance: it walks the
+    instance's one `Structure` and reads its `read` at each query's state."""
     structure = instance.structure
-    oracle = ValuationOracle(instance.n, structure.read, structure.monotone_claimed)
+    oracle = ValuationOracle(structure.n, structure.read, structure.monotone_claimed)
     oracle.scale = structure.scale
-    oracle.prefixes = PrefixStates(instance.n, structure.start, structure.step)
+    oracle.prefixes = structure
     return oracle
 
 

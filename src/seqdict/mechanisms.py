@@ -24,7 +24,7 @@ from .core import (
     prefix_of,
     prefix_table,
 )
-from .osa import ArborescenceInstance, bit, greedy_osa
+from .osa import ArborescenceInstance, greedy_osa
 from .osm import MatchingInstance, greedy_osm
 from .seqopt import det, det_plus, rand, subset_sequence
 
@@ -172,28 +172,6 @@ class VcgDetPlusMechanism:
 
     def distribution(self, profile: ValuationProfile):
         return [(Fraction(1), vcg_det_plus(profile, self.c))]
-
-
-@dataclass(frozen=True)
-class BitMechanism:
-    """Fair coin between the ascending and descending sequences; no queries,
-    no payments, nothing for a misreport to influence."""
-
-    def distribution(self, profile: ValuationProfile):
-        zero = (Fraction(0),) * profile.n
-        return [(Fraction(1, 2), MechanismOutcome(bit(profile.n, coin), zero))
-                for coin in (True, False)]
-
-
-class UnpaidAlgorithm:
-    """A payment-free wrapper around any sequence algorithm."""
-
-    def __init__(self, run: Callable[[ValuationOracle], tuple]):
-        self.run = run
-
-    def distribution(self, profile: ValuationProfile):
-        seq = self.run(profile.oracle())
-        return [(Fraction(1), MechanismOutcome(seq, (Fraction(0),) * profile.n))]
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,7 @@ class ArborescenceInstance(ScaledWeights):
             return 0 if target is None else rows[agent][target]
 
         return Structure(walk_start(self.n), partial(draw, targets, False),
-                         partial(best_addable, targets), read, scale, True)
+                         partial(best_addable, targets), read, scale, True, self.n)
 
     def optimum(self, caps: Optional[Caps] = None) -> Value:
         """Max-weight arborescence by a dynamic program over node sets.

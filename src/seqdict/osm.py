@@ -68,7 +68,7 @@ class MatchingInstance(ScaledWeights):
         def read(taken: int, agent: int) -> int:
             return rows[agent][_pick(prefs, taken, agent)]
 
-        return Structure(0, step, act, read, scale, True)
+        return Structure(0, step, act, read, scale, True, self.n)
 
     def optimum(self, caps: Optional[Caps] = None) -> Value:
         """Max-weight perfect matching by a dynamic program over taken items.

@@ -98,7 +98,7 @@ class SatInstance:
         def read(unsat: int, agent: int) -> int:
             return turns[agent][unsat & own[agent]][0]
 
-        return Structure((1 << len(self.clauses)) - 1, step, act, read, self.scale, False)
+        return Structure((1 << len(self.clauses)) - 1, step, act, read, self.scale, False, self.n)
 
     def optimum(self, caps: Optional[Caps] = None) -> Value:
         """MAX-SAT: the total weight less the least weight that one of the 2^n

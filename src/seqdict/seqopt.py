@@ -161,7 +161,7 @@ class LowerBoundInstance:
             ok, _, size = state
             return 1 if size < c or ok else 0
 
-        return Structure((True, -1, 0), step, read, read, 1, True)
+        return Structure((True, -1, 0), step, read, read, 1, True, self.n)
 
 
 def random_lower_bound_instance(n: int, c: int, seed: int) -> LowerBoundInstance:

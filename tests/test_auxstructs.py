@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -52,7 +53,7 @@ def mis_by_subset_scan(inst):
     best = 0
     for size in range(inst.n, -1, -1):
         for sub in combinations(range(inst.n), size):
-            if all(not inst.adj[a][b] for a, b in combinations(sub, 2)):
+            if all(not inst.nbr[a] >> b & 1 for a, b in combinations(sub, 2)):
                 return size
     return best
 
@@ -116,6 +117,28 @@ class TestOsi:
     def test_validation(self):
         with pytest.raises(ValueError):
             OsiInstance.from_edges(2, [(0, 0)])
+        for n, nbr, message in (
+                (0, (), "bad adjacency matrix"),
+                (3, (0, 0), "bad adjacency matrix"),
+                (3, (0b001, 0, 0), "self-loops are not allowed"),
+                (3, (0b1000, 0, 0), "self-loops are not allowed"),  # a bit past n
+                (3, (-2, 0, 0), "self-loops are not allowed"),
+                (3, (0b010, 0, 0), "adjacency must be symmetric"),
+                (3, (0b110, 0b001, 0b000), "adjacency must be symmetric")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                OsiInstance(n, nbr)
+        assert OsiInstance(3, (0b110, 0b001, 0b001)).edges() == [(0, 1), (0, 2)]
+
+    def test_from_edges_memory_is_linear_in_n(self):
+        """An n x n matrix at n = 3000 would take over 100 MB."""
+        tracemalloc.start()
+        try:
+            inst = OsiInstance.from_edges(3000, [(0, 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert inst.edges() == [(0, 1)]
 
 
 class TestPathsOracle:

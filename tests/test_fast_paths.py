@@ -153,7 +153,7 @@ def paths_value(inst, agent, seq):
 
 def osi_value(inst, agent, seq):
     nodes = list(seq) + [agent]
-    return Fraction(0 if any(inst.adj[a][b] for a, b in combinations(nodes, 2)) else 1)
+    return Fraction(0 if any(inst.nbr[a] >> b & 1 for a, b in combinations(nodes, 2)) else 1)
 
 
 def lowerbound_value(inst, agent, seq):
@@ -733,8 +733,20 @@ class TestPrefixWalkChecks:
                 "query subsequence contains the queried agent"
 
     def test_copies_share_the_walk(self, kind):
+        """`fresh` copies share their source's walk; every oracle of an
+        instance walks the instance's `structure`; and a bare oracle walks
+        the structure whose state is its prefix and whose act and read are
+        its `fn`."""
         oracle = walk_oracle(kind, 4)
         assert oracle.fresh().prefixes is oracle.prefixes
+        if kind != "opaque":
+            inst = make_instance(kind, 4, 0, wd=3)
+            assert oracle_for(inst).prefixes is oracle_for(inst).prefixes is inst.structure
+            return
+        fn = lambda seq, agent: Fraction(agent)
+        for claimed in (False, True):
+            assert ValuationOracle(4, fn, claimed).prefixes == \
+                core.Structure((), core.appended, fn, fn, 1, claimed, 4)
 
     def test_walked_mask_and_code_have_closed_forms(self, kind):
         """A walked prefix's mask is the bitmask of its agents and its code
@@ -794,13 +806,15 @@ def count_steps(inst):
 
 
 def stepping_oracle(kind, n, seed):
-    """`walk_oracle(kind, n, seed)` and the list of agents its structure has
-    stepped so far (an opaque oracle steps nothing)."""
+    """`walk_oracle(kind, n, seed)`, a second oracle of its instance (for
+    "opaque", which has none, a `fresh` copy) and the list of agents their
+    structure has stepped so far (an opaque oracle steps nothing)."""
     if kind == "opaque":
-        return walk_oracle(kind, n, seed), []
+        oracle = walk_oracle(kind, n, seed)
+        return oracle, oracle.fresh(), []
     inst = make_instance(kind, n, seed, wd=3)
     steps = count_steps(inst)
-    return oracle_for(inst), steps
+    return oracle_for(inst), oracle_for(inst), steps
 
 
 def outcome(call):
@@ -823,18 +837,20 @@ class TestCheckedPrefixes:
         of its agents as a plain tuple (value, error text and ledger counts)
         and steps nothing; a growth step checks its agent as
         `check_action_seq` does, steps once and counts nothing; a checked
-        prefix of another instance's walk is read as its plain agents; and
-        `fresh` copies read their source's prefixes."""
+        prefix of another instance's walk is read as its plain agents;
+        `fresh` copies read their source's prefixes; and a prefix grown on a
+        second oracle of the same instance is read as it stands, stepping
+        nothing."""
         kind = data.draw(st.sampled_from(WALK_KINDS), label="kind")
         n = data.draw(st.integers(1, 6), label="n")
         seed = data.draw(st.integers(0, 10 ** 6), label="seed")
-        oracle, steps = stepping_oracle(kind, n, seed)
+        oracle, sibling, steps = stepping_oracle(kind, n, seed)
         plain = walk_oracle(kind, n, seed)
         copy, plain_copy = oracle.fresh(), plain.fresh()
         other = walk_oracle(kind, data.draw(st.integers(1, n), label="other n"), seed + 1)
         prefix = oracle.prefixes.root
         agents = st.one_of(st.integers(-1, n), st.sampled_from((1.0, None, True)))
-        ops = st.tuples(st.sampled_from(("grow", "read", "fresh", "foreign")), agents,
+        ops = st.tuples(st.sampled_from(("grow", "read", "fresh", "foreign", "sibling")), agents,
                         st.permutations(range(other.n)), st.integers(0, other.n))
         for op, agent, order, k in data.draw(st.lists(ops, max_size=25), label="ops"):
             stepped, before = len(steps), counts(oracle)
@@ -857,10 +873,18 @@ class TestCheckedPrefixes:
                     outcome(lambda: plain_copy.value_scaled(agent, prefix.agents))
                 assert len(steps) == stepped
                 assert counts(copy) == counts(plain_copy)
-            else:
+            elif op == "foreign":
                 foreign = other.prefixes.walk(tuple(order[:k]))
                 assert outcome(lambda: oracle.value(agent, foreign)) == \
                     outcome(lambda: plain.value(agent, foreign.agents))
+                assert counts(oracle) == counts(plain)
+            else:  # order[:k] is a valid prefix at n, since other.n <= n
+                grown = sibling.prefixes.walk(tuple(order[:k]))
+                assert grown.walk is oracle.prefixes
+                stepped = len(steps)
+                assert outcome(lambda: oracle.value(agent, grown)) == \
+                    outcome(lambda: plain.value(agent, grown.agents))
+                assert len(steps) == stepped
                 assert counts(oracle) == counts(plain)
 
 

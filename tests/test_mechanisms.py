@@ -7,8 +7,7 @@ import pytest
 from seqdict import mechanisms
 from seqdict.core import CapExceededError, ValuationOracle, ordered_subsequences, prefix_of
 from seqdict.mechanisms import (
-    BitMechanism,
-    UnpaidAlgorithm,
+    MechanismOutcome,
     ValuationProfile,
     VcgDetPlusMechanism,
     VcgRandMechanism,
@@ -20,6 +19,7 @@ from seqdict.mechanisms import (
     vcg_det_plus,
     vcg_rand,
 )
+from seqdict.osa import bit
 from seqdict.osm import osm_oracle, random_matching_instance
 from seqdict.seqopt import det_plus
 
@@ -29,6 +29,27 @@ EPS = Fraction(1, 10)
 def zero_table(n, agent):
     others = [j for j in range(n) if j != agent]
     return {s: Fraction(0) for s in ordered_subsequences(others)}
+
+
+class BitMechanism:
+    """Fair coin between the ascending and descending sequences; no queries,
+    no payments, nothing for a misreport to influence."""
+
+    def distribution(self, profile):
+        zero = (Fraction(0),) * profile.n
+        return [(Fraction(1, 2), MechanismOutcome(bit(profile.n, coin), zero))
+                for coin in (True, False)]
+
+
+class UnpaidAlgorithm:
+    """A payment-free wrapper around any sequence algorithm."""
+
+    def __init__(self, run):
+        self.run = run
+
+    def distribution(self, profile):
+        seq = self.run(profile.oracle())
+        return [(Fraction(1), MechanismOutcome(seq, (Fraction(0),) * profile.n))]
 
 
 def expected_utilities(mech, profile):

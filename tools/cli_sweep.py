@@ -56,6 +56,11 @@ Families:
          24, seeds 0 and 1, then `run --json --skip-optimum` of the kind's
          greedy (`greedy-osm` or `greedy-osa`) and of `det-plus` c=2 on each
          file
+  sparse-osi
+         hand-written osi files far past the subset cap (n = 1000 and 3000),
+         one with no edges and one with the edges [0, 1], [1, 2] and
+         [n-1, 0], then `posd --json` (refused by the subset cap) and `run
+         --algorithm det --c 1 --skip-optimum --json` on each file
   malformed
          `posd` on instance files that a kind's constructor refuses: an oss
          file with n 0, a short tie_default, an empty clause or a literal
@@ -110,6 +115,9 @@ WIDE_WALK_KINDS = ("osa", "paths")
 WIDE_WALK_N = "260"
 WIDE_GREEDY_NS = (12, 16, 24)
 WIDE_GREEDY_KINDS = ("osm", "osa")
+SPARSE_OSI_NS = (1000, 3000)
+SPARSE_OSI_RUNS = (["posd", "--json"],
+                   ["run", "--algorithm", "det", "--c", "1", "--skip-optimum", "--json"])
 
 
 def refusals() -> list:
@@ -194,7 +202,7 @@ def sweep(workdir: str) -> dict:
     families = {name: hashlib.sha256()
                 for name in ("gen", "posd", "run", "named", "verify", "bench", "refusals",
                              "wide-sat", "wide-prefix", "wide-osi", "wide-walk", "wide-greedy",
-                             "malformed")}
+                             "sparse-osi", "malformed")}
     counts = dict.fromkeys(families, 0)
 
     def record(family: str, argv: list, path=None) -> None:
@@ -285,6 +293,12 @@ def sweep(workdir: str) -> dict:
                 for algorithm in ([f"greedy-{kind}"], ["det-plus", "--c", "2"]):
                     record("wide-greedy", ["run", path, "--json", "--skip-optimum",
                                            "--algorithm", *algorithm])
+    for n in SPARSE_OSI_NS:
+        for edges in ([], [[0, 1], [1, 2], [n - 1, 0]]):
+            path = os.path.join(workdir, f"sparse-osi-{n}-{len(edges)}.json")
+            Path(path).write_text(_doc("osi", n, edges=edges), encoding="utf-8")
+            for command, *flags in SPARSE_OSI_RUNS:
+                record("sparse-osi", [command, path, *flags])
     for name, text in MALFORMED.items():
         path = os.path.join(workdir, name)
         Path(path).write_text(text, encoding="utf-8")
